@@ -14,7 +14,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InputError, ShapeError
+from .gcn import class_weights
 from .metrics import score
+from .protocol import carve_validation
 
 LOGREG_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 SVM_C_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
@@ -74,16 +76,6 @@ def linear_predict(model: LinearModel, x_norm: np.ndarray) -> np.ndarray:
             f"model expects {model.weights.shape[0]} features, got {x_norm.shape[1]}"
         )
     return np.argmax(x_norm @ model.weights + model.bias, axis=1)
-
-
-def balanced_sample_weights(y, num_classes: int) -> np.ndarray:
-    """Per-sample weights n / (C * count_{class}); always sums to n."""
-    y = np.asarray(y)
-    counts = np.bincount(y, minlength=num_classes)
-    w = np.zeros(num_classes, dtype=np.float64)
-    present = counts > 0
-    w[present] = y.size / (num_classes * counts[present])
-    return w[y]
 
 
 def logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
@@ -185,7 +177,7 @@ def train_logreg(x_norm, y, visible_rows, grid=LOGREG_C_GRID, folds: int = 5,
     for reg_c in grid:
         fold_f1 = []
         for train_idx, val_idx in fold_pairs:
-            sw = balanced_sample_weights(y[train_idx], num_classes)
+            sw = class_weights(y, train_idx, num_classes)[y[train_idx]]
             W, b = fit_logreg(x_norm[train_idx], y[train_idx], sw, reg_c, num_classes)
             pred = np.argmax(x_norm[val_idx] @ W + b, axis=1)
             fold_f1.append(score(pred, y[val_idx], num_classes).macro_f1)
@@ -193,7 +185,7 @@ def train_logreg(x_norm, y, visible_rows, grid=LOGREG_C_GRID, folds: int = 5,
 
     best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])
     selected = grid_scores[best][0]
-    sw = balanced_sample_weights(y[visible_rows], num_classes)
+    sw = class_weights(y, visible_rows, num_classes)[y[visible_rows]]
     W, b = fit_logreg(x_norm[visible_rows], y[visible_rows], sw, selected, num_classes)
     return LinearModel(
         kind="logreg", weights=W, bias=b,
@@ -236,21 +228,6 @@ def _fit_svm_ovr(X, Y_signed, sample_w, reg_c, iterations=SVM_ITERATIONS):
     return W_avg / tail, b_avg / tail
 
 
-def _holdout(y, indices, fraction, rng):
-    """Stratified holdout carve used for SVM grid selection."""
-    indices = np.asarray(indices)
-    y = np.asarray(y)
-    fit_part, val_part = [], []
-    for c in np.unique(y[indices]):
-        members = np.sort(indices[y[indices] == c])
-        perm = rng.permutation(members)
-        n_val = min(max(1, int(np.floor(members.size * fraction + 0.5))),
-                    members.size - 1) if members.size > 1 else 0
-        val_part.append(perm[:n_val])
-        fit_part.append(perm[n_val:])
-    return np.sort(np.concatenate(fit_part)), np.sort(np.concatenate(val_part))
-
-
 def train_svm(x_norm, y, visible_rows, grid=SVM_C_GRID, seed: int = 0,
               num_classes=None) -> LinearModel:
     """Grid search on a stratified holdout by macro-F1; refit on all visible rows."""
@@ -260,8 +237,7 @@ def train_svm(x_norm, y, visible_rows, grid=SVM_C_GRID, seed: int = 0,
         num_classes = int(y.max()) + 1
     x_norm = np.asarray(x_norm, dtype=np.float64)
 
-    rng = np.random.default_rng(seed)
-    fit_idx, val_idx = _holdout(y, visible_rows, 0.2, rng)
+    fit_idx, val_idx = carve_validation(y, visible_rows, 0.2, seed)
     if val_idx.size == 0:
         raise InputError("too few visible examples to carve an SVM validation split")
 

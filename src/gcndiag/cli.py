@@ -19,7 +19,6 @@ from .errors import GcnDiagError
 from .gcn import GcnConfig, gradient_check, train_gcn
 from .graph import normalized_adjacency
 from .homophily import homophily_report
-from .metrics import macro_f1_over_present
 from .protocol import ExperimentResult, derive_seed, make_split, run_grid
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
                        averaged_class_metrics, quadrant_summary)

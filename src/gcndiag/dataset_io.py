@@ -155,7 +155,7 @@ def _read_features(path: str, n: int, d: int) -> np.ndarray:
                 parts = line.split("\t")
                 if len(parts) != d:
                     raise InputError(
-                        f"expected {d} values, got {len(parts)}",
+                        f"expected {d} tab-separated values, got {len(parts)}",
                         path=tsv_path, line=lineno,
                     )
                 try:

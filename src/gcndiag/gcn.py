@@ -5,7 +5,7 @@ dropout on the input features and on the hidden activations during training.
 Training is full-batch Adam with early stopping on validation macro-F1.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,15 +29,7 @@ class GcnConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "hidden": self.hidden,
-            "dropout_rate": self.dropout_rate,
-            "learning_rate": self.learning_rate,
-            "weight_decay": self.weight_decay,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -80,8 +72,9 @@ def init_params(rng: np.random.Generator, d: int, hidden: int, num_classes: int)
 def class_weights(y, labeled_idx, num_classes: int) -> np.ndarray:
     """Balanced weights w_c = N_labeled / (C * count_c) over the labeled set.
 
-    Classes absent from the labeled set get weight 0 (they never enter the
-    loss anyway).
+    Indexed by ``y[labeled_idx]`` they give per-sample weights summing to
+    N_labeled. Classes absent from the labeled set get weight 0 (they never
+    enter the loss anyway).
     """
     labeled_idx = np.asarray(labeled_idx)
     counts = np.bincount(np.asarray(y)[labeled_idx], minlength=num_classes)

@@ -93,7 +93,7 @@ def build_graph(edge_list, n: int) -> Graph:
 
 @dataclass(frozen=True)
 class NormAdj:
-    """Normalized adjacency with self-loops in CSR form.
+    """Normalized adjacency with self-loops, held as one read-only CSR matrix.
 
     Entry (u, v) carries weight 1/sqrt((deg(u)+1)(deg(v)+1)) for graph edges,
     and the diagonal carries 1/(deg(u)+1); an isolated node therefore maps to
@@ -101,22 +101,14 @@ class NormAdj:
     """
 
     n: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
+    matrix: sp.csr_matrix
 
     def __post_init__(self):
-        self.row_offsets.setflags(write=False)
-        self.col_indices.setflags(write=False)
-        self.values.setflags(write=False)
-
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-        )
+        for arr in (self.matrix.indptr, self.matrix.indices, self.matrix.data):
+            arr.setflags(write=False)
 
     def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
+        return self.matrix.toarray()
 
 
 def normalized_adjacency(g: Graph) -> NormAdj:
@@ -130,12 +122,7 @@ def normalized_adjacency(g: Graph) -> NormAdj:
     )
     full = off_diag + sp.diags(inv_sqrt * inv_sqrt, format="csr")
     full.sort_indices()
-    return NormAdj(
-        n=g.n,
-        row_offsets=full.indptr.astype(np.int64),
-        col_indices=full.indices.astype(np.int64),
-        values=full.data.astype(np.float64),
-    )
+    return NormAdj(n=g.n, matrix=full)
 
 
 def spmm(a: NormAdj, m: np.ndarray) -> np.ndarray:
@@ -148,4 +135,4 @@ def spmm(a: NormAdj, m: np.ndarray) -> np.ndarray:
             f"dimension mismatch: adjacency is {a.n}x{a.n}, dense operand has "
             f"{m.shape[0]} rows"
         )
-    return a.to_scipy() @ m
+    return a.matrix @ m

@@ -8,9 +8,7 @@ about which particular nodes happened to be drawn.
 """
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -218,15 +216,6 @@ class ExperimentResult:
         )
 
 
-def _worker_count() -> int:
-    env = os.environ.get("DIAGNOSE_THREADS", "")
-    try:
-        cap = int(env) if env else 4
-    except ValueError:
-        cap = 4
-    return max(1, min(cap, os.cpu_count() or 1))
-
-
 def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
              masking_rates=MASKING_RATES, feature_modes=FEATURE_MODES,
              gcn_config=None, num_classes=None) -> ExperimentResult:
@@ -234,10 +223,12 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
 
     One stratified split per run; one random feature draw per run, shared by
     every "random" cell; one masking stream shared by all models so each
-    model sees identical visible sets at a given rate. A failing cell records
-    its error instead of aborting its siblings.
+    model sees identical visible sets at a given rate. Cells run serially in
+    task order. A failing cell records its error instead of aborting its
+    siblings.
     """
-    from .baselines import apply_scaler, fit_scaler, train_logreg, train_svm
+    from .baselines import (apply_scaler, fit_scaler, linear_predict,
+                            train_logreg, train_svm)
     from .gcn import GcnConfig, gcn_predict, train_gcn
 
     y = np.asarray(y)
@@ -258,13 +249,7 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
         feats = feature_sets[mode]
         cell_seed = derive_seed(base_seed, model, int(round(rate * 100)), mode)
         if model == "gcn":
-            cfg = GcnConfig(
-                hidden=gcn_config.hidden, dropout_rate=gcn_config.dropout_rate,
-                learning_rate=gcn_config.learning_rate,
-                weight_decay=gcn_config.weight_decay,
-                max_epochs=gcn_config.max_epochs, patience=gcn_config.patience,
-                seed=cell_seed,
-            )
+            cfg = replace(gcn_config, seed=cell_seed)
             trained = train_gcn(cfg, a, feats, y, split, num_classes)
             pred = gcn_predict(trained.params, a, feats)
             hyper = {"best_epoch": trained.best_epoch,
@@ -275,16 +260,12 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
             trainer = train_logreg if model == "logreg" else train_svm
             fitted = trainer(feats_n, y, split.visible_idx, seed=cell_seed,
                              num_classes=num_classes)
-            pred = np.argmax(feats_n @ fitted.weights + fitted.bias, axis=1)
+            pred = linear_predict(fitted, feats_n)
             hyper = {"selected_reg": fitted.selected_reg}
         scores = score(pred[split.test_idx], y[split.test_idx], num_classes)
         return scores, hyper
 
-    tasks = [(m, r, f) for m in models for r in masking_rates for f in feature_modes]
-    cells = {}
-
-    def safe(task):
-        model, rate, mode = task
+    def safe(model, rate, mode):
         try:
             scores, hyper = run_cell(model, rate, mode)
             return CellResult(model=model, masking_rate=rate, feature_mode=mode,
@@ -293,13 +274,6 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
             return CellResult(model=model, masking_rate=rate, feature_mode=mode,
                               scores=None, error=f"{type(exc).__name__}: {exc}")
 
-    workers = _worker_count()
-    if workers == 1:
-        results = [safe(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(safe, tasks))
-    for task, res in zip(tasks, results):
-        cells[_cell_key(*task)] = res
-
+    tasks = [(m, r, f) for m in models for r in masking_rates for f in feature_modes]
+    cells = {_cell_key(*task): safe(*task) for task in tasks}
     return ExperimentResult(base_seed=base_seed, num_classes=num_classes, cells=cells)

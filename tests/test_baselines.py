@@ -3,9 +3,9 @@ import pytest
 
 from gcndiag import (InputError, LinearModel, ShapeError, apply_scaler,
                      fit_scaler, linear_predict, train_logreg, train_svm)
-from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID,
-                               balanced_sample_weights, fit_logreg,
+from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID, fit_logreg,
                                logreg_objective, stratified_kfold)
+from gcndiag.gcn import class_weights
 
 
 def blobs(seed=0, n_per=40, gap=4.0, d=3, classes=2):
@@ -49,7 +49,7 @@ def test_scaler_errors():
 
 def test_balanced_weights_sum_to_n():
     y = np.array([0, 0, 0, 1])
-    w = balanced_sample_weights(y, 2)
+    w = class_weights(y, np.arange(4), 2)[y]
     assert np.allclose(w, [2 / 3, 2 / 3, 2 / 3, 2.0])
     assert w.sum() == pytest.approx(4.0)
 
@@ -67,7 +67,7 @@ def test_logreg_gradient_matches_finite_differences():
     rng = np.random.default_rng(13)
     X = rng.standard_normal((12, 4))
     y = rng.integers(0, 3, size=12)
-    sw = balanced_sample_weights(y, 3)
+    sw = class_weights(y, np.arange(12), 3)[y]
     wb = rng.standard_normal(4 * 3 + 3) * 0.3
     _, grad = logreg_objective(wb, X, y, sw, 0.5, 3)
     fd = np.zeros_like(wb)
@@ -83,7 +83,7 @@ def test_logreg_gradient_matches_finite_differences():
 
 def test_fit_logreg_reaches_stationary_point():
     X, y = blobs(seed=1, gap=2.0)
-    sw = balanced_sample_weights(y, 2)
+    sw = class_weights(y, np.arange(y.size), 2)[y]
     W, b = fit_logreg(X, y, sw, 1.0, 2)
     wb = np.concatenate([W.ravel(), b])
     _, grad = logreg_objective(wb, X, y, sw, 1.0, 2)

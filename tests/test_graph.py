@@ -57,6 +57,13 @@ def test_graph_arrays_read_only():
         g.col_indices[0] = 9
 
 
+def test_normalized_adjacency_read_only():
+    m = normalized_adjacency(build_graph([(0, 1), (1, 2)], 3)).matrix
+    for arr in (m.data, m.indices, m.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+
+
 def test_normalized_adjacency_matches_dense_oracle():
     rng = np.random.default_rng(2)
     for _ in range(25):

@@ -149,6 +149,14 @@ def test_features_tsv_wrong_width(tmp_path):
     assert exc.value.line == 1
 
 
+def test_features_tsv_is_tab_separated(tmp_path):
+    write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, GOOD_LABELS,
+                    features_text="0.5\t1.5\n2.5 3.5\n4.5\t5.5\n")
+    with pytest.raises(InputError, match="tab-separated") as exc:
+        load_dataset(str(tmp_path / "c"))
+    assert exc.value.line == 2
+
+
 def test_no_features_file(tmp_path):
     write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, GOOD_LABELS)
     with pytest.raises(InputError, match="features"):

@@ -140,20 +140,18 @@ def small_dataset(seed=20):
     return normalized_adjacency(g), x, y
 
 
-def test_run_grid_complete_and_deterministic(monkeypatch):
+def test_run_grid_complete_and_deterministic():
     a, x, y = small_dataset()
-    monkeypatch.setenv("DIAGNOSE_THREADS", "1")
-    serial = run_grid(a, x, y, base_seed=4)
-    monkeypatch.setenv("DIAGNOSE_THREADS", "4")
-    parallel = run_grid(a, x, y, base_seed=4)
+    first = run_grid(a, x, y, base_seed=4)
+    second = run_grid(a, x, y, base_seed=4)
 
-    assert len(serial.cells) == 18
+    assert len(first.cells) == 18
     for model in ("gcn", "logreg", "svm"):
         for pct in (0, 50, 90):
             for mode in ("original", "random"):
-                assert f"{model}:{pct}:{mode}" in serial.cells
-    assert serial.to_dict() == parallel.to_dict()
-    assert all(not c.error for c in serial.cells.values())
+                assert f"{model}:{pct}:{mode}" in first.cells
+    assert first.to_dict() == second.to_dict()
+    assert all(not c.error for c in first.cells.values())
 
 
 def test_run_grid_records_cell_failure(monkeypatch):
@@ -163,7 +161,6 @@ def test_run_grid_records_cell_failure(monkeypatch):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(gcndiag.baselines, "train_logreg", boom)
-    monkeypatch.setenv("DIAGNOSE_THREADS", "2")
     result = run_grid(a, x, y, base_seed=4)
     lr_cells = [c for k, c in result.cells.items() if k.startswith("logreg")]
     assert lr_cells and all(c.scores is None for c in lr_cells)
