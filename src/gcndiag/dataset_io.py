@@ -4,8 +4,8 @@ A dataset is a directory holding meta.json {name, n, d, num_classes},
 edges.tsv (one undirected edge per line, tab-separated 0-based ids with
 u < v), labels.tsv (line i = label of node i), and features.bin (little-endian
 float32, row-major, exactly n*d values). A features.tsv of n rows with d
-tab-separated reals is accepted in place of the binary file. Features are
-widened to float64 once loaded.
+tab-separated reals is accepted in place of the binary file. Every feature
+must be finite. Features are widened to float64 once loaded.
 """
 
 import hashlib
@@ -138,6 +138,14 @@ def _read_features(path: str, n: int, d: int) -> np.ndarray:
                 path=bin_path,
             )
         flat = np.fromfile(bin_path, dtype="<f4")
+        bad = ~np.isfinite(flat)
+        if bad.any():
+            row, col = divmod(int(np.argmax(bad)), d)
+            raise InputError(
+                f"features.bin holds a non-finite value at row {row}, "
+                f"column {col} (0-based)",
+                path=bin_path,
+            )
         return flat.reshape(n, d).astype(np.float64)
     if os.path.isfile(tsv_path):
         x = np.empty((n, d), dtype=np.float64)
@@ -163,6 +171,11 @@ def _read_features(path: str, n: int, d: int) -> np.ndarray:
                 except ValueError:
                     raise InputError(
                         "non-numeric feature value", path=tsv_path, line=lineno)
+                if not np.isfinite(x[count]).all():
+                    raise InputError(
+                        f"features.tsv line {lineno} holds a non-finite value",
+                        path=tsv_path, line=lineno,
+                    )
                 count += 1
         if count != n:
             raise InputError(

@@ -1,8 +1,14 @@
 """Two-layer graph convolutional classifier with hand-derived gradients.
 
-Forward pass: Z = A_hat * ReLU(A_hat * X * W0) * W1, with inverted-scaling
+Forward pass: Z = A_hat * ReLU((A_hat * X) * W0) * W1, with inverted-scaling
 dropout on the input features and on the hidden activations during training.
-Training is full-batch Adam with early stopping on validation macro-F1.
+Layer 0 propagates the d input columns before applying W0, not the h hidden
+columns after it; the product is the same, only the order differs. In eval
+mode A_hat * X does not depend on the weights, so training computes it once
+and every validation pass reuses it. The W0 gradient needs no propagation:
+A_hat is symmetric, so X_in^T (A_hat dH) = (A_hat X_in)^T dH, and the forward
+pass already holds A_hat * X_in. Training is full-batch Adam with early
+stopping on validation macro-F1.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -119,8 +125,11 @@ def _check_dims(params: GcnParams, a: NormAdj, x: np.ndarray):
         )
 
 
-def _forward(params, a, x, dropout_rate, rng):
-    """Returns logits plus the intermediates needed for the backward pass."""
+def _forward(params, a, x, dropout_rate, rng, ax=None):
+    """Returns logits plus the intermediates needed for the backward pass.
+
+    ``ax`` is A_hat * x, used in eval mode in place of propagating ``x``.
+    """
     if not 0.0 <= dropout_rate < 1.0:
         raise InputError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     if dropout_rate > 0.0 and rng is None:
@@ -129,9 +138,11 @@ def _forward(params, a, x, dropout_rate, rng):
     if training:
         keep = 1.0 - dropout_rate
         x_in = x * ((rng.random(x.shape) < keep) / keep)
+        ax_in = spmm(a, x_in)
     else:
         x_in = x
-    h_pre = spmm(a, x_in @ params.w0)
+        ax_in = spmm(a, x) if ax is None else ax
+    h_pre = ax_in @ params.w0
     h = np.maximum(h_pre, 0.0)
     if training:
         mask1 = (rng.random(h.shape) < keep) / keep
@@ -140,7 +151,7 @@ def _forward(params, a, x, dropout_rate, rng):
         mask1 = None
         h_drop = h
     z = spmm(a, h_drop @ params.w1)
-    return z, x_in, h_pre, mask1, h_drop
+    return z, x_in, ax_in, h_pre, mask1, h_drop
 
 
 def gcn_forward(params: GcnParams, a: NormAdj, x: np.ndarray,
@@ -167,7 +178,7 @@ def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
         raise InputError("labeled set is empty")
     y = np.asarray(y)
 
-    z, x_in, h_pre, mask1, h_drop = _forward(params, a, x, dropout_rate, rng)
+    z, _, ax_in, h_pre, mask1, h_drop = _forward(params, a, x, dropout_rate, rng)
     logp = log_softmax(z[labeled_idx])
     wl = (
         np.ones(labeled_idx.size)
@@ -190,14 +201,20 @@ def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
     if mask1 is not None:
         dh = dh * mask1
     dh_pre = dh * (h_pre > 0)
-    g0 = spmm(a, dh_pre)
-    gw0 = x_in.T @ g0 + weight_decay * params.w0
+    gw0 = ax_in.T @ dh_pre + weight_decay * params.w0
     return loss, GcnParams(gw0, gw1)
 
 
-def gcn_predict(params: GcnParams, a: NormAdj, x: np.ndarray) -> np.ndarray:
-    """Argmax class per node in eval mode; ties break toward the lowest id."""
-    return np.argmax(gcn_forward(params, a, x), axis=1)
+def gcn_predict(params: GcnParams, a: NormAdj, x: np.ndarray, ax=None) -> np.ndarray:
+    """Argmax class per node in eval mode; ties break toward the lowest id.
+
+    ``ax`` is the propagated features A_hat * x; it is computed from ``x``
+    when not given.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _check_dims(params, a, x)
+    z, *_ = _forward(params, a, x, 0.0, None, ax)
+    return np.argmax(z, axis=1)
 
 
 class Adam:
@@ -260,6 +277,7 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
             "early stopping uses macro-F1 over present classes"
         )
 
+    ax = spmm(a, x)
     adam = Adam(cfg.learning_rate)
     best_score = -np.inf
     best_params = params.copy()
@@ -275,7 +293,7 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
             rng=rng,
         )
         adam.step(params.arrays(), grads.arrays())
-        val_pred = gcn_predict(params, a, x)[val]
+        val_pred = gcn_predict(params, a, x, ax)[val]
         val_f1 = macro_f1_over_present(val_pred, y[val], num_classes)
         history.append((loss, val_f1))
         if val_f1 > best_score:

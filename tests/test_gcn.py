@@ -82,6 +82,59 @@ def test_gradients_match_finite_differences():
     assert worst <= 1e-5
 
 
+@pytest.mark.parametrize("wd", [0.0, 1e-3])
+def test_gradients_match_finite_differences_with_dropout(wd):
+    # Same instances, mixed tolerance and kink rule as gradient_check, but in
+    # train mode: every loss evaluation gets a fresh generator with one seed,
+    # so all evaluations draw the same dropout masks.
+    from gcndiag.synth import SyntheticSpec, generate_graph
+    rate, step, tolerance, floor = 0.5, 1e-5, 1e-5, 1e-8
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(8):
+        C = int(rng.integers(2, 5))
+        n = int(rng.integers(2 * C, 21))
+        d = int(rng.integers(3, 9))  # wide enough that a dropped-out row is rare
+        hidden = int(rng.integers(1, 7))
+        g, y = generate_graph(SyntheticSpec(
+            n=n, num_classes=C, target_homophily=0.7,
+            avg_degree=min(3.0, n - 1), dim=d, signal=1.0,
+            seed=int(rng.integers(0, 2**32))))
+        a = normalized_adjacency(g)
+        for _ in range(100):
+            x = rng.standard_normal((n, d))
+            params = GcnParams(w0=rng.standard_normal((d, hidden)) * 0.5,
+                               w1=rng.standard_normal((hidden, C)) * 0.5)
+            mask_seed = int(rng.integers(0, 2**32))
+            h_pre = _forward(params, a, x, rate,
+                             np.random.default_rng(mask_seed))[3]
+            if np.abs(h_pre).min() > 100.0 * step:
+                break
+        else:
+            raise AssertionError("could not draw an instance clear of ReLU kinks")
+        labeled = rng.choice(n, size=max(2, n // 2), replace=False)
+        weights = class_weights(y, labeled, C)
+
+        def loss_and_grad(p, decay):
+            return gcn_loss_and_grad(
+                p, a, x, y, labeled, weights, weight_decay=decay,
+                dropout_rate=rate, rng=np.random.default_rng(mask_seed))
+
+        def objective(p):
+            reg = 0.5 * wd * sum(float((m * m).sum()) for m in p.arrays())
+            return loss_and_grad(p, 0.0)[0] + reg
+
+        analytic = loss_and_grad(params, wd)[1]
+        numeric = finite_difference_grads(params, objective, step=step)
+        for ga, gn in zip(analytic.arrays(), numeric.arrays()):
+            mag = np.maximum(np.abs(ga), np.abs(gn))
+            excess = np.abs(ga - gn) - floor
+            check = (mag > floor) & (excess > 0)
+            if check.any():
+                worst = max(worst, float((excess / mag)[check].max()))
+    assert worst <= tolerance
+
+
 def test_finite_difference_on_known_function():
     params = GcnParams(w0=np.array([[1.0, -2.0]]), w1=np.array([[0.5], [3.0]]))
     # f = 0.5 * sum of squares -> gradient is the parameters themselves
@@ -116,7 +169,7 @@ def test_dropout_inverted_scaling():
     _, g, a, x, params, _ = tiny_instance()
     ones = np.ones((4, 3))
     rng = np.random.default_rng(10)
-    _, x_in, _, mask1, _ = _forward(params, a, ones, 0.5, rng)
+    _, x_in, _, _, mask1, _ = _forward(params, a, ones, 0.5, rng)
     vals = np.unique(x_in)
     assert set(np.round(vals, 12)) <= {0.0, 2.0}  # kept entries scaled by 1/(1-p)
     assert mask1 is not None
@@ -130,7 +183,7 @@ def test_dropout_mean_preserving():
     total = np.zeros_like(big)
     reps = 4000
     for _ in range(reps):
-        _, x_in, _, _, _ = _forward(params, a, big, 0.3, rng)
+        _, x_in, _, _, _, _ = _forward(params, a, big, 0.3, rng)
         total += x_in
     assert np.allclose(total / reps, 1.0, atol=0.05)
 
@@ -216,6 +269,31 @@ def test_training_improves_and_is_deterministic():
     best_val = max(h[1] for h in t1.history)
     assert best_val >= 0.9
     assert t1.best_epoch == 1 + [h[1] for h in t1.history].index(best_val)
+
+
+def test_training_propagation_budget(monkeypatch):
+    # One d-wide propagation of X per training, then per epoch: the dropped-out
+    # input (d), the train logits (C), the loss gradient (C), and the eval
+    # logits on the cached A_hat X (C). No hidden-width matrix is propagated.
+    import gcndiag.gcn as gcn_module
+    g, x, y = yin_yang_data()
+    a = normalized_adjacency(g)
+    split = make_split(y, 0.0, seed=3, num_classes=2)
+    widths = []
+    spmm = gcn_module.spmm
+
+    def counting(adj, m):
+        widths.append(m.shape[1])
+        return spmm(adj, m)
+
+    monkeypatch.setattr(gcn_module, "spmm", counting)
+    k, d, C = 5, x.shape[1], 2
+    cfg = GcnConfig(hidden=8, dropout_rate=0.5, max_epochs=k, patience=k + 1,
+                    seed=4)
+    trained = train_gcn(cfg, a, x, y, split, C)
+    assert trained.stopped_epoch == k
+    assert len(widths) == 1 + 4 * k
+    assert sum(widths) == d + k * (d + 3 * C)
 
 
 def test_early_stopping_on_flat_validation_score():

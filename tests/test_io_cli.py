@@ -157,6 +157,26 @@ def test_features_tsv_is_tab_separated(tmp_path):
     assert exc.value.line == 2
 
 
+def test_features_bin_non_finite_names_row_and_column(tmp_path):
+    feats = np.arange(6, dtype="<f4")
+    feats[3] = np.inf
+    feats[5] = np.nan
+    write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, GOOD_LABELS,
+                    feats.tobytes())
+    with pytest.raises(InputError, match="row 1, column 1") as exc:
+        load_dataset(str(tmp_path / "c"))
+    assert exc.value.path.endswith("features.bin")
+
+
+def test_features_tsv_non_finite_names_line(tmp_path):
+    write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, GOOD_LABELS,
+                    features_text="0.5\t1.5\n2.5\tnan\n-inf\t5.5\n")
+    with pytest.raises(InputError, match="non-finite") as exc:
+        load_dataset(str(tmp_path / "c"))
+    assert exc.value.line == 2
+    assert exc.value.path.endswith("features.tsv")
+
+
 def test_no_features_file(tmp_path):
     write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, GOOD_LABELS)
     with pytest.raises(InputError, match="features"):
