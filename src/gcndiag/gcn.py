@@ -1,14 +1,16 @@
 """Two-layer graph convolutional classifier with hand-derived gradients.
 
-Forward pass: Z = A_hat * ReLU((A_hat * X) * W0) * W1, with inverted-scaling
+Forward pass: Z = A_hat * ReLU(A_hat * X * W0) * W1, with inverted-scaling
 dropout on the input features and on the hidden activations during training.
-Layer 0 propagates the d input columns before applying W0, not the h hidden
-columns after it; the product is the same, only the order differs. In eval
-mode A_hat * X does not depend on the weights, so training computes it once
-and every validation pass reuses it. The W0 gradient needs no propagation:
-A_hat is symmetric, so X_in^T (A_hat dH) = (A_hat X_in)^T dH, and the forward
-pass already holds A_hat * X_in. Training is full-batch Adam with early
-stopping on validation macro-F1.
+Layer 0 multiplies in the cheaper order. Evaluated as (A_hat * X) * W0 it
+propagates the d input columns in the forward pass and nothing in the
+backward pass: A_hat is symmetric, so the W0 gradient X_in^T (A_hat dH)
+equals (A_hat X_in)^T dH, and the forward pass already holds A_hat * X_in.
+Evaluated as A_hat * (X * W0) it propagates h columns in each pass. So X is
+propagated first when d < 2h. The two orders agree up to floating-point
+rounding. In eval mode A_hat * X does not depend on the weights, so training
+computes it once and every validation pass reuses it. Training is
+full-batch Adam with early stopping on validation macro-F1.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -125,10 +127,20 @@ def _check_dims(params: GcnParams, a: NormAdj, x: np.ndarray):
         )
 
 
+def _propagates_input_first(d: int, hidden: int) -> bool:
+    """Whether layer 0 propagates X (d columns) rather than X * W0 (h columns).
+
+    A training step propagates d columns when X goes first and 2h columns
+    (forward and backward) when X * W0 goes first.
+    """
+    return d < 2 * hidden
+
+
 def _forward(params, a, x, dropout_rate, rng, ax=None):
     """Returns logits plus the intermediates needed for the backward pass.
 
     ``ax`` is A_hat * x, used in eval mode in place of propagating ``x``.
+    The returned A_hat * x_in is None when layer 0 propagated x_in * W0.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise InputError(f"dropout rate must be in [0, 1), got {dropout_rate}")
@@ -138,11 +150,11 @@ def _forward(params, a, x, dropout_rate, rng, ax=None):
     if training:
         keep = 1.0 - dropout_rate
         x_in = x * ((rng.random(x.shape) < keep) / keep)
-        ax_in = spmm(a, x_in)
     else:
         x_in = x
-        ax_in = spmm(a, x) if ax is None else ax
-    h_pre = ax_in @ params.w0
+    if ax is None and _propagates_input_first(*params.w0.shape):
+        ax = spmm(a, x_in)
+    h_pre = spmm(a, x_in @ params.w0) if ax is None else ax @ params.w0
     h = np.maximum(h_pre, 0.0)
     if training:
         mask1 = (rng.random(h.shape) < keep) / keep
@@ -151,7 +163,7 @@ def _forward(params, a, x, dropout_rate, rng, ax=None):
         mask1 = None
         h_drop = h
     z = spmm(a, h_drop @ params.w1)
-    return z, x_in, ax_in, h_pre, mask1, h_drop
+    return z, x_in, ax, h_pre, mask1, h_drop
 
 
 def gcn_forward(params: GcnParams, a: NormAdj, x: np.ndarray,
@@ -178,7 +190,7 @@ def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
         raise InputError("labeled set is empty")
     y = np.asarray(y)
 
-    z, _, ax_in, h_pre, mask1, h_drop = _forward(params, a, x, dropout_rate, rng)
+    z, x_in, ax_in, h_pre, mask1, h_drop = _forward(params, a, x, dropout_rate, rng)
     logp = log_softmax(z[labeled_idx])
     wl = (
         np.ones(labeled_idx.size)
@@ -201,7 +213,10 @@ def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
     if mask1 is not None:
         dh = dh * mask1
     dh_pre = dh * (h_pre > 0)
-    gw0 = ax_in.T @ dh_pre + weight_decay * params.w0
+    if ax_in is None:
+        gw0 = x_in.T @ spmm(a, dh_pre) + weight_decay * params.w0
+    else:
+        gw0 = ax_in.T @ dh_pre + weight_decay * params.w0
     return loss, GcnParams(gw0, gw1)
 
 
@@ -213,6 +228,8 @@ def gcn_predict(params: GcnParams, a: NormAdj, x: np.ndarray, ax=None) -> np.nda
     """
     x = np.asarray(x, dtype=np.float64)
     _check_dims(params, a, x)
+    if ax is not None and np.shape(ax) != x.shape:
+        raise ShapeError(f"propagated features must be {x.shape}, got {np.shape(ax)}")
     z, *_ = _forward(params, a, x, 0.0, None, ax)
     return np.argmax(z, axis=1)
 

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from gcndiag import (GcnConfig, GcnParams, InputError, build_graph,
+from gcndiag import (GcnConfig, GcnParams, InputError, ShapeError, build_graph,
                      gcn_forward, gcn_loss_and_grad, gcn_predict,
                      gradient_check, normalized_adjacency, train_gcn)
 from gcndiag.gcn import (Adam, class_weights, finite_difference_grads,
                          glorot_uniform, init_params, log_softmax,
-                         nll_from_logits, _forward)
+                         nll_from_logits, _forward, _propagates_input_first)
 from gcndiag.protocol import make_split
 
 from conftest import dense_normalized_adjacency
@@ -82,11 +82,13 @@ def test_gradients_match_finite_differences():
     assert worst <= 1e-5
 
 
+@pytest.mark.parametrize("input_first", [True, False])
 @pytest.mark.parametrize("wd", [0.0, 1e-3])
-def test_gradients_match_finite_differences_with_dropout(wd):
+def test_gradients_match_finite_differences_with_dropout(wd, input_first):
     # Same instances, mixed tolerance and kink rule as gradient_check, but in
     # train mode: every loss evaluation gets a fresh generator with one seed,
-    # so all evaluations draw the same dropout masks.
+    # so all evaluations draw the same dropout masks. The hidden width picks
+    # the order layer 0 multiplies in: X first when d < 2h.
     from gcndiag.synth import SyntheticSpec, generate_graph
     rate, step, tolerance, floor = 0.5, 1e-5, 1e-5, 1e-8
     rng = np.random.default_rng(13)
@@ -95,7 +97,9 @@ def test_gradients_match_finite_differences_with_dropout(wd):
         C = int(rng.integers(2, 5))
         n = int(rng.integers(2 * C, 21))
         d = int(rng.integers(3, 9))  # wide enough that a dropped-out row is rare
-        hidden = int(rng.integers(1, 7))
+        hidden = int(rng.integers(d // 2 + 1, d + 2) if input_first
+                     else rng.integers(1, d // 2 + 1))
+        assert _propagates_input_first(d, hidden) == input_first
         g, y = generate_graph(SyntheticSpec(
             n=n, num_classes=C, target_homophily=0.7,
             avg_degree=min(3.0, n - 1), dim=d, signal=1.0,
@@ -271,10 +275,13 @@ def test_training_improves_and_is_deterministic():
     assert t1.best_epoch == 1 + [h[1] for h in t1.history].index(best_val)
 
 
-def test_training_propagation_budget(monkeypatch):
-    # One d-wide propagation of X per training, then per epoch: the dropped-out
-    # input (d), the train logits (C), the loss gradient (C), and the eval
-    # logits on the cached A_hat X (C). No hidden-width matrix is propagated.
+@pytest.mark.parametrize("hidden", [8, 2])
+def test_training_propagation_budget(monkeypatch, hidden):
+    # One d-wide propagation of X per training, then per epoch the train
+    # forward and backward of layer 0, the train logits (C), the loss
+    # gradient (C), and the eval logits on the cached A_hat X (C). With
+    # d < 2h layer 0 propagates the dropped-out input (d) and nothing in the
+    # backward pass; otherwise it propagates h columns in each pass.
     import gcndiag.gcn as gcn_module
     g, x, y = yin_yang_data()
     a = normalized_adjacency(g)
@@ -288,12 +295,24 @@ def test_training_propagation_budget(monkeypatch):
 
     monkeypatch.setattr(gcn_module, "spmm", counting)
     k, d, C = 5, x.shape[1], 2
-    cfg = GcnConfig(hidden=8, dropout_rate=0.5, max_epochs=k, patience=k + 1,
-                    seed=4)
+    cfg = GcnConfig(hidden=hidden, dropout_rate=0.5, max_epochs=k,
+                    patience=k + 1, seed=4)
     trained = train_gcn(cfg, a, x, y, split, C)
     assert trained.stopped_epoch == k
-    assert len(widths) == 1 + 4 * k
-    assert sum(widths) == d + k * (d + 3 * C)
+    if d < 2 * hidden:
+        assert len(widths) == 1 + 4 * k
+        assert sum(widths) == d + k * (d + 3 * C)
+    else:
+        assert len(widths) == 1 + 5 * k
+        assert sum(widths) == d + k * (2 * hidden + 3 * C)
+
+
+def test_predict_rejects_misshapen_propagated_features():
+    _, g, a, x, params, _ = tiny_instance()
+    with pytest.raises(ShapeError):
+        gcn_predict(params, a, x, np.zeros((4, 2)))
+    ax = a.matrix @ x
+    assert np.array_equal(gcn_predict(params, a, x, ax), gcn_predict(params, a, x))
 
 
 def test_early_stopping_on_flat_validation_score():
