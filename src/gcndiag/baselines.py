@@ -5,15 +5,15 @@ select their regularization strength from the fixed search grids below. The
 logistic regression objective and gradient are defined here; minimization is
 delegated to L-BFGS (deterministic, stops at gradient norm 1e-6 or 1000
 iterations). The SVM minimizes the weighted hinge loss with a deterministic
-full-batch AdaGrad subgradient loop.
+full-batch AdaGrad subgradient loop that fits the whole C grid at once; each
+C's result is bit-identical to fitting that C alone (see ``_fit_svm_ovr``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import InputError, ShapeError
+from .errors import InputError, ShapeError, check_finite
 from .gcn import class_weights
 from .metrics import score
 from .protocol import carve_validation
@@ -68,14 +68,19 @@ class LinearModel:
     grid_scores: tuple = ()  # (reg value, selection macro-F1) pairs
 
 
-def linear_predict(model: LinearModel, x_norm: np.ndarray) -> np.ndarray:
+def _argmax_scores(x_norm, W, b) -> np.ndarray:
     """Argmax of X W + b per row; ties break toward the lowest class id."""
+    return np.argmax(x_norm @ W + b, axis=1)
+
+
+def linear_predict(model: LinearModel, x_norm: np.ndarray) -> np.ndarray:
+    """Class of each row under a fitted model (see ``_argmax_scores``)."""
     x_norm = np.asarray(x_norm, dtype=np.float64)
     if x_norm.shape[1] != model.weights.shape[0]:
         raise ShapeError(
             f"model expects {model.weights.shape[0]} features, got {x_norm.shape[1]}"
         )
-    return np.argmax(x_norm @ model.weights + model.bias, axis=1)
+    return _argmax_scores(x_norm, model.weights, model.bias)
 
 
 def logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
@@ -103,6 +108,8 @@ def logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
 
 def fit_logreg(X, y, sample_w, reg_c, num_classes, trace=None):
     """Minimize the logistic objective with L-BFGS from a zero start."""
+    from scipy.optimize import minimize  # deferred: slow to import, logreg only
+
     d = X.shape[1]
     x0 = np.zeros(d * num_classes + num_classes)
     callback = None
@@ -162,6 +169,7 @@ def train_logreg(x_norm, y, visible_rows, grid=LOGREG_C_GRID, folds: int = 5,
     if num_classes is None:
         num_classes = int(y.max()) + 1
     x_norm = np.asarray(x_norm, dtype=np.float64)
+    check_finite(x_norm)
 
     counts = np.bincount(y[visible_rows], minlength=num_classes)
     folds_eff = min(folds, int(counts[counts > 0].min()))
@@ -179,7 +187,7 @@ def train_logreg(x_norm, y, visible_rows, grid=LOGREG_C_GRID, folds: int = 5,
         for train_idx, val_idx in fold_pairs:
             sw = class_weights(y, train_idx, num_classes)[y[train_idx]]
             W, b = fit_logreg(x_norm[train_idx], y[train_idx], sw, reg_c, num_classes)
-            pred = np.argmax(x_norm[val_idx] @ W + b, axis=1)
+            pred = _argmax_scores(x_norm[val_idx], W, b)
             fold_f1.append(score(pred, y[val_idx], num_classes).macro_f1)
         grid_scores.append((reg_c, float(np.mean(fold_f1))))
 
@@ -193,34 +201,56 @@ def train_logreg(x_norm, y, visible_rows, grid=LOGREG_C_GRID, folds: int = 5,
     )
 
 
-def _fit_svm_ovr(X, Y_signed, sample_w, reg_c, iterations=SVM_ITERATIONS):
-    """All one-vs-rest hinge problems at once via full-batch AdaGrad subgradient.
+def _fit_svm_ovr(X, Y_signed, sample_w, regs, iterations=SVM_ITERATIONS):
+    """All one-vs-rest hinge problems for every C in ``regs`` at once, by
+    full-batch AdaGrad subgradient steps.
 
     Objective per class c: (lambda/2)||w_c||^2 + sum_i s_ic hinge_ic with
     column-normalized weights and lambda = 1 / (C_reg * total weight); the
-    bias is unregularized. Returns iterate averages over the tail.
+    bias is unregularized. Returns the tail averages of the iterates, W as
+    (G, d, C) and b as (G, C) for the G values of ``regs``.
+
+    The n x C scores of every C sit side by side in one n x G x C buffer, so
+    elementwise work and the in-order bias-gradient row sum run over
+    G*C-wide rows. Both products (X W and X^T active) stay one gemm per C on
+    a strided view, with the operands and order of fitting that C alone, so
+    each result is bit-identical to a separate fit whenever d >= 2. (With
+    d = 1 numpy uses a matrix-vector kernel whose rounding depends on the
+    stride.)
     """
-    n, d = X.shape
-    C = Y_signed.shape[1]
+    d, G, C = X.shape[1], len(regs), Y_signed.shape[1]
     col_tot = sample_w.sum(axis=0)
     s_norm = sample_w / col_tot
-    lam = 1.0 / (reg_c * col_tot)  # per-class, equal under balanced weights
+    y_rep = np.repeat(Y_signed[:, None, :], G, axis=1)
+    sy_rep = np.repeat((s_norm * Y_signed)[:, None, :], G, axis=1)
+    # per grid value and class, equal across classes under balanced weights
+    lam = (1.0 / (np.asarray(regs, dtype=np.float64)[:, None] * col_tot))[:, None, :]
 
-    W = np.zeros((d, C))
-    b = np.zeros(C)
-    gw_acc = np.zeros_like(W)
-    gb_acc = np.zeros_like(b)
-    W_avg = np.zeros_like(W)
-    b_avg = np.zeros_like(b)
+    W = np.zeros((G, d, C))
+    b = np.zeros((G, C))
+    gw_acc, W_avg, gw, tmp = (np.zeros_like(W) for _ in range(4))
+    gb_acc, b_avg = np.zeros_like(b), np.zeros_like(b)
+    z, active = np.empty(y_rep.shape), np.empty(y_rep.shape)
+    z_per_c, active_per_c = z.transpose(1, 0, 2), active.transpose(1, 0, 2)
     tail = max(1, iterations // 4)
     for t in range(iterations):
-        margins = Y_signed * (X @ W + b)
-        active = (margins < 1.0) * s_norm * Y_signed
-        gw = lam * W - X.T @ active
+        np.matmul(X, W, out=z_per_c)
+        z += b
+        z *= y_rep
+        np.less(z, 1.0, out=active)  # margin < 1, as 0.0 / 1.0
+        active *= sy_rep
+        np.matmul(X.T, active_per_c, out=tmp)
+        np.multiply(lam, W, out=gw)
+        gw -= tmp
         gb = -active.sum(axis=0)
-        gw_acc += gw * gw
+        np.multiply(gw, gw, out=tmp)
+        gw_acc += tmp
         gb_acc += gb * gb
-        W -= SVM_STEP * gw / (np.sqrt(gw_acc) + 1e-12)
+        np.sqrt(gw_acc, out=tmp)
+        tmp += 1e-12
+        gw *= SVM_STEP
+        gw /= tmp
+        W -= gw
         b -= SVM_STEP * gb / (np.sqrt(gb_acc) + 1e-12)
         if t >= iterations - tail:
             W_avg += W
@@ -236,6 +266,7 @@ def train_svm(x_norm, y, visible_rows, grid=SVM_C_GRID, seed: int = 0,
     if num_classes is None:
         num_classes = int(y.max()) + 1
     x_norm = np.asarray(x_norm, dtype=np.float64)
+    check_finite(x_norm)
 
     fit_idx, val_idx = carve_validation(y, visible_rows, 0.2, seed)
     if val_idx.size == 0:
@@ -251,18 +282,19 @@ def train_svm(x_norm, y, visible_rows, grid=SVM_C_GRID, seed: int = 0,
                      idx.size / (2.0 * np.maximum(n_neg, 1)))
         return Y, s
 
-    grid_scores = []
     Y_fit, s_fit = signed_and_weights(fit_idx)
-    for reg_c in grid:
-        W, b = _fit_svm_ovr(x_norm[fit_idx], Y_fit, s_fit, reg_c)
-        pred = np.argmax(x_norm[val_idx] @ W + b, axis=1)
-        grid_scores.append((reg_c, score(pred, y[val_idx], num_classes).macro_f1))
+    Ws, bs = _fit_svm_ovr(x_norm[fit_idx], Y_fit, s_fit, grid)
+    grid_scores = [
+        (reg_c, score(_argmax_scores(x_norm[val_idx], W, b), y[val_idx],
+                      num_classes).macro_f1)
+        for reg_c, W, b in zip(grid, Ws, bs)
+    ]
 
     best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])
     selected = grid_scores[best][0]
     Y_all, s_all = signed_and_weights(visible_rows)
-    W, b = _fit_svm_ovr(x_norm[visible_rows], Y_all, s_all, selected)
+    Ws, bs = _fit_svm_ovr(x_norm[visible_rows], Y_all, s_all, [selected])
     return LinearModel(
-        kind="svm", weights=W, bias=b,
+        kind="svm", weights=Ws[0], bias=bs[0],
         selected_reg=selected, grid_scores=tuple(grid_scores),
     )

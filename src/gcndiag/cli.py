@@ -17,7 +17,7 @@ from .baselines import (LOGREG_C_GRID, SVM_C_GRID, apply_scaler, fit_scaler,
 from .dataset_io import Dataset, load_dataset, save_dataset
 from .errors import GcnDiagError
 from .gcn import GcnConfig, gradient_check, train_gcn
-from .graph import normalized_adjacency
+from .graph import normalized_adjacency, spmm
 from .homophily import homophily_report
 from .protocol import ExperimentResult, derive_seed, make_split, run_grid
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
@@ -198,6 +198,7 @@ def cmd_tune(args) -> int:
     ds = load_dataset(args.dataset)
     a = normalized_adjacency(ds.graph)
     split = make_split(ds.y, 0.0, args.seed, ds.num_classes)
+    ax = spmm(a, ds.x)
 
     gcn_rows = []
     for hidden in GCN_HIDDEN_GRID:
@@ -210,7 +211,7 @@ def cmd_tune(args) -> int:
                                     seed=derive_seed(args.seed, "tune",
                                                      hidden, dropout, lr, wd))
                     trained = train_gcn(cfg, a, ds.x, ds.y, split,
-                                        ds.num_classes)
+                                        ds.num_classes, ax)
                     val_f1 = max(v for _, v in trained.history)
                     gcn_rows.append({"hidden": hidden, "dropout": dropout,
                                      "learning_rate": lr, "weight_decay": wd,

@@ -2,10 +2,11 @@
 
 A dataset is a directory holding meta.json {name, n, d, num_classes},
 edges.tsv (one undirected edge per line, tab-separated 0-based ids with
-u < v), labels.tsv (line i = label of node i), and features.bin (little-endian
-float32, row-major, exactly n*d values). A features.tsv of n rows with d
-tab-separated reals is accepted in place of the binary file. Every feature
-must be finite. Features are widened to float64 once loaded.
+u < v, no edge listed twice), labels.tsv (line i = label of node i), and
+features.bin (little-endian float32, row-major, exactly n*d values). A
+features.tsv of n rows with d tab-separated reals is accepted in place of the
+binary file. Every feature must be finite. Features are widened to float64
+once loaded.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_finite
 from .graph import Graph, build_graph
 
 
@@ -63,7 +64,7 @@ def _read_edges(path: str, n: int):
     edges_path = os.path.join(path, "edges.tsv")
     if not os.path.isfile(edges_path):
         raise InputError("edges.tsv not found", path=edges_path)
-    edges = []
+    first_line = {}  # (u, v) -> line that listed it
     with open(edges_path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -90,8 +91,14 @@ def _read_edges(path: str, n: int):
                     f"edge ({u}, {v}) violates u < v ordering",
                     path=edges_path, line=lineno,
                 )
-            edges.append((u, v))
-    return edges
+            if (u, v) in first_line:
+                raise InputError(
+                    f"duplicate edge ({u}, {v}), first listed on line "
+                    f"{first_line[(u, v)]}",
+                    path=edges_path, line=lineno,
+                )
+            first_line[(u, v)] = lineno
+    return list(first_line)
 
 
 def _read_labels(path: str, n: int, num_classes: int) -> np.ndarray:
@@ -137,16 +144,9 @@ def _read_features(path: str, n: int, d: int) -> np.ndarray:
                 f"features.bin holds {actual} bytes, expected n*d*4 = {expected}",
                 path=bin_path,
             )
-        flat = np.fromfile(bin_path, dtype="<f4")
-        bad = ~np.isfinite(flat)
-        if bad.any():
-            row, col = divmod(int(np.argmax(bad)), d)
-            raise InputError(
-                f"features.bin holds a non-finite value at row {row}, "
-                f"column {col} (0-based)",
-                path=bin_path,
-            )
-        return flat.reshape(n, d).astype(np.float64)
+        x = np.fromfile(bin_path, dtype="<f4").reshape(n, d)
+        check_finite(x, "features.bin", path=bin_path)
+        return x.astype(np.float64)
     if os.path.isfile(tsv_path):
         x = np.empty((n, d), dtype=np.float64)
         count = 0

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import InputError, ShapeError, check_finite
 from .graph import NormAdj, spmm
 from .metrics import macro_f1_over_present
 
@@ -127,6 +127,11 @@ def _check_dims(params: GcnParams, a: NormAdj, x: np.ndarray):
         )
 
 
+def _check_propagated(x: np.ndarray, ax) -> None:
+    if ax is not None and np.shape(ax) != x.shape:
+        raise ShapeError(f"propagated features must be {x.shape}, got {np.shape(ax)}")
+
+
 def _propagates_input_first(d: int, hidden: int) -> bool:
     """Whether layer 0 propagates X (d columns) rather than X * W0 (h columns).
 
@@ -228,8 +233,7 @@ def gcn_predict(params: GcnParams, a: NormAdj, x: np.ndarray, ax=None) -> np.nda
     """
     x = np.asarray(x, dtype=np.float64)
     _check_dims(params, a, x)
-    if ax is not None and np.shape(ax) != x.shape:
-        raise ShapeError(f"propagated features must be {x.shape}, got {np.shape(ax)}")
+    _check_propagated(x, ax)
     z, *_ = _forward(params, a, x, 0.0, None, ax)
     return np.argmax(z, axis=1)
 
@@ -262,14 +266,17 @@ class Adam:
 
 
 def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
-              num_classes=None) -> TrainedGcn:
+              num_classes=None, ax=None) -> TrainedGcn:
     """Full-batch Adam with early stopping on validation macro-F1.
 
     ``split`` supplies disjoint ``subtrain_idx`` and ``val_idx``. Stops when
     the validation score fails to improve for ``patience`` consecutive epochs;
-    the returned snapshot is the first epoch achieving the best score.
+    the returned snapshot is the first epoch achieving the best score. ``ax``
+    is the propagated features A_hat * x, computed from ``x`` when not given.
     """
     x = np.asarray(x, dtype=np.float64)
+    check_finite(x)
+    _check_propagated(x, ax)
     y = np.asarray(y)
     if num_classes is None:
         num_classes = int(y.max()) + 1
@@ -294,7 +301,8 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
             "early stopping uses macro-F1 over present classes"
         )
 
-    ax = spmm(a, x)
+    if ax is None:
+        ax = spmm(a, x)
     adam = Adam(cfg.learning_rate)
     best_score = -np.inf
     best_params = params.copy()

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_finite
 from .metrics import ModelScores, delta_f1, score
 
 MASKING_RATES = (0.0, 0.5, 0.9)
@@ -223,16 +223,19 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
 
     One stratified split per run; one random feature draw per run, shared by
     every "random" cell; one masking stream shared by all models so each
-    model sees identical visible sets at a given rate. Cells run serially in
-    task order. A failing cell records its error instead of aborting its
-    siblings.
+    model sees identical visible sets at a given rate. The GCN cells of a
+    feature mode share one propagation A_hat * x. Cells run serially in task
+    order. A failing cell records its error instead of aborting its
+    siblings; non-finite features fail the whole run before any cell.
     """
     from .baselines import (apply_scaler, fit_scaler, linear_predict,
                             train_logreg, train_svm)
     from .gcn import GcnConfig, gcn_predict, train_gcn
+    from .graph import spmm
 
     y = np.asarray(y)
     x = np.asarray(x, dtype=np.float64)
+    check_finite(x)
     if num_classes is None:
         num_classes = int(y.max()) + 1
     if gcn_config is None:
@@ -243,15 +246,19 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
         feature_sets["random"] = ablate_features(x, derive_seed(base_seed, "ablate"))
 
     splits = {m: make_split(y, m, base_seed, num_classes) for m in masking_rates}
+    propagated = {}  # feature mode -> A_hat * feats, filled by the first GCN cell
 
     def run_cell(model, rate, mode):
         split = splits[rate]
         feats = feature_sets[mode]
         cell_seed = derive_seed(base_seed, model, int(round(rate * 100)), mode)
         if model == "gcn":
+            if mode not in propagated:
+                propagated[mode] = spmm(a, feats)
             cfg = replace(gcn_config, seed=cell_seed)
-            trained = train_gcn(cfg, a, feats, y, split, num_classes)
-            pred = gcn_predict(trained.params, a, feats)
+            trained = train_gcn(cfg, a, feats, y, split, num_classes,
+                                propagated[mode])
+            pred = gcn_predict(trained.params, a, feats, propagated[mode])
             hyper = {"best_epoch": trained.best_epoch,
                      "stopped_epoch": trained.stopped_epoch}
         else:

@@ -3,8 +3,9 @@ import pytest
 
 from gcndiag import (InputError, LinearModel, ShapeError, apply_scaler,
                      fit_scaler, linear_predict, train_logreg, train_svm)
-from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID, fit_logreg,
-                               logreg_objective, stratified_kfold)
+from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID, SVM_STEP,
+                               _fit_svm_ovr, fit_logreg, logreg_objective,
+                               stratified_kfold)
 from gcndiag.gcn import class_weights
 
 
@@ -197,6 +198,59 @@ def test_train_svm_deterministic():
     m1 = train_svm(X, y, np.arange(y.size), seed=3, num_classes=2)
     m2 = train_svm(X, y, np.arange(y.size), seed=3, num_classes=2)
     assert np.array_equal(m1.weights, m2.weights)
+
+
+def separate_svm_fit(X, Y_signed, sample_w, reg_c, iterations):
+    """One C at a time, rows major: the fit the grid batch must reproduce."""
+    col_tot = sample_w.sum(axis=0)
+    s_norm = sample_w / col_tot
+    lam = 1.0 / (reg_c * col_tot)
+    W = np.zeros((X.shape[1], Y_signed.shape[1]))
+    b = np.zeros(Y_signed.shape[1])
+    gw_acc, gb_acc = np.zeros_like(W), np.zeros_like(b)
+    W_avg, b_avg = np.zeros_like(W), np.zeros_like(b)
+    tail = max(1, iterations // 4)
+    for t in range(iterations):
+        margins = Y_signed * (X @ W + b)
+        active = (margins < 1.0) * s_norm * Y_signed
+        gw = lam * W - X.T @ active
+        gb = -active.sum(axis=0)
+        gw_acc += gw * gw
+        gb_acc += gb * gb
+        W -= SVM_STEP * gw / (np.sqrt(gw_acc) + 1e-12)
+        b -= SVM_STEP * gb / (np.sqrt(gb_acc) + 1e-12)
+        if t >= iterations - tail:
+            W_avg += W
+            b_avg += b
+    return W_avg / tail, b_avg / tail
+
+
+@pytest.mark.parametrize("d", [3, 12])
+def test_svm_grid_fit_bit_identical_to_separate_fits(d):
+    rng = np.random.default_rng(21)
+    n, C, iterations = 203, 3, 200  # n not a multiple of 8
+    X = rng.standard_normal((n, d))
+    y = rng.integers(0, C, size=n)
+    Y = np.where(y[:, None] == np.arange(C), 1.0, -1.0)
+    s = np.where(Y > 0, 1.0, 0.5) * rng.uniform(0.5, 2.0, size=(n, 1))
+    Ws, bs = _fit_svm_ovr(X, Y, s, SVM_C_GRID, iterations)
+    assert Ws.shape == (len(SVM_C_GRID), d, C)
+    for reg_c, W, b in zip(SVM_C_GRID, Ws, bs):
+        W_ref, b_ref = separate_svm_fit(X, Y, s, reg_c, iterations)
+        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+    W1, b1 = _fit_svm_ovr(X, Y, s, [SVM_C_GRID[3]], iterations)  # refit path
+    W_ref, b_ref = separate_svm_fit(X, Y, s, SVM_C_GRID[3], iterations)
+    assert np.array_equal(W1[0], W_ref) and np.array_equal(b1[0], b_ref)
+
+
+@pytest.mark.parametrize("trainer", [train_logreg, train_svm])
+def test_linear_trainers_reject_non_finite_features(trainer):
+    X, y = blobs(seed=9, gap=3.0)
+    X[5, 2] = np.nan
+    X[7, 0] = np.inf
+    with pytest.raises(InputError, match="row 5, column 2") as exc:
+        trainer(X, y, np.arange(y.size), seed=0, num_classes=2)
+    assert exc.value.index == (5, 2)
 
 
 def test_linear_predict_tie_breaks_low():

@@ -315,6 +315,40 @@ def test_predict_rejects_misshapen_propagated_features():
     assert np.array_equal(gcn_predict(params, a, x, ax), gcn_predict(params, a, x))
 
 
+def test_train_reuses_given_propagation(monkeypatch):
+    import gcndiag.gcn as gcn_module
+    g, x, y = yin_yang_data()
+    a = normalized_adjacency(g)
+    split = make_split(y, 0.0, seed=3, num_classes=2)
+    cfg = GcnConfig(hidden=8, max_epochs=5, patience=6, seed=4)
+    ax = a.matrix @ x
+    with pytest.raises(ShapeError):
+        train_gcn(cfg, a, x, y, split, 2, ax[:, :1])
+    own = train_gcn(cfg, a, x, y, split, 2)
+    widths = []
+    spmm = gcn_module.spmm
+
+    def counting(adj, m):
+        widths.append(m.shape[1])
+        return spmm(adj, m)
+
+    monkeypatch.setattr(gcn_module, "spmm", counting)
+    given = train_gcn(cfg, a, x, y, split, 2, ax)
+    assert len(widths) == 4 * 5  # no propagation of X before the epochs
+    assert np.array_equal(given.params.w0, own.params.w0)
+    assert given.history == own.history
+
+
+def test_train_rejects_non_finite_features():
+    g, x, y = yin_yang_data()
+    a = normalized_adjacency(g)
+    split = make_split(y, 0.0, seed=3, num_classes=2)
+    x = x.copy()
+    x[4, 1] = -np.inf
+    with pytest.raises(InputError, match="row 4, column 1"):
+        train_gcn(GcnConfig(hidden=4, max_epochs=5), a, x, y, split, 2)
+
+
 def test_early_stopping_on_flat_validation_score():
     g, x, y = yin_yang_data()
     a = normalized_adjacency(g)

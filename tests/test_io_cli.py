@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +84,23 @@ def test_binary_features_win_over_tsv(tmp_path):
                     GOOD_FEATS, "9\t9\n9\t9\n9\t9\n")
     ds = load_dataset(str(tmp_path / "c"))
     assert ds.x[0, 0] == 0.0
+
+
+def test_duplicate_edge_names_its_line(tmp_path):
+    write_container(tmp_path / "c", GOOD_META, "0\t1\n1\t2\n0\t1\n",
+                    GOOD_LABELS, GOOD_FEATS)
+    with pytest.raises(InputError, match=r"duplicate edge \(0, 1\).*line 1") as exc:
+        load_dataset(str(tmp_path / "c"))
+    assert exc.value.line == 3
+    assert exc.value.path.endswith("edges.tsv")
+
+
+def test_cli_import_defers_scipy_optimize():
+    code = ("import sys, gcndiag.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 def test_missing_directory():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gcndiag.baselines
-from gcndiag import (ExperimentResult, InputError, ablate_features,
+from gcndiag import (ExperimentResult, GcnConfig, InputError, ablate_features,
                      apply_masking, build_graph, carve_validation, derive_seed,
                      generate_features, generate_graph, make_split,
                      normalized_adjacency, run_grid, stratified_split)
@@ -169,6 +169,51 @@ def test_run_grid_records_cell_failure(monkeypatch):
     assert all(c.scores is not None for c in gcn_cells)
     with pytest.raises(InputError):
         result.delta(0.0)
+
+
+def test_run_grid_propagates_features_once_per_mode(monkeypatch):
+    # Two GCN cells on one feature mode: one d-wide A_hat X outside training,
+    # then each final predict propagates only its C-wide logits.
+    import gcndiag.gcn
+    import gcndiag.graph
+    a, x, y = small_dataset()
+    widths = []
+    training = []
+    spmm, train_gcn = gcndiag.graph.spmm, gcndiag.gcn.train_gcn
+
+    def counting(adj, m):
+        if not training:
+            widths.append(m.shape[1])
+        return spmm(adj, m)
+
+    def traced_training(*args, **kwargs):
+        training.append(True)
+        try:
+            return train_gcn(*args, **kwargs)
+        finally:
+            training.pop()
+
+    monkeypatch.setattr(gcndiag.graph, "spmm", counting)
+    monkeypatch.setattr(gcndiag.gcn, "spmm", counting)
+    monkeypatch.setattr(gcndiag.gcn, "train_gcn", traced_training)
+    result = run_grid(a, x, y, base_seed=2, models=("gcn",),
+                      masking_rates=(0.0, 0.5), feature_modes=("original",),
+                      gcn_config=GcnConfig(hidden=8, max_epochs=5))
+    assert all(not c.error for c in result.cells.values())
+    d, C = x.shape[1], 3
+    assert widths == [d, C, C]
+
+
+def test_run_grid_rejects_non_finite_features(monkeypatch):
+    a, x, y = small_dataset()
+    x[10, 3] = np.nan
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(gcndiag.baselines, "train_logreg", boom)
+    with pytest.raises(InputError, match="row 10, column 3"):
+        run_grid(a, x, y, base_seed=4, models=("logreg",))
 
 
 def test_run_grid_subset():
