@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError, check_finite
-from .gcn import class_weights
+from .gcn import class_weights, softmax_cross_entropy
 from .metrics import score
 from .protocol import carve_validation
 
 LOGREG_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
+LOGREG_FOLDS = 5
 SVM_C_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 LOGREG_GTOL = 1e-6
@@ -91,38 +92,26 @@ def logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
     d = X.shape[1]
     W = wb[: d * num_classes].reshape(d, num_classes)
     b = wb[d * num_classes:]
-    z = X @ W + b
-    z -= z.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(z).sum(axis=1))
-    rows = np.arange(X.shape[0])
-    ce = logsum - z[rows, y]
+    ce, p = softmax_cross_entropy(X @ W + b, y)
     obj = float((sample_w * ce).sum() + (W * W).sum() / (2.0 * reg_c))
-
-    p = np.exp(z - logsum[:, None])
-    p[rows, y] -= 1.0
     p *= sample_w[:, None]
     grad_w = X.T @ p + W / reg_c
     grad_b = p.sum(axis=0)
     return obj, np.concatenate([grad_w.ravel(), grad_b])
 
 
-def fit_logreg(X, y, sample_w, reg_c, num_classes, trace=None):
+def fit_logreg(X, y, sample_w, reg_c, num_classes):
     """Minimize the logistic objective with L-BFGS from a zero start."""
     from scipy.optimize import minimize  # deferred: slow to import, logreg only
 
     d = X.shape[1]
     x0 = np.zeros(d * num_classes + num_classes)
-    callback = None
-    if trace is not None:
-        def callback(wb):
-            trace.append(logreg_objective(wb, X, y, sample_w, reg_c, num_classes)[0])
     res = minimize(
         logreg_objective,
         x0,
         args=(X, y, sample_w, reg_c, num_classes),
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
         options={"maxiter": LOGREG_MAX_ITER, "gtol": LOGREG_GTOL, "ftol": 1e-14},
     )
     W = res.x[: d * num_classes].reshape(d, num_classes)
@@ -157,8 +146,8 @@ def _check_visible(y, visible_rows):
     return visible_rows
 
 
-def train_logreg(x_norm, y, visible_rows, grid=LOGREG_C_GRID, folds: int = 5,
-                 seed: int = 0, num_classes=None) -> LinearModel:
+def train_logreg(x_norm, y, visible_rows, seed: int = 0,
+                 num_classes=None) -> LinearModel:
     """Select C_reg by stratified k-fold CV macro-F1, then refit on all visible rows.
 
     Folds shrink to the smallest per-class count when classes are scarce;
@@ -172,7 +161,7 @@ def train_logreg(x_norm, y, visible_rows, grid=LOGREG_C_GRID, folds: int = 5,
     check_finite(x_norm)
 
     counts = np.bincount(y[visible_rows], minlength=num_classes)
-    folds_eff = min(folds, int(counts[counts > 0].min()))
+    folds_eff = min(LOGREG_FOLDS, int(counts[counts > 0].min()))
     if folds_eff < 2:
         raise InputError(
             "cross-validation needs every visible class to have at least 2 "
@@ -180,16 +169,18 @@ def train_logreg(x_norm, y, visible_rows, grid=LOGREG_C_GRID, folds: int = 5,
         )
 
     rng = np.random.default_rng(seed)
-    fold_pairs = stratified_kfold(y, visible_rows, folds_eff, rng)
-    grid_scores = []
-    for reg_c in grid:
-        fold_f1 = []
-        for train_idx, val_idx in fold_pairs:
-            sw = class_weights(y, train_idx, num_classes)[y[train_idx]]
-            W, b = fit_logreg(x_norm[train_idx], y[train_idx], sw, reg_c, num_classes)
-            pred = _argmax_scores(x_norm[val_idx], W, b)
-            fold_f1.append(score(pred, y[val_idx], num_classes).macro_f1)
-        grid_scores.append((reg_c, float(np.mean(fold_f1))))
+    # fold-major, so each fold's rows are sliced once and only one fold is held
+    fold_f1 = [[] for _ in LOGREG_C_GRID]
+    for train_idx, val_idx in stratified_kfold(y, visible_rows, folds_eff, rng):
+        X_tr, y_tr = x_norm[train_idx], y[train_idx]
+        X_val, y_val = x_norm[val_idx], y[val_idx]
+        sw = class_weights(y, train_idx, num_classes)[y_tr]
+        for reg_c, scores in zip(LOGREG_C_GRID, fold_f1):
+            W, b = fit_logreg(X_tr, y_tr, sw, reg_c, num_classes)
+            pred = _argmax_scores(X_val, W, b)
+            scores.append(score(pred, y_val, num_classes).macro_f1)
+    grid_scores = [(reg_c, float(np.mean(scores)))
+                   for reg_c, scores in zip(LOGREG_C_GRID, fold_f1)]
 
     best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])
     selected = grid_scores[best][0]
@@ -258,7 +249,7 @@ def _fit_svm_ovr(X, Y_signed, sample_w, regs, iterations=SVM_ITERATIONS):
     return W_avg / tail, b_avg / tail
 
 
-def train_svm(x_norm, y, visible_rows, grid=SVM_C_GRID, seed: int = 0,
+def train_svm(x_norm, y, visible_rows, seed: int = 0,
               num_classes=None) -> LinearModel:
     """Grid search on a stratified holdout by macro-F1; refit on all visible rows."""
     y = np.asarray(y)
@@ -283,11 +274,11 @@ def train_svm(x_norm, y, visible_rows, grid=SVM_C_GRID, seed: int = 0,
         return Y, s
 
     Y_fit, s_fit = signed_and_weights(fit_idx)
-    Ws, bs = _fit_svm_ovr(x_norm[fit_idx], Y_fit, s_fit, grid)
+    Ws, bs = _fit_svm_ovr(x_norm[fit_idx], Y_fit, s_fit, SVM_C_GRID)
     grid_scores = [
         (reg_c, score(_argmax_scores(x_norm[val_idx], W, b), y[val_idx],
                       num_classes).macro_f1)
-        for reg_c, W, b in zip(grid, Ws, bs)
+        for reg_c, W, b in zip(SVM_C_GRID, Ws, bs)
     ]
 
     best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])

@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .baselines import (LOGREG_C_GRID, SVM_C_GRID, apply_scaler, fit_scaler,
                         train_logreg, train_svm)
 from .dataset_io import Dataset, load_dataset, save_dataset
@@ -19,7 +17,8 @@ from .errors import GcnDiagError
 from .gcn import GcnConfig, gradient_check, train_gcn
 from .graph import normalized_adjacency, spmm
 from .homophily import homophily_report
-from .protocol import ExperimentResult, derive_seed, make_split, run_grid
+from .protocol import (FEATURE_MODES, ExperimentResult, derive_seed,
+                       make_split, masking_percent, run_grid)
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
                        averaged_class_metrics, quadrant_summary)
 from .report import build_report, jsonable, load_report, save_report
@@ -31,7 +30,8 @@ GCN_DROPOUT_GRID = (0.2, 0.3, 0.5)
 GCN_LR_GRID = (0.001, 0.01)
 GCN_WD_GRID = (5e-4, 1e-4, 1e-5, 0.0)
 
-MODEL_ALIASES = {"lr": "logreg", "logreg": "logreg", "gcn": "gcn", "svm": "svm"}
+MODEL_ALIASES = {"gcn": "gcn", "lr": "logreg", "logreg": "logreg", "svm": "svm"}
+FEATURE_NAMES = {mode: mode for mode in FEATURE_MODES}
 
 
 def _emit(payload: dict, out_path=None) -> None:
@@ -43,18 +43,20 @@ def _emit(payload: dict, out_path=None) -> None:
         print(text)
 
 
-def _parse_models(raw: str):
-    models = []
+def _parse_choices(raw: str, names: dict, what: str):
+    """Comma list -> canonical names in first-seen order, without repeats.
+
+    ``names`` maps every accepted lowercase spelling to its canonical name.
+    """
+    chosen = []
     for tok in raw.split(","):
         tok = tok.strip().lower()
-        if tok not in MODEL_ALIASES:
-            raise GcnDiagError(f"unknown model {tok!r}; choose from gcn, lr, svm")
-        name = MODEL_ALIASES[tok]
-        if name not in models:
-            models.append(name)
-    if not models:
-        raise GcnDiagError("at least one model is required")
-    return tuple(models)
+        if tok not in names:
+            raise GcnDiagError(
+                f"unknown {what} {tok!r}; choose from {', '.join(names)}")
+        if names[tok] not in chosen:
+            chosen.append(names[tok])
+    return tuple(chosen)
 
 
 def _parse_masking(raw: str):
@@ -71,28 +73,15 @@ def _parse_masking(raw: str):
     return tuple(rates)
 
 
-def _parse_features(raw: str):
-    modes = []
-    for tok in raw.split(","):
-        tok = tok.strip().lower()
-        if tok not in ("original", "random"):
-            raise GcnDiagError(
-                f"unknown feature mode {tok!r}; choose original or random")
-        if tok not in modes:
-            modes.append(tok)
-    return tuple(modes)
-
-
 def cmd_analyze(args) -> int:
     ds = load_dataset(args.dataset)
-    rep = homophily_report(ds.graph, ds.y, ds.num_classes)
     _emit({
         "dataset": ds.name,
         "fingerprint": ds.fingerprint(),
         "n": ds.graph.n,
         "undirected_edges": ds.graph.num_edges,
         "directed_edges": 2 * ds.graph.num_edges,
-        "homophily": rep.to_dict(),
+        "homophily": homophily_report(ds.graph, ds.y, ds.num_classes),
     }, args.out)
     return 0
 
@@ -100,9 +89,9 @@ def cmd_analyze(args) -> int:
 def cmd_run(args) -> int:
     ds = load_dataset(args.dataset)
     a = normalized_adjacency(ds.graph)
-    models = _parse_models(args.models)
+    models = _parse_choices(args.models, MODEL_ALIASES, "model")
     masking = _parse_masking(args.masking)
-    modes = _parse_features(args.features)
+    modes = _parse_choices(args.features, FEATURE_NAMES, "feature mode")
     cfg = GcnConfig(hidden=args.hidden, dropout_rate=args.dropout,
                     learning_rate=args.learning_rate,
                     weight_decay=args.weight_decay, max_epochs=args.epochs,
@@ -110,7 +99,7 @@ def cmd_run(args) -> int:
     result = run_grid(a, ds.x, ds.y, base_seed=args.seed, models=models,
                       masking_rates=masking, feature_modes=modes,
                       gcn_config=cfg, num_classes=ds.num_classes)
-    hom = homophily_report(ds.graph, ds.y, ds.num_classes).to_dict()
+    hom = homophily_report(ds.graph, ds.y, ds.num_classes)
     quad = None
     try:
         lr_f1, delta = averaged_class_metrics(result, masking)
@@ -120,7 +109,7 @@ def cmd_run(args) -> int:
         pass  # grid subset too small for the quadrant rule; section stays null
     config_echo = {
         "models": list(models),
-        "masking_percent": [int(round(m * 100)) for m in masking],
+        "masking_percent": [masking_percent(m) for m in masking],
         "feature_modes": list(modes),
         "seed": args.seed,
         "gcn": cfg.to_dict(),
@@ -132,22 +121,19 @@ def cmd_run(args) -> int:
         save_report(report, args.out)
     else:
         _emit(report)
-    failures = [c for c in result.cells.values() if c.error]
-    for cell in failures:
-        print(f"cell {cell.model}:{cell.masking_rate}:{cell.feature_mode} "
-              f"failed: {cell.error}", file=sys.stderr)
+    failures = {k: c for k, c in result.cells.items() if c.error}
+    for key, cell in failures.items():
+        print(f"cell {key} failed: {cell.error}", file=sys.stderr)
     return 1 if failures else 0
 
 
 def cmd_quadrant(args) -> int:
     report = load_report(args.results)
     result = ExperimentResult.from_dict(report["grid"])
-    rates = sorted({int(k.split(":")[1]) / 100.0 for k in result.cells})
+    rates = sorted({cell.masking_rate for cell in result.cells.values()})
     lr_f1, delta = averaged_class_metrics(result, tuple(rates))
-    per_class_h = [np.nan if v is None else v
-                   for v in report["homophily"]["per_class"]]
     assignment = assign_quadrants(
-        per_class_h, lr_f1, delta,
+        report["homophily"]["per_class"], lr_f1, delta,
         homophily_threshold=args.homophily_threshold,
         f1_threshold=args.f1_threshold,
     )

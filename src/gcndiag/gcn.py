@@ -18,8 +18,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import InputError, ShapeError, check_finite
-from .graph import NormAdj, spmm
+from .graph import NormAdj, normalized_adjacency, spmm
 from .metrics import macro_f1_over_present
+from .synth import SyntheticSpec, generate_graph
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -92,26 +93,16 @@ def class_weights(y, labeled_idx, num_classes: int) -> np.ndarray:
     return w
 
 
-def log_softmax(z: np.ndarray) -> np.ndarray:
+def softmax_cross_entropy(z: np.ndarray, y) -> tuple:
+    """Per-row cross-entropy -log softmax(z)[y] and its gradient
+    softmax(z) - onehot(y) with respect to z, both unweighted."""
     shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def nll_from_logits(z, y, labeled_idx, weights=None) -> float:
-    """Weighted mean of -w_{y_v} * log softmax(z_v)[y_v] over labeled nodes,
-    normalized by the total weight of the labeled set."""
-    labeled_idx = np.asarray(labeled_idx)
-    if labeled_idx.size == 0:
-        raise InputError("labeled set is empty")
-    y = np.asarray(y)
-    logp = log_softmax(z[labeled_idx])
-    wl = (
-        np.ones(labeled_idx.size)
-        if weights is None
-        else np.asarray(weights)[y[labeled_idx]]
-    )
-    picked = logp[np.arange(labeled_idx.size), y[labeled_idx]]
-    return float(-(wl * picked).sum() / wl.sum())
+    logsum = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(z.shape[0])
+    ce = logsum - shifted[rows, y]
+    grad = np.exp(shifted - logsum[:, None])
+    grad[rows, y] -= 1.0
+    return ce, grad
 
 
 def _check_dims(params: GcnParams, a: NormAdj, x: np.ndarray):
@@ -196,18 +187,11 @@ def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
     y = np.asarray(y)
 
     z, x_in, ax_in, h_pre, mask1, h_drop = _forward(params, a, x, dropout_rate, rng)
-    logp = log_softmax(z[labeled_idx])
-    wl = (
-        np.ones(labeled_idx.size)
-        if weights is None
-        else np.asarray(weights)[y[labeled_idx]]
-    )
+    y_l = y[labeled_idx]
+    ce, dz_labeled = softmax_cross_entropy(z[labeled_idx], y_l)
+    wl = np.ones(labeled_idx.size) if weights is None else np.asarray(weights)[y_l]
     wsum = wl.sum()
-    rows = np.arange(labeled_idx.size)
-    loss = float(-(wl * logp[rows, y[labeled_idx]]).sum() / wsum)
-
-    dz_labeled = np.exp(logp)
-    dz_labeled[rows, y[labeled_idx]] -= 1.0
+    loss = float((wl * ce).sum() / wsum)
     dz_labeled *= (wl / wsum)[:, None]
     dz = np.zeros_like(z)
     dz[labeled_idx] = dz_labeled
@@ -371,9 +355,6 @@ def gradient_check(num_instances: int = 50, seed: int = 0, step: float = 1e-5,
     being a valid oracle, while the analytic subgradient stays exact.
     Returns (max forgiven relative error over checked coordinates, instances).
     """
-    from .synth import SyntheticSpec, generate_graph  # deferred to avoid cycle
-    from .graph import normalized_adjacency
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(num_instances):

@@ -85,38 +85,17 @@ def top_foreign_neighbor(matrix: np.ndarray):
     return result
 
 
-class HomophilyReport:
-    """Bundle of the structural label-agreement measurements for one graph."""
-
-    def __init__(self, overall, per_class, neighbor_matrix, top_foreign):
-        self.overall = overall
-        self.per_class = per_class
-        self.neighbor_matrix = neighbor_matrix
-        self.top_foreign = top_foreign
-
-    def to_dict(self) -> dict:
-        def _clean(x):
-            return None if np.isnan(x) else float(x)
-
-        return {
-            "overall": _clean(self.overall),
-            "per_class": [_clean(v) for v in self.per_class],
-            "neighbor_matrix": [
-                [None] * len(row) if np.isnan(row).all() else [float(v) for v in row]
-                for row in self.neighbor_matrix
-            ],
-            "top_foreign": [
-                None if t is None else {"class": t[0], "fraction": t[1]}
-                for t in self.top_foreign
-            ],
-        }
-
-
-def homophily_report(g: Graph, y, num_classes: int) -> HomophilyReport:
+def homophily_report(g: Graph, y, num_classes: int) -> dict:
+    """Overall and per-class homophily, the neighbor matrix and each class's
+    top foreign neighbor. Undefined values stay NaN; ``report.jsonable``
+    writes them as null."""
     matrix = neighbor_distribution(g, y, num_classes)
-    return HomophilyReport(
-        overall=edge_homophily(g, y),
-        per_class=np.diagonal(matrix).copy(),
-        neighbor_matrix=matrix,
-        top_foreign=top_foreign_neighbor(matrix),
-    )
+    return {
+        "overall": edge_homophily(g, y),
+        "per_class": np.diagonal(matrix).copy(),
+        "neighbor_matrix": matrix,
+        "top_foreign": [
+            None if t is None else {"class": t[0], "fraction": t[1]}
+            for t in top_foreign_neighbor(matrix)
+        ],
+    }

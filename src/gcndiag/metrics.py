@@ -99,25 +99,6 @@ def delta_f1(gcn: ModelScores, lr: ModelScores):
     )
 
 
-def top_confusion_pairs(confusion: np.ndarray, k=None):
-    """Off-diagonal error rates (count / true-class row total), largest first.
-
-    Returns (true, pred, rate) triples; zero-count pairs and empty rows are
-    skipped. Ties break by (true, pred) id.
-    """
-    confusion = np.asarray(confusion)
-    pairs = []
-    totals = confusion.sum(axis=1)
-    for t in range(confusion.shape[0]):
-        if totals[t] == 0:
-            continue
-        for p in range(confusion.shape[1]):
-            if t != p and confusion[t, p] > 0:
-                pairs.append((t, p, float(confusion[t, p] / totals[t])))
-    pairs.sort(key=lambda x: (-x[2], x[0], x[1]))
-    return pairs if k is None else pairs[:k]
-
-
 def retention(original: float, ablated: float) -> float:
     """Ablated macro-F1 as a percentage of the original; NaN if original is 0."""
     if original <= 0:

@@ -174,8 +174,13 @@ class CellResult:
                    selected_hyper=dict(d["selected_hyper"]), error=d["error"])
 
 
+def masking_percent(masking_rate: float) -> int:
+    """The whole percent that names a masking rate in cell keys and reports."""
+    return int(round(masking_rate * 100))
+
+
 def _cell_key(model: str, masking_rate: float, feature_mode: str) -> str:
-    return f"{model}:{int(round(masking_rate * 100))}:{feature_mode}"
+    return f"{model}:{masking_percent(masking_rate)}:{feature_mode}"
 
 
 @dataclass
@@ -228,6 +233,7 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
     order. A failing cell records its error instead of aborting its
     siblings; non-finite features fail the whole run before any cell.
     """
+    # deferred: baselines imports protocol, and tracers patch these names
     from .baselines import (apply_scaler, fit_scaler, linear_predict,
                             train_logreg, train_svm)
     from .gcn import GcnConfig, gcn_predict, train_gcn
@@ -251,7 +257,7 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
     def run_cell(model, rate, mode):
         split = splits[rate]
         feats = feature_sets[mode]
-        cell_seed = derive_seed(base_seed, model, int(round(rate * 100)), mode)
+        cell_seed = derive_seed(base_seed, model, masking_percent(rate), mode)
         if model == "gcn":
             if mode not in propagated:
                 propagated[mode] = spmm(a, feats)

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .protocol import VAL_FRACTION, TRAIN_FRACTION, ExperimentResult
+from .protocol import (VAL_FRACTION, TRAIN_FRACTION, ExperimentResult,
+                       masking_percent)
 
 SCHEMA_VERSION = 1
 
@@ -54,18 +55,15 @@ def build_report(fingerprint: str, config: dict, homophily: dict,
                  result: ExperimentResult, quadrants=None) -> dict:
     """Assemble the full report dict; every number traces to an input section."""
     deltas = {}
-    for mode in ("original", "random"):
-        per_rate = {}
-        for key, cell in result.cells.items():
-            model, pct, cell_mode = key.split(":")
-            if model != "gcn" or cell_mode != mode:
-                continue
-            try:
-                per_rate[pct] = result.delta(int(pct) / 100.0, mode)
-            except (KeyError, InputError):
-                per_rate[pct] = None
-        if per_rate:
-            deltas[mode] = per_rate
+    for cell in result.cells.values():
+        if cell.model != "gcn":
+            continue
+        try:
+            delta = result.delta(cell.masking_rate, cell.feature_mode)
+        except (KeyError, InputError):
+            delta = None
+        per_rate = deltas.setdefault(cell.feature_mode, {})
+        per_rate[masking_percent(cell.masking_rate)] = delta
 
     report = {
         "schema_version": SCHEMA_VERSION,

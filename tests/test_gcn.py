@@ -5,8 +5,10 @@ from gcndiag import (GcnConfig, GcnParams, InputError, ShapeError, build_graph,
                      gcn_forward, gcn_loss_and_grad, gcn_predict,
                      gradient_check, normalized_adjacency, train_gcn)
 from gcndiag.gcn import (Adam, class_weights, finite_difference_grads,
-                         glorot_uniform, init_params, log_softmax,
-                         nll_from_logits, _forward, _propagates_input_first)
+                         glorot_uniform, init_params, softmax_cross_entropy,
+                         _forward, _propagates_input_first)
+from gcndiag.baselines import logreg_objective
+from gcndiag.graph import spmm
 from gcndiag.protocol import make_split
 
 from conftest import dense_normalized_adjacency
@@ -51,20 +53,108 @@ def test_unweighted_loss_is_plain_mean():
     labeled = np.array([1, 2])
     loss, _ = gcn_loss_and_grad(params, a, x, y, labeled)
     z = gcn_forward(params, a, x)[labeled]
-    logp = log_softmax(z)
-    want = float(-logp[np.arange(2), y[labeled]].mean())
-    assert loss == pytest.approx(want, rel=1e-12)
+    ce, _ = softmax_cross_entropy(z, y[labeled])
+    assert loss == pytest.approx(float(ce.mean()), rel=1e-12)
 
 
-def test_log_softmax_shift_invariant():
+def test_softmax_cross_entropy_shift_invariant():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((6, 4))
     y = rng.integers(0, 4, size=6)
-    idx = np.arange(6)
-    a = nll_from_logits(z, y, idx)
-    b = nll_from_logits(z + 1000.0, y, idx)
-    assert a == pytest.approx(b, rel=1e-9)
-    assert np.isfinite(nll_from_logits(z + 1e4, y, idx))
+    ce, grad = softmax_cross_entropy(z, y)
+    ce_shift, grad_shift = softmax_cross_entropy(z + 1000.0, y)
+    assert np.allclose(ce_shift, ce, rtol=1e-9)
+    assert np.allclose(grad_shift, grad, rtol=1e-9, atol=1e-12)
+    ce_big, grad_big = softmax_cross_entropy(z + 1e4, y)
+    assert np.isfinite(ce_big).all() and np.isfinite(grad_big).all()
+    # the gradient of each row's cross-entropy sums to zero
+    assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+
+
+def _parent_logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
+    """The logistic objective as written inline before the shared loss."""
+    d = X.shape[1]
+    W = wb[: d * num_classes].reshape(d, num_classes)
+    b = wb[d * num_classes:]
+    z = X @ W + b
+    z -= z.max(axis=1, keepdims=True)
+    logsum = np.log(np.exp(z).sum(axis=1))
+    rows = np.arange(X.shape[0])
+    ce = logsum - z[rows, y]
+    obj = float((sample_w * ce).sum() + (W * W).sum() / (2.0 * reg_c))
+    p = np.exp(z - logsum[:, None])
+    p[rows, y] -= 1.0
+    p *= sample_w[:, None]
+    grad_w = X.T @ p + W / reg_c
+    grad_b = p.sum(axis=0)
+    return obj, np.concatenate([grad_w.ravel(), grad_b])
+
+
+def _parent_gcn_loss_and_grad(params, a, x, y, labeled_idx, weights,
+                              weight_decay, dropout_rate, rng):
+    """The GCN loss and gradients as written inline before the shared loss."""
+    z, x_in, ax_in, h_pre, mask1, h_drop = _forward(params, a, x, dropout_rate, rng)
+    shifted = z[labeled_idx] - z[labeled_idx].max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    wl = (np.ones(labeled_idx.size) if weights is None
+          else np.asarray(weights)[y[labeled_idx]])
+    wsum = wl.sum()
+    rows = np.arange(labeled_idx.size)
+    loss = float(-(wl * logp[rows, y[labeled_idx]]).sum() / wsum)
+    dz_labeled = np.exp(logp)
+    dz_labeled[rows, y[labeled_idx]] -= 1.0
+    dz_labeled *= (wl / wsum)[:, None]
+    dz = np.zeros_like(z)
+    dz[labeled_idx] = dz_labeled
+    g1 = spmm(a, dz)
+    gw1 = h_drop.T @ g1 + weight_decay * params.w1
+    dh = g1 @ params.w1.T
+    if mask1 is not None:
+        dh = dh * mask1
+    dh_pre = dh * (h_pre > 0)
+    if ax_in is None:
+        gw0 = x_in.T @ spmm(a, dh_pre) + weight_decay * params.w0
+    else:
+        gw0 = ax_in.T @ dh_pre + weight_decay * params.w0
+    return loss, GcnParams(gw0, gw1)
+
+
+def test_shared_loss_bit_identical_to_inline_formulas():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        n, d, C = (int(v) for v in rng.integers([3, 1, 2], [60, 12, 7]))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 5.0)
+        y = rng.integers(0, C, size=n)
+        sw = rng.uniform(0.1, 3.0, size=n)
+        wb = rng.standard_normal(d * C + C) * rng.uniform(0.01, 3.0)
+        reg_c = float(rng.choice([1e-3, 1.0, 1e3]))
+        got = logreg_objective(wb, X, y, sw, reg_c, C)
+        want = _parent_logreg_objective(wb, X, y, sw, reg_c, C)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+    for case in range(20):
+        n, d, hidden, C = (int(v) for v in rng.integers([6, 1, 1, 2], [40, 9, 9, 5]))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.2]
+        a = normalized_adjacency(build_graph(edges, n))
+        x = rng.standard_normal((n, d))
+        y = rng.integers(0, C, size=n)
+        params = GcnParams(rng.standard_normal((d, hidden)),
+                           rng.standard_normal((hidden, C)))
+        labeled = np.sort(rng.choice(n, size=n // 2, replace=False))
+        weights = class_weights(y, labeled, C) if case % 2 else None
+        dropout = 0.5 if case % 4 < 2 else 0.0
+        seed = int(rng.integers(2**32))
+        got_loss, got = gcn_loss_and_grad(
+            params, a, x, y, labeled, weights, weight_decay=1e-3,
+            dropout_rate=dropout, rng=np.random.default_rng(seed))
+        want_loss, want = _parent_gcn_loss_and_grad(
+            params, a, x, y, labeled, weights, 1e-3, dropout,
+            np.random.default_rng(seed))
+        assert got_loss == want_loss
+        assert np.array_equal(got.w0, want.w0)
+        assert np.array_equal(got.w1, want.w1)
 
 
 def test_class_weights_hand_case():

@@ -6,6 +6,7 @@ import pytest
 from gcndiag import (InputError, build_graph, edge_homophily, homophily_report,
                      neighbor_distribution, per_class_homophily,
                      top_foreign_neighbor)
+from gcndiag.report import jsonable
 
 from conftest import (brute_edge_homophily, brute_neighbor_distribution,
                       random_edge_list)
@@ -98,7 +99,7 @@ def test_top_foreign_none_when_isolated_class():
 def test_report_serializes_nan_as_none():
     g = build_graph([(0, 1)], 3)  # node 2 isolated
     y = np.array([0, 0, 1])
-    rep = homophily_report(g, y, 2).to_dict()
+    rep = jsonable(homophily_report(g, y, 2))
     assert rep["overall"] == 1.0
     assert rep["per_class"][0] == 1.0
     assert rep["per_class"][1] is None

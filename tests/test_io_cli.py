@@ -103,6 +103,24 @@ def test_cli_import_defers_scipy_optimize():
     assert done.returncode == 0
 
 
+def test_benchmark_tracer_finds_every_name_it_patches():
+    """The benchmark's tracer patches program functions by name; a rename
+    must fail here rather than only in a traced benchmark run."""
+    probe = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "perfbench", "probe.py")
+    code = ("import importlib.util, json; "
+            f"spec = importlib.util.spec_from_file_location('probe', {probe!r}); "
+            "probe = importlib.util.module_from_spec(spec); "
+            "spec.loader.exec_module(probe); "
+            "tracer = probe.Tracer(); probe.install(tracer); "
+            "print(json.dumps(tracer.missing))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
 def test_missing_directory():
     with pytest.raises(InputError):
         load_dataset("/no/such/place")
@@ -209,7 +227,7 @@ def small_report():
     result = run_grid(a, ds.x, ds.y, base_seed=3, models=("gcn", "logreg"),
                       feature_modes=("original",))
     from gcndiag import homophily_report
-    hom = homophily_report(ds.graph, ds.y, 3).to_dict()
+    hom = homophily_report(ds.graph, ds.y, 3)
     return build_report(ds.fingerprint(), {"seed": 3}, hom, result)
 
 

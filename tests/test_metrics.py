@@ -5,7 +5,7 @@ import pytest
 
 from gcndiag import ModelScores, confusion_matrix, delta_f1, retention, score
 from gcndiag.errors import ShapeError
-from gcndiag.metrics import macro_f1_over_present, top_confusion_pairs
+from gcndiag.metrics import macro_f1_over_present
 
 from conftest import brute_f1
 
@@ -73,31 +73,6 @@ def test_delta_f1():
     macro, per_class = delta_f1(a, b)
     assert macro == pytest.approx(a.macro_f1 - b.macro_f1)
     assert np.allclose(per_class, a.per_class_f1 - b.per_class_f1)
-
-
-def test_top_confusion_pairs_ordering_and_rates():
-    conf = np.array([
-        [8, 2, 0],
-        [1, 6, 3],
-        [0, 0, 5],
-    ])
-    pairs = top_confusion_pairs(conf)
-    # rates: (1,2)=0.3, (0,1)=0.2, (1,0)=0.1 ; zero-count pairs omitted
-    assert pairs[0] == (1, 2, pytest.approx(0.3))
-    assert pairs[1] == (0, 1, pytest.approx(0.2))
-    assert pairs[2] == (1, 0, pytest.approx(0.1))
-    assert len(pairs) == 3
-    assert top_confusion_pairs(conf, k=1) == [pairs[0]]
-
-
-def test_top_confusion_pairs_tie_breaks_by_class_ids():
-    conf = np.array([
-        [0, 5, 5],
-        [5, 0, 5],
-        [0, 0, 1],
-    ])
-    pairs = top_confusion_pairs(conf)
-    assert [p[:2] for p in pairs] == [(0, 1), (0, 2), (1, 0), (1, 2)]
 
 
 def test_macro_f1_over_present_ignores_missing_truth_classes():
