@@ -1,12 +1,21 @@
 """Feature-only linear baselines: multinomial logistic regression and OvR SVM.
 
 Both models see z-score normalized features and balanced class weights, and
-select their regularization strength from the fixed search grids below. The
-logistic regression objective and gradient are defined here; minimization is
-delegated to L-BFGS (deterministic, stops at gradient norm 1e-6 or 1000
-iterations). The SVM minimizes the weighted hinge loss with a deterministic
-full-batch AdaGrad subgradient loop that fits the whole C grid at once; each
-C's result is bit-identical to fitting that C alone (see ``_fit_svm_ovr``).
+select their regularization strength from the fixed search grids below.
+Logistic regression minimizes a weighted multinomial cross-entropy
+(``logreg_objective``). The SVM minimizes the L2-regularized one-vs-rest
+squared hinge, the default loss of LIBLINEAR and LinearSVC, with all classes
+in one problem (``svm_objective``). Both objectives are differentiable, with
+hand-written gradients, and both go through one deterministic L-BFGS-B call
+(``_minimize_lbfgs``), which stops at projected gradient norm ``LBFGS_GTOL``
+or after ``LBFGS_MAX_ITER`` iterations. Logistic regression starts every fit
+at zero. The SVM objective is strictly convex, so its optimum does not
+depend on the start: its fits walk the ascending C grid, each starting at
+the previous C's optimum, and the refit starts at the selected C's optimum.
+On near-separable data this saves most of the iterations a large C needs
+from zero. A fitted ``LinearModel`` lists in ``unconverged`` every C_reg,
+from the selection grid or the refit, whose fit L-BFGS-B did not report as
+converged, so a capped fit is visible rather than silent.
 """
 
 from dataclasses import dataclass
@@ -22,10 +31,8 @@ LOGREG_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 LOGREG_FOLDS = 5
 SVM_C_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
-LOGREG_GTOL = 1e-6
-LOGREG_MAX_ITER = 1000
-SVM_ITERATIONS = 2000
-SVM_STEP = 0.5
+LBFGS_GTOL = 1e-6
+LBFGS_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,7 @@ class LinearModel:
     bias: np.ndarray  # length C
     selected_reg: float
     grid_scores: tuple = ()  # (reg value, selection macro-F1) pairs
+    unconverged: tuple = ()  # reg values, in grid order, with a fit not converged
 
 
 def _argmax_scores(x_norm, W, b) -> np.ndarray:
@@ -84,14 +92,17 @@ def linear_predict(model: LinearModel, x_norm: np.ndarray) -> np.ndarray:
     return _argmax_scores(x_norm, model.weights, model.bias)
 
 
+def _unpack(wb, d, num_classes):
+    """Split a flat parameter vector into W (d x C) and b (C)."""
+    return wb[: d * num_classes].reshape(d, num_classes), wb[d * num_classes:]
+
+
 def logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
     """Weighted multinomial cross-entropy plus 1/(2 C_reg) ||W||^2; bias free.
 
     Returns (objective, flat gradient). ``wb`` packs W (d x C) then b (C).
     """
-    d = X.shape[1]
-    W = wb[: d * num_classes].reshape(d, num_classes)
-    b = wb[d * num_classes:]
+    W, b = _unpack(wb, X.shape[1], num_classes)
     ce, p = softmax_cross_entropy(X @ W + b, y)
     obj = float((sample_w * ce).sum() + (W * W).sum() / (2.0 * reg_c))
     p *= sample_w[:, None]
@@ -100,23 +111,50 @@ def logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
     return obj, np.concatenate([grad_w.ravel(), grad_b])
 
 
-def fit_logreg(X, y, sample_w, reg_c, num_classes):
-    """Minimize the logistic objective with L-BFGS from a zero start."""
-    from scipy.optimize import minimize  # deferred: slow to import, logreg only
+def svm_objective(wb, X, Y_signed, sample_w, reg_c):
+    """One-vs-rest squared hinge over every class at once; bias free.
 
-    d = X.shape[1]
-    x0 = np.zeros(d * num_classes + num_classes)
+    Per class c: sum_i s_ic max(0, 1 - y_ic z_ic)^2 + (lambda_c / 2)||w_c||^2,
+    where z = X W + b, y is +1/-1 (``Y_signed``, n x C), s is ``sample_w``
+    (n x C) divided by its column sums and lambda_c = 1 / (C_reg * sum_i
+    sample_w_ic). Returns (objective, flat gradient). ``wb`` packs W (d x C)
+    then b (C).
+    """
+    col_tot = sample_w.sum(axis=0)
+    s_norm = sample_w / col_tot
+    lam = 1.0 / (reg_c * col_tot)
+    W, b = _unpack(wb, X.shape[1], Y_signed.shape[1])
+    slack = np.maximum(0.0, 1.0 - Y_signed * (X @ W + b))
+    obj = float((s_norm * slack * slack).sum() + 0.5 * (lam * W * W).sum())
+    dz = -2.0 * s_norm * Y_signed * slack
+    grad_w = X.T @ dz + lam * W
+    grad_b = dz.sum(axis=0)
+    return obj, np.concatenate([grad_w.ravel(), grad_b])
+
+
+def _minimize_lbfgs(objective, x0, args):
+    """Minimize ``objective(x, *args) -> (value, gradient)`` by L-BFGS-B from
+    ``x0``. Returns (x, iterations, converged as L-BFGS-B reports it)."""
+    from scipy.optimize import minimize  # deferred: slow to import, baselines only
+
     res = minimize(
-        logreg_objective,
+        objective,
         x0,
-        args=(X, y, sample_w, reg_c, num_classes),
+        args=args,
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": LOGREG_MAX_ITER, "gtol": LOGREG_GTOL, "ftol": 1e-14},
+        options={"maxiter": LBFGS_MAX_ITER, "gtol": LBFGS_GTOL, "ftol": 1e-14},
     )
-    W = res.x[: d * num_classes].reshape(d, num_classes)
-    b = res.x[d * num_classes:]
-    return W, b
+    return res.x, res.nit, bool(res.success)
+
+
+def fit_logreg(X, y, sample_w, reg_c, num_classes):
+    """Minimize ``logreg_objective``; returns (W, b, converged)."""
+    d = X.shape[1]
+    wb, _, converged = _minimize_lbfgs(
+        logreg_objective, np.zeros(d * num_classes + num_classes),
+        (X, y, sample_w, reg_c, num_classes))
+    return *_unpack(wb, d, num_classes), converged
 
 
 def stratified_kfold(y, indices, folds: int, rng: np.random.Generator):
@@ -171,12 +209,15 @@ def train_logreg(x_norm, y, visible_rows, seed: int = 0,
     rng = np.random.default_rng(seed)
     # fold-major, so each fold's rows are sliced once and only one fold is held
     fold_f1 = [[] for _ in LOGREG_C_GRID]
+    failed = set()
     for train_idx, val_idx in stratified_kfold(y, visible_rows, folds_eff, rng):
         X_tr, y_tr = x_norm[train_idx], y[train_idx]
         X_val, y_val = x_norm[val_idx], y[val_idx]
         sw = class_weights(y, train_idx, num_classes)[y_tr]
         for reg_c, scores in zip(LOGREG_C_GRID, fold_f1):
-            W, b = fit_logreg(X_tr, y_tr, sw, reg_c, num_classes)
+            W, b, converged = fit_logreg(X_tr, y_tr, sw, reg_c, num_classes)
+            if not converged:
+                failed.add(reg_c)
             pred = _argmax_scores(X_val, W, b)
             scores.append(score(pred, y_val, num_classes).macro_f1)
     grid_scores = [(reg_c, float(np.mean(scores)))
@@ -185,68 +226,24 @@ def train_logreg(x_norm, y, visible_rows, seed: int = 0,
     best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])
     selected = grid_scores[best][0]
     sw = class_weights(y, visible_rows, num_classes)[y[visible_rows]]
-    W, b = fit_logreg(x_norm[visible_rows], y[visible_rows], sw, selected, num_classes)
+    W, b, converged = fit_logreg(x_norm[visible_rows], y[visible_rows], sw,
+                                 selected, num_classes)
+    if not converged:
+        failed.add(selected)
     return LinearModel(
         kind="logreg", weights=W, bias=b,
         selected_reg=selected, grid_scores=tuple(grid_scores),
+        unconverged=tuple(c for c in LOGREG_C_GRID if c in failed),
     )
 
 
-def _fit_svm_ovr(X, Y_signed, sample_w, regs, iterations=SVM_ITERATIONS):
-    """All one-vs-rest hinge problems for every C in ``regs`` at once, by
-    full-batch AdaGrad subgradient steps.
-
-    Objective per class c: (lambda/2)||w_c||^2 + sum_i s_ic hinge_ic with
-    column-normalized weights and lambda = 1 / (C_reg * total weight); the
-    bias is unregularized. Returns the tail averages of the iterates, W as
-    (G, d, C) and b as (G, C) for the G values of ``regs``.
-
-    The n x C scores of every C sit side by side in one n x G x C buffer, so
-    elementwise work and the in-order bias-gradient row sum run over
-    G*C-wide rows. Both products (X W and X^T active) stay one gemm per C on
-    a strided view, with the operands and order of fitting that C alone, so
-    each result is bit-identical to a separate fit whenever d >= 2. (With
-    d = 1 numpy uses a matrix-vector kernel whose rounding depends on the
-    stride.)
-    """
-    d, G, C = X.shape[1], len(regs), Y_signed.shape[1]
-    col_tot = sample_w.sum(axis=0)
-    s_norm = sample_w / col_tot
-    y_rep = np.repeat(Y_signed[:, None, :], G, axis=1)
-    sy_rep = np.repeat((s_norm * Y_signed)[:, None, :], G, axis=1)
-    # per grid value and class, equal across classes under balanced weights
-    lam = (1.0 / (np.asarray(regs, dtype=np.float64)[:, None] * col_tot))[:, None, :]
-
-    W = np.zeros((G, d, C))
-    b = np.zeros((G, C))
-    gw_acc, W_avg, gw, tmp = (np.zeros_like(W) for _ in range(4))
-    gb_acc, b_avg = np.zeros_like(b), np.zeros_like(b)
-    z, active = np.empty(y_rep.shape), np.empty(y_rep.shape)
-    z_per_c, active_per_c = z.transpose(1, 0, 2), active.transpose(1, 0, 2)
-    tail = max(1, iterations // 4)
-    for t in range(iterations):
-        np.matmul(X, W, out=z_per_c)
-        z += b
-        z *= y_rep
-        np.less(z, 1.0, out=active)  # margin < 1, as 0.0 / 1.0
-        active *= sy_rep
-        np.matmul(X.T, active_per_c, out=tmp)
-        np.multiply(lam, W, out=gw)
-        gw -= tmp
-        gb = -active.sum(axis=0)
-        np.multiply(gw, gw, out=tmp)
-        gw_acc += tmp
-        gb_acc += gb * gb
-        np.sqrt(gw_acc, out=tmp)
-        tmp += 1e-12
-        gw *= SVM_STEP
-        gw /= tmp
-        W -= gw
-        b -= SVM_STEP * gb / (np.sqrt(gb_acc) + 1e-12)
-        if t >= iterations - tail:
-            W_avg += W
-            b_avg += b
-    return W_avg / tail, b_avg / tail
+def _fit_svm_ovr(X, Y_signed, sample_w, reg_c, W0, b0):
+    """Minimize ``svm_objective`` for one C_reg from (W0, b0); returns
+    (W, b, converged)."""
+    wb, _, converged = _minimize_lbfgs(
+        svm_objective, np.concatenate([W0.ravel(), b0]),
+        (X, Y_signed, sample_w, reg_c))
+    return *_unpack(wb, *W0.shape), converged
 
 
 def train_svm(x_norm, y, visible_rows, seed: int = 0,
@@ -274,18 +271,28 @@ def train_svm(x_norm, y, visible_rows, seed: int = 0,
         return Y, s
 
     Y_fit, s_fit = signed_and_weights(fit_idx)
-    Ws, bs = _fit_svm_ovr(x_norm[fit_idx], Y_fit, s_fit, SVM_C_GRID)
-    grid_scores = [
-        (reg_c, score(_argmax_scores(x_norm[val_idx], W, b), y[val_idx],
-                      num_classes).macro_f1)
-        for reg_c, W, b in zip(SVM_C_GRID, Ws, bs)
-    ]
+    X_fit, X_val, y_val = x_norm[fit_idx], x_norm[val_idx], y[val_idx]
+    W, b = np.zeros((x_norm.shape[1], num_classes)), np.zeros(num_classes)
+    fits, grid_scores, failed = [], [], set()
+    # SVM_C_GRID ascends; each fit starts at the previous C's optimum
+    for reg_c in SVM_C_GRID:
+        W, b, converged = _fit_svm_ovr(X_fit, Y_fit, s_fit, reg_c, W, b)
+        if not converged:
+            failed.add(reg_c)
+        fits.append((W, b))
+        pred = _argmax_scores(X_val, W, b)
+        grid_scores.append((reg_c, score(pred, y_val, num_classes).macro_f1))
 
     best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])
     selected = grid_scores[best][0]
+    del X_fit, X_val  # release the split's copies before the refit's own
     Y_all, s_all = signed_and_weights(visible_rows)
-    Ws, bs = _fit_svm_ovr(x_norm[visible_rows], Y_all, s_all, [selected])
+    W, b, converged = _fit_svm_ovr(x_norm[visible_rows], Y_all, s_all, selected,
+                                   *fits[best])
+    if not converged:
+        failed.add(selected)
     return LinearModel(
-        kind="svm", weights=Ws[0], bias=bs[0],
+        kind="svm", weights=W, bias=b,
         selected_reg=selected, grid_scores=tuple(grid_scores),
+        unconverged=tuple(c for c in SVM_C_GRID if c in failed),
     )

@@ -274,7 +274,8 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
             fitted = trainer(feats_n, y, split.visible_idx, seed=cell_seed,
                              num_classes=num_classes)
             pred = linear_predict(fitted, feats_n)
-            hyper = {"selected_reg": fitted.selected_reg}
+            hyper = {"selected_reg": fitted.selected_reg,
+                     "unconverged_reg": list(fitted.unconverged)}
         scores = score(pred[split.test_idx], y[split.test_idx], num_classes)
         return scores, hyper
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from gcndiag import baselines
 from gcndiag import (InputError, LinearModel, ShapeError, apply_scaler,
                      fit_scaler, linear_predict, train_logreg, train_svm)
-from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID, SVM_STEP,
-                               _fit_svm_ovr, fit_logreg, logreg_objective,
-                               stratified_kfold)
+from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID, _fit_svm_ovr,
+                               fit_logreg, logreg_objective, stratified_kfold,
+                               svm_objective)
 from gcndiag.gcn import class_weights
 
 
@@ -85,10 +86,70 @@ def test_logreg_gradient_matches_finite_differences():
 def test_fit_logreg_reaches_stationary_point():
     X, y = blobs(seed=1, gap=2.0)
     sw = class_weights(y, np.arange(y.size), 2)[y]
-    W, b = fit_logreg(X, y, sw, 1.0, 2)
+    W, b, converged = fit_logreg(X, y, sw, 1.0, 2)
     wb = np.concatenate([W.ravel(), b])
     _, grad = logreg_objective(wb, X, y, sw, 1.0, 2)
+    assert converged
     assert np.abs(grad).max() < 1e-4
+
+
+def signed_targets(y, num_classes):
+    """+1/-1 one-vs-rest targets and per-class balanced weights (n x C)."""
+    Y = np.where(y[:, None] == np.arange(num_classes), 1.0, -1.0)
+    n_pos = (Y > 0).sum(axis=0)
+    s = np.where(Y > 0, y.size / (2.0 * n_pos), y.size / (2.0 * (y.size - n_pos)))
+    return Y, s
+
+
+def test_svm_gradient_matches_finite_differences():
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((12, 4))
+    y = rng.integers(0, 3, size=12)
+    Y, s = signed_targets(y, 3)
+    # redraw until every margin sits clear of the hinge kink at 1, where the
+    # second derivative jumps; both sides of the kink must still occur
+    while True:
+        wb = rng.standard_normal(4 * 3 + 3) * 0.5
+        margins = Y * (X @ wb[:12].reshape(4, 3) + wb[12:])
+        if (np.abs(1.0 - margins).min() > 1e-3 and (margins < 1).any()
+                and (margins > 1).any()):
+            break
+    _, grad = svm_objective(wb, X, Y, s, 0.5)
+    fd = np.zeros_like(wb)
+    eps = 1e-6
+    for i in range(wb.size):
+        up, down = wb.copy(), wb.copy()
+        up[i] += eps
+        down[i] -= eps
+        fd[i] = (svm_objective(up, X, Y, s, 0.5)[0]
+                 - svm_objective(down, X, Y, s, 0.5)[0]) / (2 * eps)
+    assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
+
+
+def test_fit_svm_reaches_stationary_point():
+    X, y = blobs(seed=1, gap=2.0)
+    Y, s = signed_targets(y, 2)
+    W, b, converged = _fit_svm_ovr(X, Y, s, 1.0, np.zeros((3, 2)), np.zeros(2))
+    _, grad = svm_objective(np.concatenate([W.ravel(), b]), X, Y, s, 1.0)
+    assert converged
+    assert np.abs(grad).max() < 1e-4
+    # strictly convex: a warm start far from the optimum ends at the same point
+    rng = np.random.default_rng(17)
+    W2, b2, converged = _fit_svm_ovr(X, Y, s, 1.0, 3.0 * rng.standard_normal((3, 2)),
+                                     3.0 * rng.standard_normal(2))
+    assert converged
+    assert np.allclose(W2, W, atol=1e-5) and np.allclose(b2, b, atol=1e-5)
+
+
+@pytest.mark.parametrize("trainer, grid", [(train_logreg, LOGREG_C_GRID),
+                                           (train_svm, SVM_C_GRID)])
+def test_trainers_report_unconverged_fits(monkeypatch, trainer, grid):
+    X, y = blobs(seed=10, gap=2.0)
+    model = trainer(X, y, np.arange(y.size), seed=0, num_classes=2)
+    assert model.unconverged == ()
+    monkeypatch.setattr(baselines, "LBFGS_MAX_ITER", 2)
+    capped = trainer(X, y, np.arange(y.size), seed=0, num_classes=2)
+    assert capped.unconverged == grid
 
 
 def test_stratified_kfold_partitions():
@@ -150,8 +211,9 @@ def test_train_logreg_deterministic():
     assert m1.selected_reg == m2.selected_reg
 
 
-def svm_objective(W, b, X, y, reg_c, num_classes):
-    """Reference one-vs-rest objective written independently of the library."""
+def reference_svm_objective(W, b, X, y, reg_c, num_classes):
+    """Reference one-vs-rest squared-hinge objective, written independently
+    of the library, with the weights ``train_svm`` gives its final refit."""
     n = X.shape[0]
     total = 0.0
     for c in range(num_classes):
@@ -163,18 +225,22 @@ def svm_objective(W, b, X, y, reg_c, num_classes):
         lam = 1.0 / (reg_c * n)
         margins = sign * (X @ W[:, c] + b[c])
         total += 0.5 * lam * (W[:, c] ** 2).sum()
-        total += (s * np.maximum(0.0, 1.0 - margins)).sum()
+        total += (s * np.maximum(0.0, 1.0 - margins) ** 2).sum()
     return total
 
 
 def test_train_svm_improves_reference_objective():
     X, y = blobs(seed=6, gap=3.0)
     model = train_svm(X, y, np.arange(y.size), seed=0, num_classes=2)
-    at_zero = svm_objective(np.zeros((3, 2)), np.zeros(2), X, y,
-                            model.selected_reg, 2)
-    at_fit = svm_objective(model.weights, model.bias, X, y,
-                           model.selected_reg, 2)
+    at_zero = reference_svm_objective(np.zeros((3, 2)), np.zeros(2), X, y,
+                                      model.selected_reg, 2)
+    at_fit = reference_svm_objective(model.weights, model.bias, X, y,
+                                     model.selected_reg, 2)
     assert at_fit < at_zero
+    Y, s = signed_targets(y, 2)
+    wb = np.concatenate([model.weights.ravel(), model.bias])
+    assert svm_objective(wb, X, Y, s, model.selected_reg)[0] == pytest.approx(
+        at_fit, rel=1e-12)
 
 
 def test_train_svm_separable():
@@ -198,49 +264,6 @@ def test_train_svm_deterministic():
     m1 = train_svm(X, y, np.arange(y.size), seed=3, num_classes=2)
     m2 = train_svm(X, y, np.arange(y.size), seed=3, num_classes=2)
     assert np.array_equal(m1.weights, m2.weights)
-
-
-def separate_svm_fit(X, Y_signed, sample_w, reg_c, iterations):
-    """One C at a time, rows major: the fit the grid batch must reproduce."""
-    col_tot = sample_w.sum(axis=0)
-    s_norm = sample_w / col_tot
-    lam = 1.0 / (reg_c * col_tot)
-    W = np.zeros((X.shape[1], Y_signed.shape[1]))
-    b = np.zeros(Y_signed.shape[1])
-    gw_acc, gb_acc = np.zeros_like(W), np.zeros_like(b)
-    W_avg, b_avg = np.zeros_like(W), np.zeros_like(b)
-    tail = max(1, iterations // 4)
-    for t in range(iterations):
-        margins = Y_signed * (X @ W + b)
-        active = (margins < 1.0) * s_norm * Y_signed
-        gw = lam * W - X.T @ active
-        gb = -active.sum(axis=0)
-        gw_acc += gw * gw
-        gb_acc += gb * gb
-        W -= SVM_STEP * gw / (np.sqrt(gw_acc) + 1e-12)
-        b -= SVM_STEP * gb / (np.sqrt(gb_acc) + 1e-12)
-        if t >= iterations - tail:
-            W_avg += W
-            b_avg += b
-    return W_avg / tail, b_avg / tail
-
-
-@pytest.mark.parametrize("d", [3, 12])
-def test_svm_grid_fit_bit_identical_to_separate_fits(d):
-    rng = np.random.default_rng(21)
-    n, C, iterations = 203, 3, 200  # n not a multiple of 8
-    X = rng.standard_normal((n, d))
-    y = rng.integers(0, C, size=n)
-    Y = np.where(y[:, None] == np.arange(C), 1.0, -1.0)
-    s = np.where(Y > 0, 1.0, 0.5) * rng.uniform(0.5, 2.0, size=(n, 1))
-    Ws, bs = _fit_svm_ovr(X, Y, s, SVM_C_GRID, iterations)
-    assert Ws.shape == (len(SVM_C_GRID), d, C)
-    for reg_c, W, b in zip(SVM_C_GRID, Ws, bs):
-        W_ref, b_ref = separate_svm_fit(X, Y, s, reg_c, iterations)
-        assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
-    W1, b1 = _fit_svm_ovr(X, Y, s, [SVM_C_GRID[3]], iterations)  # refit path
-    W_ref, b_ref = separate_svm_fit(X, Y, s, SVM_C_GRID[3], iterations)
-    assert np.array_equal(W1[0], W_ref) and np.array_equal(b1[0], b_ref)
 
 
 @pytest.mark.parametrize("trainer", [train_logreg, train_svm])

@@ -171,6 +171,17 @@ def test_run_grid_records_cell_failure(monkeypatch):
         result.delta(0.0)
 
 
+def test_run_grid_reports_unconverged_baseline_fits(monkeypatch):
+    a, x, y = small_dataset()
+    monkeypatch.setattr(gcndiag.baselines, "LBFGS_MAX_ITER", 2)
+    result = run_grid(a, x, y, base_seed=4, models=("logreg", "svm"),
+                      masking_rates=(0.0,), feature_modes=("original",))
+    assert result.cell("logreg", 0.0).selected_hyper["unconverged_reg"] == list(
+        gcndiag.baselines.LOGREG_C_GRID)
+    assert result.cell("svm", 0.0).selected_hyper["unconverged_reg"] == list(
+        gcndiag.baselines.SVM_C_GRID)
+
+
 def test_run_grid_propagates_features_once_per_mode(monkeypatch):
     # Two GCN cells on one feature mode: one d-wide A_hat X outside training,
     # then each final predict propagates only its C-wide logits.
