@@ -6,16 +6,26 @@ Logistic regression minimizes a weighted multinomial cross-entropy
 (``logreg_objective``). The SVM minimizes the L2-regularized one-vs-rest
 squared hinge, the default loss of LIBLINEAR and LinearSVC, with all classes
 in one problem (``svm_objective``). Both objectives are differentiable, with
-hand-written gradients, and both go through one deterministic L-BFGS-B call
-(``_minimize_lbfgs``), which stops at projected gradient norm ``LBFGS_GTOL``
-or after ``LBFGS_MAX_ITER`` iterations. Logistic regression starts every fit
-at zero. The SVM objective is strictly convex, so its optimum does not
-depend on the start: its fits walk the ascending C grid, each starting at
-the previous C's optimum, and the refit starts at the selected C's optimum.
-On near-separable data this saves most of the iterations a large C needs
-from zero. A fitted ``LinearModel`` lists in ``unconverged`` every C_reg,
-from the selection grid or the refit, whose fit L-BFGS-B did not report as
-converged, so a capped fit is visible rather than silent.
+hand-written gradients, and both go through one deterministic L-BFGS
+(``_minimize_lbfgs``, numpy only). It keeps the last ``LBFGS_HISTORY``
+(s, y) pairs in preallocated arrays and turns the gradient into a search
+direction by the two-loop recursion. Its line search bisects or doubles
+the step until the weak Wolfe conditions hold (``WOLFE_C1``,
+``WOLFE_C2``); the first step is scaled by 1/max(1, ||g||). A fit has
+converged when the gradient's largest entry is at most ``LBFGS_GTOL`` or an
+iteration lowers the objective by at most ``LBFGS_FTOL`` relative to the
+larger of 1 and the objective's magnitude before and after. It has not
+converged when it reaches ``LBFGS_MAX_ITER`` iterations or when a line
+search finds no step in ``LINE_SEARCH_TRIALS`` evaluations.
+
+Logistic regression starts every fit at zero. The SVM objective is strictly
+convex, so its optimum does not depend on the start: its fits walk the
+ascending C grid, each starting at the previous C's optimum, and the refit
+starts at the selected C's optimum. On near-separable data this saves most
+of the iterations a large C needs from zero. A fitted ``LinearModel`` lists
+in ``unconverged`` every C_reg, from the selection grid or the refit, whose
+fit did not converge, so a capped fit or a failed line search is visible
+rather than silent.
 """
 
 from dataclasses import dataclass
@@ -32,7 +42,12 @@ LOGREG_FOLDS = 5
 SVM_C_GRID = (0.0001, 0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 LBFGS_GTOL = 1e-6
+LBFGS_FTOL = 1e-14
 LBFGS_MAX_ITER = 1000
+LBFGS_HISTORY = 10
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9
+LINE_SEARCH_TRIALS = 40
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -132,20 +147,68 @@ def svm_objective(wb, X, Y_signed, sample_w, reg_c):
     return obj, np.concatenate([grad_w.ravel(), grad_b])
 
 
-def _minimize_lbfgs(objective, x0, args):
-    """Minimize ``objective(x, *args) -> (value, gradient)`` by L-BFGS-B from
-    ``x0``. Returns (x, iterations, converged as L-BFGS-B reports it)."""
-    from scipy.optimize import minimize  # deferred: slow to import, baselines only
+def _wolfe_step(objective, args, x, f, g, d, t):
+    """Find a step along the descent direction ``d`` that meets the weak Wolfe
+    conditions, bisecting or doubling from the trial step ``t``. Returns
+    (x_new, f_new, g_new), or None when ``d`` is not a descent direction or
+    no step is found in ``LINE_SEARCH_TRIALS`` evaluations."""
+    gd = g @ d
+    if not gd < 0.0:
+        return None
+    lo, hi = 0.0, np.inf
+    for _ in range(LINE_SEARCH_TRIALS):
+        x_new = x + t * d
+        f_new, g_new = objective(x_new, *args)
+        if not f_new <= f + WOLFE_C1 * t * gd:  # also rejects a non-finite value
+            hi = t
+        elif g_new @ d < WOLFE_C2 * gd:
+            lo = t
+        else:
+            return x_new, f_new, g_new
+        t = 0.5 * (lo + hi) if hi < np.inf else 2.0 * t
+    return None
 
-    res = minimize(
-        objective,
-        x0,
-        args=args,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": LBFGS_MAX_ITER, "gtol": LBFGS_GTOL, "ftol": 1e-14},
-    )
-    return res.x, res.nit, bool(res.success)
+
+def _minimize_lbfgs(objective, x0, args):
+    """Minimize ``objective(x, *args) -> (value, gradient)`` by L-BFGS from
+    ``x0``. Returns (x, iterations, converged); see the module docstring for
+    the stopping rules."""
+    x = np.array(x0, dtype=np.float64)
+    f, g = objective(x, *args)
+    if np.abs(g).max() <= LBFGS_GTOL:
+        return x, 0, True
+    m = LBFGS_HISTORY
+    S, Y = np.empty((m, x.size)), np.empty((m, x.size))
+    S_rows, Y_rows = list(S), list(Y)  # row views, overwritten in place
+    rho, alpha = [0.0] * m, [0.0] * m
+    slots, gamma = [], 1.0  # slots of the stored (s, y) pairs, oldest first
+    t = 1.0 / max(1.0, float(np.sqrt(g @ g)))
+    for it in range(1, LBFGS_MAX_ITER + 1):
+        # two-loop recursion: d = -H g with H0 = gamma I
+        d = -g
+        for i in reversed(slots):
+            a = alpha[i] = rho[i] * S_rows[i].dot(d)
+            d -= a * Y_rows[i]
+        d *= gamma
+        for i in slots:
+            d += (alpha[i] - rho[i] * Y_rows[i].dot(d)) * S_rows[i]
+
+        step = _wolfe_step(objective, args, x, f, g, d, t)
+        if step is None:
+            return x, it - 1, False
+        x_new, f_new, g_new = step
+        s, y = x_new - x, g_new - g
+        sy, yy = s.dot(y), y.dot(y)
+        if sy > _EPS * yy:  # a pair with s'y <= 0 would make H indefinite
+            i = slots.pop(0) if len(slots) == m else len(slots)
+            S_rows[i][:], Y_rows[i][:], rho[i] = s, y, 1.0 / sy
+            slots.append(i)
+            gamma = sy / yy
+        f_old, x, f, g, t = f, x_new, f_new, g_new, 1.0
+        if (np.abs(g).max() <= LBFGS_GTOL
+                or f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0)):
+            return x, it, True
+    return x, LBFGS_MAX_ITER, False
 
 
 def fit_logreg(X, y, sample_w, reg_c, num_classes):

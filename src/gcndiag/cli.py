@@ -227,6 +227,8 @@ def cmd_tune(args) -> int:
             "logreg_c": lr_model.selected_reg,
             "svm_c": svm_model.selected_reg,
         },
+        "unconverged": {"logreg": list(lr_model.unconverged),
+                        "svm": list(svm_model.unconverged)},
         "gcn_grid": gcn_rows,
         "logreg_grid": list(lr_model.grid_scores),
         "svm_grid": list(svm_model.grid_scores),

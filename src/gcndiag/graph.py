@@ -40,9 +40,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.row_offsets)
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.col_indices[self.row_offsets[u]:self.row_offsets[u + 1]]
-
     def edge_array(self) -> np.ndarray:
         """(num_edges, 2) array with u < v, each undirected edge once."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())

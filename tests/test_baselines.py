@@ -141,6 +141,43 @@ def test_fit_svm_reaches_stationary_point():
     assert np.allclose(W2, W, atol=1e-5) and np.allclose(b2, b, atol=1e-5)
 
 
+def test_lbfgs_matches_scipy_lbfgsb_on_random_problems():
+    """The in-package L-BFGS reaches the optimum scipy's L-BFGS-B reaches
+    with the same tolerances, on weighted logreg and SVM problems."""
+    from scipy.optimize import minimize  # oracle only; the package avoids it
+
+    rng = np.random.default_rng(31)
+    for case in range(40):
+        n, d, C = (int(v) for v in rng.integers([20, 1, 2], [120, 41, 11]))
+        X = rng.standard_normal((n, d))
+        y = rng.integers(0, C, size=n)
+        reg_c = float(rng.choice([0.01, 0.1, 1.0, 10.0]))
+        if case % 2:
+            Y, s = signed_targets(y, C)
+            s = s * rng.uniform(0.2, 3.0, size=(n, C))
+            objective, args = svm_objective, (X, Y, s, reg_c)
+        else:
+            sw = rng.uniform(0.2, 3.0, size=n)
+            objective, args = logreg_objective, (X, y, sw, reg_c, C)
+        x0 = np.zeros(d * C + C)
+        x, _, converged = baselines._minimize_lbfgs(objective, x0, args)
+        ref = minimize(objective, x0, args=args, jac=True, method="L-BFGS-B",
+                       options={"maxiter": baselines.LBFGS_MAX_ITER,
+                                "gtol": baselines.LBFGS_GTOL, "ftol": 1e-14})
+        assert converged and ref.success
+        assert objective(x, *args)[0] == pytest.approx(ref.fun, rel=1e-8)
+
+
+def test_lbfgs_line_search_failure_is_not_converged():
+    def wrong_sign_gradient(x):
+        return float(x @ x), -2.0 * x
+
+    x, iterations, converged = baselines._minimize_lbfgs(
+        wrong_sign_gradient, np.ones(3), ())
+    assert not converged
+    assert iterations == 0 and np.array_equal(x, np.ones(3))
+
+
 @pytest.mark.parametrize("trainer, grid", [(train_logreg, LOGREG_C_GRID),
                                            (train_svm, SVM_C_GRID)])
 def test_trainers_report_unconverged_fits(monkeypatch, trainer, grid):

@@ -122,7 +122,7 @@ def _parent_gcn_loss_and_grad(params, a, x, y, labeled_idx, weights,
 def test_shared_loss_bit_identical_to_inline_formulas():
     rng = np.random.default_rng(21)
     for _ in range(40):
-        n, d, C = (int(v) for v in rng.integers([3, 1, 2], [60, 12, 7]))
+        n, d, C = (int(v) for v in rng.integers([3, 1, 2], [60, 12, 17]))
         X = rng.standard_normal((n, d)) * rng.uniform(0.1, 5.0)
         y = rng.integers(0, C, size=n)
         sw = rng.uniform(0.1, 3.0, size=n)
@@ -134,7 +134,7 @@ def test_shared_loss_bit_identical_to_inline_formulas():
         assert np.array_equal(got[1], want[1])
 
     for case in range(20):
-        n, d, hidden, C = (int(v) for v in rng.integers([6, 1, 1, 2], [40, 9, 9, 5]))
+        n, d, hidden, C = (int(v) for v in rng.integers([6, 1, 1, 2], [40, 9, 9, 17]))
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.2]
         a = normalized_adjacency(build_graph(edges, n))

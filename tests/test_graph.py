@@ -12,7 +12,7 @@ def test_build_graph_basic():
     assert g.n == 3
     assert g.num_edges == 2
     assert list(g.degrees()) == [1, 2, 1]
-    assert list(g.neighbors(1)) == [0, 2]
+    assert list(g.col_indices[g.row_offsets[1]:g.row_offsets[2]]) == [0, 2]
 
 
 def test_build_graph_canonicalizes_and_dedups():
@@ -40,7 +40,7 @@ def test_neighbors_sorted():
     edges = random_edge_list(rng, 30, 0.2)
     g = build_graph(edges, 30)
     for u in range(30):
-        nb = g.neighbors(u)
+        nb = g.col_indices[g.row_offsets[u]:g.row_offsets[u + 1]]
         assert list(nb) == sorted(nb)
 
 

@@ -95,11 +95,19 @@ def test_duplicate_edge_names_its_line(tmp_path):
     assert exc.value.path.endswith("edges.tsv")
 
 
-def test_cli_import_defers_scipy_optimize():
-    code = ("import sys, gcndiag.cli; "
-            "sys.exit('scipy.optimize' in sys.modules)")
+def test_cli_run_and_tune_never_import_scipy_optimize(tmp_path):
+    ds_dir = make_container(tmp_path, n=60, classes=2, homophily=0.9,
+                            degree=4, signal=3.0)
+    out = str(tmp_path / "out.json")
+    code = "\n".join([
+        "import sys",
+        "from gcndiag.cli import main",
+        f"assert main(['run', {ds_dir!r}, '--out', {out!r}]) == 0",
+        f"assert main(['tune', {ds_dir!r}, '--epochs', '2', '--out', {out!r}]) == 0",
+        "sys.exit(3 if 'scipy.optimize' in sys.modules else 0)",
+    ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=300)
     assert done.returncode == 0
 
 
@@ -369,3 +377,16 @@ def test_cli_tune_quick(tmp_path):
     assert payload["best"]["gcn"]["hidden"] in (32, 64, 128)
     assert payload["best"]["logreg_c"] in (0.001, 0.01, 0.1, 1.0, 10.0,
                                            100.0, 1000.0)
+    assert set(payload["unconverged"]) == {"logreg", "svm"}
+
+
+def test_cli_tune_reports_unconverged_fits(tmp_path, monkeypatch):
+    import gcndiag.baselines as baselines
+    ds_dir = make_container(tmp_path, n=60, classes=2, homophily=0.9,
+                            degree=4, signal=3.0)
+    out = str(tmp_path / "tune.json")
+    monkeypatch.setattr(baselines, "LBFGS_MAX_ITER", 2)
+    assert run_cli("tune", ds_dir, "--epochs", "2", "--out", out) == 0
+    payload = json.loads(open(out).read())
+    assert payload["unconverged"] == {"logreg": list(baselines.LOGREG_C_GRID),
+                                      "svm": list(baselines.SVM_C_GRID)}
