@@ -30,6 +30,12 @@ GCN_DROPOUT_GRID = (0.2, 0.3, 0.5)
 GCN_LR_GRID = (0.001, 0.01)
 GCN_WD_GRID = (5e-4, 1e-4, 1e-5, 0.0)
 
+# glibc mallopt parameters and the values the CLI starts from: the ceiling
+# glibc's dynamic mmap threshold climbs to on 64-bit, and twice that for trim
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
+
 MODEL_ALIASES = {"gcn": "gcn", "lr": "logreg", "logreg": "logreg", "svm": "svm"}
 FEATURE_NAMES = {mode: mode for mode in FEATURE_MODES}
 
@@ -41,6 +47,28 @@ def _emit(payload: dict, out_path=None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _pin_malloc_thresholds() -> bool:
+    """Keep freed numpy temporaries in the heap instead of returning them.
+
+    Under glibc's defaults each GCN epoch frees more than the learned trim
+    threshold, so the heap top goes back to the kernel and the next epoch
+    page-faults it in again. Fixed thresholds stop that, and any mallopt call
+    turns glibc's dynamic adjustment off, so both are set. Called by ``main``
+    only: importing the package leaves the allocator alone. Returns False,
+    changing nothing, where mallopt is missing (macOS, Windows) or refuses
+    (musl's stub returns 0).
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+                and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES))
 
 
 def _parse_choices(raw: str, names: dict, what: str):
@@ -299,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, check_finite
-from .metrics import ModelScores, delta_f1, score
+from .metrics import ModelScores, delta_f1, retention, score
 
 MASKING_RATES = (0.0, 0.5, 0.9)
 FEATURE_MODES = ("original", "random")
@@ -206,6 +206,15 @@ class ExperimentResult:
             raise InputError("cannot compute a delta from a failed cell")
         return delta_f1(g.scores, l.scores)[0]
 
+    def retention(self, model: str, masking_rate: float) -> float:
+        """Random-feature macro-F1 as a percentage of original-feature
+        macro-F1 for one model and rate; NaN if the original scored 0."""
+        orig = self.cell(model, masking_rate, "original")
+        rand = self.cell(model, masking_rate, "random")
+        if orig.scores is None or rand.scores is None:
+            raise InputError("cannot compute a retention from a failed cell")
+        return retention(orig.scores.macro_f1, rand.scores.macro_f1)
+
     def to_dict(self) -> dict:
         return {
             "base_seed": self.base_seed,
@@ -266,7 +275,8 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
                                 propagated[mode])
             pred = gcn_predict(trained.params, a, feats, propagated[mode])
             hyper = {"best_epoch": trained.best_epoch,
-                     "stopped_epoch": trained.stopped_epoch}
+                     "stopped_epoch": trained.stopped_epoch,
+                     "warnings": list(trained.warnings)}
         else:
             scaler = fit_scaler(feats, split.visible_idx)
             feats_n = apply_scaler(scaler, feats)

@@ -1,10 +1,10 @@
 """Results report assembly and JSON serialization.
 
 A report is a plain JSON-compatible dict: fingerprint, config echo, homophily
-section, per-cell grid results, delta tables, optional quadrant section, and
-the conventions the numbers depend on. Timestamps live under the "volatile"
-key so two runs of the same experiment produce byte-identical files once that
-key is dropped.
+section, per-cell grid results, delta tables, the random-feature retention
+table, optional quadrant section, and the conventions the numbers depend on.
+Timestamps live under the "volatile" key so two runs of the same experiment
+produce byte-identical files once that key is dropped.
 """
 
 import datetime
@@ -54,16 +54,21 @@ def jsonable(obj):
 def build_report(fingerprint: str, config: dict, homophily: dict,
                  result: ExperimentResult, quadrants=None) -> dict:
     """Assemble the full report dict; every number traces to an input section."""
-    deltas = {}
+    deltas, retentions = {}, {}
     for cell in result.cells.values():
+        pct = masking_percent(cell.masking_rate)
+        try:
+            kept = result.retention(cell.model, cell.masking_rate)
+        except (KeyError, InputError):
+            kept = None
+        retentions.setdefault(cell.model, {})[pct] = kept
         if cell.model != "gcn":
             continue
         try:
             delta = result.delta(cell.masking_rate, cell.feature_mode)
         except (KeyError, InputError):
             delta = None
-        per_rate = deltas.setdefault(cell.feature_mode, {})
-        per_rate[masking_percent(cell.masking_rate)] = delta
+        deltas.setdefault(cell.feature_mode, {})[pct] = delta
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -72,6 +77,7 @@ def build_report(fingerprint: str, config: dict, homophily: dict,
         "homophily": homophily,
         "grid": result.to_dict(),
         "delta_f1": deltas,
+        "retention": retentions,
         "quadrants": quadrants,
         "decisions": decisions_metadata(),
         "volatile": {

@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from gcndiag import (Dataset, InputError, build_graph, build_report,
-                     generate_features, generate_graph, load_dataset,
-                     load_report, normalized_adjacency, run_grid, save_dataset,
-                     save_report)
+from gcndiag import (CellResult, Dataset, ExperimentResult, InputError,
+                     ModelScores, build_graph, build_report, generate_features,
+                     generate_graph, load_dataset, load_report,
+                     normalized_adjacency, run_grid, save_dataset, save_report)
 from gcndiag.cli import (GCN_DROPOUT_GRID, GCN_HIDDEN_GRID, GCN_LR_GRID,
                          GCN_WD_GRID, main)
 from gcndiag.report import jsonable, stable_form
@@ -260,6 +260,29 @@ def test_report_decisions_metadata_present():
     assert report["decisions"]["validation_fraction"] == 0.2
     assert "tie" in " ".join(report["decisions"].keys()) or any(
         "tie" in k for k in report["decisions"])
+
+
+def test_report_retention_table():
+    def cell(model, pct, mode, macro):
+        scores = None if macro is None else ModelScores(
+            per_class_f1=np.array([macro, macro]), macro_f1=macro,
+            confusion=np.eye(2, dtype=np.int64))
+        return CellResult(model=model, masking_rate=pct / 100,
+                          feature_mode=mode, scores=scores,
+                          error="" if scores else "RuntimeError: boom")
+
+    cells = [cell("gcn", 0, "original", 0.8), cell("gcn", 0, "random", 0.6),
+             cell("gcn", 90, "original", 0.5),
+             cell("logreg", 0, "original", 0.0),
+             cell("logreg", 0, "random", 0.3),
+             cell("svm", 50, "original", 0.7), cell("svm", 50, "random", None)]
+    result = ExperimentResult(base_seed=0, num_classes=2, cells={
+        f"{c.model}:{round(c.masking_rate * 100)}:{c.feature_mode}": c
+        for c in cells})
+    report = build_report("fp", {}, {}, result)
+    assert report["retention"] == {"gcn": {"0": pytest.approx(75.0), "90": None},
+                                   "logreg": {"0": None}, "svm": {"50": None}}
+    json.dumps(report, allow_nan=False)
 
 
 def test_jsonable_handles_awkward_values():

@@ -215,6 +215,23 @@ def test_run_grid_propagates_features_once_per_mode(monkeypatch):
     assert widths == [d, C, C]
 
 
+def test_run_grid_reports_gcn_warnings():
+    # class 2 has 10 nodes: 8 train, 1 visible at 90% masking, which
+    # carve_validation keeps for training, so that validation set lacks it
+    rng = np.random.default_rng(5)
+    y = np.repeat([0, 1, 2], [45, 45, 10])
+    edges = sorted({tuple(sorted(map(int, rng.choice(100, 2, replace=False))))
+                    for _ in range(300)})
+    a = normalized_adjacency(build_graph(edges, 100))
+    x = rng.standard_normal((100, 4)) + y[:, None]
+    result = run_grid(a, x, y, base_seed=3, models=("gcn",),
+                      masking_rates=(0.0, 0.9), feature_modes=("original",),
+                      gcn_config=GcnConfig(hidden=8, max_epochs=5))
+    assert result.cell("gcn", 0.0).selected_hyper["warnings"] == []
+    warned = result.cell("gcn", 0.9).selected_hyper["warnings"]
+    assert len(warned) == 1 and "missing classes [2]" in warned[0]
+
+
 def test_run_grid_rejects_non_finite_features(monkeypatch):
     a, x, y = small_dataset()
     x[10, 3] = np.nan
