@@ -8,7 +8,10 @@ Exit codes: 0 success, 1 structured failure, 2 usage error.
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
+from itertools import product
 
 from .baselines import (LOGREG_C_GRID, SVM_C_GRID, apply_scaler, fit_scaler,
                         train_logreg, train_svm)
@@ -35,6 +38,14 @@ GCN_WD_GRID = (5e-4, 1e-4, 1e-5, 0.0)
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
+
+# (set, get) thread-count symbols of the OpenBLAS numpy links, in the order
+# tried: numpy 2 wheels' scipy-openblas, 64-bit-integer builds, plain builds
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 MODEL_ALIASES = {"gcn": "gcn", "lr": "logreg", "logreg": "logreg", "svm": "svm"}
 FEATURE_NAMES = {mode: mode for mode in FEATURE_MODES}
@@ -69,6 +80,59 @@ def _pin_malloc_thresholds() -> bool:
     mallopt.restype = ctypes.c_int
     return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
                 and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES))
+
+
+def _openblas_thread_calls():
+    """(set, get) for the thread count of the OpenBLAS numpy links, or None.
+
+    dlsym on numpy's extension module also searches the libraries it links,
+    so this finds a bundled OpenBLAS without knowing its file name.
+    """
+    import ctypes
+    import numpy  # noqa: F401  (loads the extension module looked up below)
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except (AttributeError, OSError, TypeError):
+        return None
+    for set_name, get_name in OPENBLAS_THREAD_SYMBOLS:
+        try:
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread; yields whether it is.
+
+    Concurrent trainings each wake OpenBLAS's own pool for their small
+    matrix products, which oversubscribes the cores. The previous count comes
+    back afterwards. Where the symbols are missing nothing changes and the
+    block is told so.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(before)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_choices(raw: str, names: dict, what: str):
@@ -214,22 +278,30 @@ def cmd_tune(args) -> int:
     split = make_split(ds.y, 0.0, args.seed, ds.num_classes)
     ax = spmm(a, ds.x)
 
-    gcn_rows = []
-    for hidden in GCN_HIDDEN_GRID:
-        for dropout in GCN_DROPOUT_GRID:
-            for lr in GCN_LR_GRID:
-                for wd in GCN_WD_GRID:
-                    cfg = GcnConfig(hidden=hidden, dropout_rate=dropout,
-                                    learning_rate=lr, weight_decay=wd,
-                                    max_epochs=args.epochs,
-                                    seed=derive_seed(args.seed, "tune",
-                                                     hidden, dropout, lr, wd))
-                    trained = train_gcn(cfg, a, ds.x, ds.y, split,
-                                        ds.num_classes, ax)
-                    val_f1 = max(v for _, v in trained.history)
-                    gcn_rows.append({"hidden": hidden, "dropout": dropout,
-                                     "learning_rate": lr, "weight_decay": wd,
-                                     "val_f1": val_f1})
+    points = list(product(GCN_HIDDEN_GRID, GCN_DROPOUT_GRID, GCN_LR_GRID,
+                          GCN_WD_GRID))
+
+    def train_point(point):
+        hidden, dropout, lr, wd = point
+        cfg = GcnConfig(hidden=hidden, dropout_rate=dropout, learning_rate=lr,
+                        weight_decay=wd, max_epochs=args.epochs,
+                        seed=derive_seed(args.seed, "tune", *point))
+        trained = train_gcn(cfg, a, ds.x, ds.y, split, ds.num_classes, ax)
+        return {"hidden": hidden, "dropout": dropout, "learning_rate": lr,
+                "weight_decay": wd,
+                "val_f1": max(v for _, v in trained.history),
+                "best_epoch": trained.best_epoch,
+                "stopped_epoch": trained.stopped_epoch,
+                "warnings": list(trained.warnings)}
+
+    # The points are independent and separately seeded, so they train one
+    # per core and map() keeps grid order. Over multithreaded BLAS two
+    # trainings oversubscribe the cores, so without the pin one worker runs.
+    from concurrent.futures import ThreadPoolExecutor  # not at import time
+    with _one_blas_thread() as pinned:
+        workers = min(len(points), _usable_cores()) if pinned else 1
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            gcn_rows = list(pool.map(train_point, points))
     best_gcn = max(gcn_rows, key=lambda r: r["val_f1"])
 
     scaler = fit_scaler(ds.x, split.visible_idx)

@@ -162,10 +162,15 @@ def _propagates_input_first(d: int, hidden: int) -> bool:
 
 
 def _forward(params, a, x, dropout_rate, rng, ax=None):
-    """Returns logits plus the intermediates needed for the backward pass.
+    """Returns logits plus the intermediates needed for the backward pass:
+    (z, x_in, ax_in, h_drop, live).
 
     ``ax`` is A_hat * x, used in eval mode in place of propagating ``x``.
     The returned A_hat * x_in is None when layer 0 propagated x_in * W0.
+    ``live`` marks the hidden units the gradient flows through: positive
+    pre-activation and, in training, kept by dropout. Each mask is drawn
+    into the buffer it scales, so a step holds no float mask and no copy of
+    the pre-activation.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise InputError(f"dropout rate must be in [0, 1), got {dropout_rate}")
@@ -174,21 +179,24 @@ def _forward(params, a, x, dropout_rate, rng, ax=None):
     training = dropout_rate > 0.0
     if training:
         keep = 1.0 - dropout_rate
-        x_in = x * ((rng.random(x.shape) < keep) / keep)
+        scale = 1.0 / keep
+        x_in = rng.random(x.shape)
+        np.multiply(x, x_in < keep, out=x_in)
+        x_in *= scale
     else:
         x_in = x
     if ax is None and _propagates_input_first(*params.w0.shape):
         ax = spmm(a, x_in)
-    h_pre = spmm(a, x_in @ params.w0) if ax is None else ax @ params.w0
-    h = np.maximum(h_pre, 0.0)
+    h = spmm(a, x_in @ params.w0) if ax is None else ax @ params.w0
+    np.maximum(h, 0.0, out=h)
+    live = h > 0
     if training:
-        mask1 = (rng.random(h.shape) < keep) / keep
-        h_drop = h * mask1
-    else:
-        mask1 = None
-        h_drop = h
-    z = spmm(a, h_drop @ params.w1)
-    return z, x_in, ax, h_pre, mask1, h_drop
+        kept = rng.random(h.shape) < keep
+        live &= kept
+        h *= kept
+        h *= scale
+    z = spmm(a, h @ params.w1)
+    return z, x_in, ax, h, live
 
 
 def gcn_forward(params: GcnParams, a: NormAdj, x: np.ndarray,
@@ -215,7 +223,7 @@ def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
         raise InputError("labeled set is empty")
     y = np.asarray(y)
 
-    z, x_in, ax_in, h_pre, mask1, h_drop = _forward(params, a, x, dropout_rate, rng)
+    z, x_in, ax_in, h_drop, live = _forward(params, a, x, dropout_rate, rng)
     y_l = y[labeled_idx]
     ce, dz_labeled = softmax_cross_entropy(z[labeled_idx], y_l)
     wl = np.ones(labeled_idx.size) if weights is None else np.asarray(weights)[y_l]
@@ -227,14 +235,15 @@ def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
 
     g1 = spmm(a, dz)  # A_hat is symmetric, so A_hat^T dZ = A_hat dZ
     gw1 = h_drop.T @ g1 + weight_decay * params.w1
-    dh = g1 @ params.w1.T
-    if mask1 is not None:
-        dh = dh * mask1
-    dh_pre = dh * (h_pre > 0)
+    del h_drop  # free the n x h activation before dh takes its place
+    dh = g1 @ params.w1.T  # becomes the pre-activation gradient in place
+    dh *= live
+    if dropout_rate > 0.0:
+        dh *= 1.0 / (1.0 - dropout_rate)
     if ax_in is None:
-        gw0 = x_in.T @ spmm(a, dh_pre) + weight_decay * params.w0
+        gw0 = x_in.T @ spmm(a, dh) + weight_decay * params.w0
     else:
-        gw0 = ax_in.T @ dh_pre + weight_decay * params.w0
+        gw0 = ax_in.T @ dh + weight_decay * params.w0
     return loss, GcnParams(gw0, gw1)
 
 

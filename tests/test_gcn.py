@@ -90,10 +90,26 @@ def _parent_logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
     return obj, np.concatenate([grad_w.ravel(), grad_b])
 
 
+def _parent_forward(params, a, x, dropout_rate, rng):
+    """The training forward pass as written before the in-place epoch:
+    float dropout masks, and the pre-activation kept beside the output."""
+    keep = 1.0 - dropout_rate
+    x_in = x * ((rng.random(x.shape) < keep) / keep) if dropout_rate else x
+    ax_in = spmm(a, x_in) if _propagates_input_first(*params.w0.shape) else None
+    h_pre = spmm(a, x_in @ params.w0) if ax_in is None else ax_in @ params.w0
+    h = np.maximum(h_pre, 0.0)
+    mask1 = (rng.random(h.shape) < keep) / keep if dropout_rate else None
+    h_drop = h if mask1 is None else h * mask1
+    z = spmm(a, h_drop @ params.w1)
+    return z, x_in, ax_in, h_pre, mask1, h_drop
+
+
 def _parent_gcn_loss_and_grad(params, a, x, y, labeled_idx, weights,
                               weight_decay, dropout_rate, rng):
-    """The GCN loss and gradients as written inline before the shared loss."""
-    z, x_in, ax_in, h_pre, mask1, h_drop = _forward(params, a, x, dropout_rate, rng)
+    """The GCN loss and gradients as written inline before the shared loss,
+    on the forward pass as written before the in-place epoch."""
+    z, x_in, ax_in, h_pre, mask1, h_drop = _parent_forward(
+        params, a, x, dropout_rate, rng)
     shifted = z[labeled_idx] - z[labeled_idx].max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     wl = (np.ones(labeled_idx.size) if weights is None
@@ -133,8 +149,10 @@ def test_shared_loss_bit_identical_to_inline_formulas():
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
 
+    orders = set()
     for case in range(20):
         n, d, hidden, C = (int(v) for v in rng.integers([6, 1, 1, 2], [40, 9, 9, 17]))
+        orders.add(_propagates_input_first(d, hidden))
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.2]
         a = normalized_adjacency(build_graph(edges, n))
@@ -155,6 +173,7 @@ def test_shared_loss_bit_identical_to_inline_formulas():
         assert got_loss == want_loss
         assert np.array_equal(got.w0, want.w0)
         assert np.array_equal(got.w1, want.w1)
+    assert orders == {True, False}  # both layer-0 orders were compared
 
 
 def test_class_weights_hand_case():
@@ -200,8 +219,11 @@ def test_gradients_match_finite_differences_with_dropout(wd, input_first):
             params = GcnParams(w0=rng.standard_normal((d, hidden)) * 0.5,
                                w1=rng.standard_normal((hidden, C)) * 0.5)
             mask_seed = int(rng.integers(0, 2**32))
-            h_pre = _forward(params, a, x, rate,
-                             np.random.default_rng(mask_seed))[3]
+            # the pre-activation under the input mask the loss will draw
+            x_in = x * ((np.random.default_rng(mask_seed).random(x.shape)
+                         < 1.0 - rate) / (1.0 - rate))
+            h_pre = (spmm(a, x_in) @ params.w0 if input_first
+                     else spmm(a, x_in @ params.w0))
             if np.abs(h_pre).min() > 100.0 * step:
                 break
         else:
@@ -263,11 +285,17 @@ def test_dropout_inverted_scaling():
     _, g, a, x, params, _ = tiny_instance()
     ones = np.ones((4, 3))
     rng = np.random.default_rng(10)
-    _, x_in, _, _, mask1, _ = _forward(params, a, ones, 0.5, rng)
+    _, x_in, ax_in, h_drop, live = _forward(params, a, ones, 0.5, rng)
     vals = np.unique(x_in)
     assert set(np.round(vals, 12)) <= {0.0, 2.0}  # kept entries scaled by 1/(1-p)
-    assert mask1 is not None
-    assert set(np.round(np.unique(mask1), 12)) <= {0.0, 2.0}
+    # hidden units: kept entries are exactly 1/(1-p) times the ReLU output of
+    # the dropped-out input, dropped ones are 0, and only kept positive units
+    # pass gradient
+    h = np.maximum(ax_in @ params.w0, 0.0)
+    assert live.dtype == bool and not (live & (h == 0)).any()
+    assert np.array_equal(h_drop[live], 2.0 * h[live])
+    assert (h_drop[~live] == 0).all()
+    assert live.any() and (~live & (h > 0)).any()  # some kept, some dropped
 
 
 def test_dropout_mean_preserving():
@@ -277,7 +305,7 @@ def test_dropout_mean_preserving():
     total = np.zeros_like(big)
     reps = 4000
     for _ in range(reps):
-        _, x_in, _, _, _, _ = _forward(params, a, big, 0.3, rng)
+        _, x_in, _, _, _ = _forward(params, a, big, 0.3, rng)
         total += x_in
     assert np.allclose(total / reps, 1.0, atol=0.05)
 

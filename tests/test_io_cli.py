@@ -401,6 +401,11 @@ def test_cli_tune_quick(tmp_path):
     assert payload["best"]["logreg_c"] in (0.001, 0.01, 0.1, 1.0, 10.0,
                                            100.0, 1000.0)
     assert set(payload["unconverged"]) == {"logreg", "svm"}
+    # each search point reports its early-stopping trace like a run cell
+    for row in payload["gcn_grid"]:
+        assert 1 <= row["best_epoch"] <= row["stopped_epoch"] <= 2
+        assert row["warnings"] == []
+    assert payload["best"]["gcn"] in payload["gcn_grid"]
 
 
 def test_cli_tune_reports_unconverged_fits(tmp_path, monkeypatch):
