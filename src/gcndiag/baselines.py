@@ -35,7 +35,7 @@ import numpy as np
 from .errors import InputError, ShapeError, check_finite
 from .gcn import class_weights, softmax_cross_entropy
 from .metrics import score
-from .protocol import carve_validation
+from .protocol import VAL_FRACTION, carve_validation
 
 LOGREG_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 LOGREG_FOLDS = 5
@@ -319,7 +319,7 @@ def train_svm(x_norm, y, visible_rows, seed: int = 0,
     x_norm = np.asarray(x_norm, dtype=np.float64)
     check_finite(x_norm)
 
-    fit_idx, val_idx = carve_validation(y, visible_rows, 0.2, seed)
+    fit_idx, val_idx = carve_validation(y, visible_rows, VAL_FRACTION, seed)
     if val_idx.size == 0:
         raise InputError("too few visible examples to carve an SVM validation split")
 

@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 structured failure, 2 usage error.
 """
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from itertools import product
 
 from .baselines import (LOGREG_C_GRID, SVM_C_GRID, apply_scaler, fit_scaler,
@@ -24,7 +24,7 @@ from .protocol import (FEATURE_MODES, ExperimentResult, derive_seed,
                        make_split, masking_percent, run_grid)
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
                        averaged_class_metrics, quadrant_summary)
-from .report import build_report, jsonable, load_report, save_report
+from .report import build_report, load_report, save_report
 from .synth import SyntheticSpec, generate_features, generate_graph
 
 # hyperparameter search spaces for `tune`
@@ -49,15 +49,6 @@ OPENBLAS_THREAD_SYMBOLS = (
 
 MODEL_ALIASES = {"gcn": "gcn", "lr": "logreg", "logreg": "logreg", "svm": "svm"}
 FEATURE_NAMES = {mode: mode for mode in FEATURE_MODES}
-
-
-def _emit(payload: dict, out_path=None) -> None:
-    text = json.dumps(jsonable(payload), indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def _pin_malloc_thresholds() -> bool:
@@ -152,7 +143,12 @@ def _parse_choices(raw: str, names: dict, what: str):
 
 
 def _parse_masking(raw: str):
-    rates = []
+    """Comma list of distinct whole percents in [0, 100) -> masking rates.
+
+    Cells and reports name a rate by its whole percent, so a fractional or
+    repeated percent would run one cell under two names.
+    """
+    pcts = []
     for tok in raw.split(","):
         tok = tok.strip()
         try:
@@ -161,13 +157,17 @@ def _parse_masking(raw: str):
             raise GcnDiagError(f"masking value {tok!r} is not a number")
         if not 0 <= pct < 100:
             raise GcnDiagError(f"masking percent {pct} outside [0, 100)")
-        rates.append(pct / 100.0)
-    return tuple(rates)
+        if not pct.is_integer():
+            raise GcnDiagError(f"masking percent {tok!r} is not a whole number")
+        if pct in pcts:
+            raise GcnDiagError(f"masking percent {tok!r} given twice")
+        pcts.append(pct)
+    return tuple(pct / 100.0 for pct in pcts)
 
 
 def cmd_analyze(args) -> int:
     ds = load_dataset(args.dataset)
-    _emit({
+    save_report({
         "dataset": ds.name,
         "fingerprint": ds.fingerprint(),
         "n": ds.graph.n,
@@ -197,22 +197,19 @@ def cmd_run(args) -> int:
         lr_f1, delta = averaged_class_metrics(result, masking)
         assignment = assign_quadrants(hom["per_class"], lr_f1, delta)
         quad = quadrant_summary(assignment)
-    except (GcnDiagError, KeyError):
+    except GcnDiagError:
         pass  # grid subset too small for the quadrant rule; section stays null
     config_echo = {
         "models": list(models),
         "masking_percent": [masking_percent(m) for m in masking],
         "feature_modes": list(modes),
         "seed": args.seed,
-        "gcn": cfg.to_dict(),
+        "gcn": asdict(cfg),
         "undirected_edges": ds.graph.num_edges,
         "directed_edges": 2 * ds.graph.num_edges,
     }
-    report = build_report(ds.fingerprint(), config_echo, hom, result, quad)
-    if args.out:
-        save_report(report, args.out)
-    else:
-        _emit(report)
+    save_report(build_report(ds.fingerprint(), config_echo, hom, result, quad),
+                args.out)
     failures = {k: c for k, c in result.cells.items() if c.error}
     for key, cell in failures.items():
         print(f"cell {key} failed: {cell.error}", file=sys.stderr)
@@ -232,13 +229,8 @@ def cmd_quadrant(args) -> int:
     summary = quadrant_summary(assignment)
     summary["thresholds"] = {"homophily": args.homophily_threshold,
                              "feature_f1": args.f1_threshold}
-    summary["per_class"] = [
-        {"class_id": a.class_id, "quadrant": a.quadrant,
-         "homophily": a.homophily, "feature_f1": a.feature_f1,
-         "delta_f1": a.delta_f1}
-        for a in assignment.assignments
-    ]
-    _emit(summary, args.out)
+    summary["per_class"] = [asdict(a) for a in assignment.assignments]
+    save_report(summary, args.out)
     return 0
 
 
@@ -254,8 +246,9 @@ def cmd_synth(args) -> int:
             f"-deg{args.degree}-d{args.dim}-s{args.signal}-seed{args.seed}")
     ds = Dataset(name=name, graph=graph, x=x, y=y, num_classes=args.classes)
     save_dataset(ds, args.out)
-    _emit({"written": args.out, "n": graph.n, "undirected_edges": graph.num_edges,
-           "fingerprint": ds.fingerprint()})
+    save_report({"written": args.out, "n": graph.n,
+                 "undirected_edges": graph.num_edges,
+                 "fingerprint": ds.fingerprint()})
     return 0
 
 
@@ -313,7 +306,7 @@ def cmd_tune(args) -> int:
                           seed=derive_seed(args.seed, "tune", "svm"),
                           num_classes=ds.num_classes)
 
-    _emit({
+    save_report({
         "search_spaces": {
             "gcn": {"hidden": list(GCN_HIDDEN_GRID),
                     "dropout": list(GCN_DROPOUT_GRID),

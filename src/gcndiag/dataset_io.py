@@ -48,13 +48,19 @@ def _read_meta(path: str) -> dict:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"meta.json is not valid JSON: {exc}", path=meta_path)
+    if not isinstance(meta, dict):
+        raise InputError(
+            f"meta.json must hold a JSON object, got {type(meta).__name__}",
+            path=meta_path,
+        )
     for key in ("name", "n", "d", "num_classes"):
         if key not in meta:
             raise InputError(f"meta.json missing required key {key!r}", path=meta_path)
     for key in ("n", "d", "num_classes"):
-        if not isinstance(meta[key], int) or meta[key] <= 0:
+        value = meta[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise InputError(
-                f"meta.json key {key!r} must be a positive integer, got {meta[key]!r}",
+                f"meta.json key {key!r} must be a positive integer, got {value!r}",
                 path=meta_path,
             )
     return meta
@@ -200,23 +206,30 @@ def load_dataset(path: str) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
-    """Write a container directory; features go out as float32 binary."""
-    os.makedirs(path, exist_ok=True)
+    """Write a container directory; features go out as float32 binary.
+
+    The directory's parent must exist, as for any other output path.
+    """
     meta = {
         "name": dataset.name,
         "n": int(dataset.graph.n),
         "d": int(dataset.x.shape[1]),
         "num_classes": int(dataset.num_classes),
     }
-    with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    pairs = dataset.graph.edge_array()
-    with open(os.path.join(path, "edges.tsv"), "w", encoding="utf-8") as fh:
-        for u, v in pairs:
-            fh.write(f"{u}\t{v}\n")
-    with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8") as fh:
-        for label in dataset.y:
-            fh.write(f"{int(label)}\n")
-    np.ascontiguousarray(dataset.x, dtype="<f4").tofile(
-        os.path.join(path, "features.bin"))
+    try:
+        if not os.path.isdir(path):
+            os.mkdir(path)
+        with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        pairs = dataset.graph.edge_array()
+        with open(os.path.join(path, "edges.tsv"), "w", encoding="utf-8") as fh:
+            for u, v in pairs:
+                fh.write(f"{u}\t{v}\n")
+        with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8") as fh:
+            for label in dataset.y:
+                fh.write(f"{int(label)}\n")
+        np.ascontiguousarray(dataset.x, dtype="<f4").tofile(
+            os.path.join(path, "features.bin"))
+    except OSError as exc:
+        raise InputError(f"cannot write dataset: {exc}", path=path)

@@ -13,7 +13,7 @@ computes it once and every validation pass reuses it. Training is
 full-batch Adam with early stopping on validation macro-F1.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class GcnConfig:
     max_epochs: int = 200
     patience: int = 10
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -22,23 +22,6 @@ class ModelScores:
     confusion: np.ndarray
     absent_classes: tuple = field(default=())
 
-    def to_dict(self) -> dict:
-        return {
-            "per_class_f1": [float(v) for v in self.per_class_f1],
-            "macro_f1": float(self.macro_f1),
-            "confusion": self.confusion.astype(int).tolist(),
-            "absent_classes": list(self.absent_classes),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelScores":
-        return ModelScores(
-            per_class_f1=np.asarray(d["per_class_f1"], dtype=np.float64),
-            macro_f1=float(d["macro_f1"]),
-            confusion=np.asarray(d["confusion"], dtype=np.int64),
-            absent_classes=tuple(d.get("absent_classes", [])),
-        )
-
 
 def _check_pair(pred, truth, num_classes):
     pred = np.asarray(pred, dtype=np.int64)

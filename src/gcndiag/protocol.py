@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, check_finite
-from .metrics import ModelScores, delta_f1, retention, score
+from .metrics import ModelScores, score
 
 MASKING_RATES = (0.0, 0.5, 0.9)
 FEATURE_MODES = ("original", "random")
@@ -156,30 +156,13 @@ class CellResult:
     selected_hyper: dict = field(default_factory=dict)
     error: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "masking_rate": self.masking_rate,
-            "feature_mode": self.feature_mode,
-            "scores": self.scores.to_dict() if self.scores is not None else None,
-            "selected_hyper": dict(self.selected_hyper),
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CellResult":
-        scores = ModelScores.from_dict(d["scores"]) if d["scores"] is not None else None
-        return cls(model=d["model"], masking_rate=d["masking_rate"],
-                   feature_mode=d["feature_mode"], scores=scores,
-                   selected_hyper=dict(d["selected_hyper"]), error=d["error"])
-
 
 def masking_percent(masking_rate: float) -> int:
     """The whole percent that names a masking rate in cell keys and reports."""
     return int(round(masking_rate * 100))
 
 
-def _cell_key(model: str, masking_rate: float, feature_mode: str) -> str:
+def cell_key(model: str, masking_rate: float, feature_mode: str) -> str:
     return f"{model}:{masking_percent(masking_rate)}:{feature_mode}"
 
 
@@ -193,41 +176,25 @@ class ExperimentResult:
 
     def cell(self, model: str, masking_rate: float,
              feature_mode: str = "original") -> CellResult:
-        key = _cell_key(model, masking_rate, feature_mode)
+        key = cell_key(model, masking_rate, feature_mode)
         if key not in self.cells:
             raise KeyError(f"no cell {key!r} in this run")
         return self.cells[key]
 
-    def delta(self, masking_rate: float, feature_mode: str = "original") -> float:
-        """GCN macro-F1 minus logistic regression macro-F1 for one column."""
-        g = self.cell("gcn", masking_rate, feature_mode)
-        l = self.cell("logreg", masking_rate, feature_mode)
-        if g.scores is None or l.scores is None:
-            raise InputError("cannot compute a delta from a failed cell")
-        return delta_f1(g.scores, l.scores)[0]
-
-    def retention(self, model: str, masking_rate: float) -> float:
-        """Random-feature macro-F1 as a percentage of original-feature
-        macro-F1 for one model and rate; NaN if the original scored 0."""
-        orig = self.cell(model, masking_rate, "original")
-        rand = self.cell(model, masking_rate, "random")
-        if orig.scores is None or rand.scores is None:
-            raise InputError("cannot compute a retention from a failed cell")
-        return retention(orig.scores.macro_f1, rand.scores.macro_f1)
-
-    def to_dict(self) -> dict:
-        return {
-            "base_seed": self.base_seed,
-            "num_classes": self.num_classes,
-            "cells": {k: v.to_dict() for k, v in sorted(self.cells.items())},
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentResult":
-        return cls(
-            base_seed=d["base_seed"], num_classes=d["num_classes"],
-            cells={k: CellResult.from_dict(v) for k, v in d["cells"].items()},
-        )
+        """Rebuild a result from its report form, ``jsonable(asdict(result))``."""
+        cells = {}
+        for key, c in d["cells"].items():
+            s = c["scores"]
+            scores = None if s is None else ModelScores(
+                per_class_f1=np.asarray(s["per_class_f1"], dtype=np.float64),
+                macro_f1=float(s["macro_f1"]),
+                confusion=np.asarray(s["confusion"], dtype=np.int64),
+                absent_classes=tuple(s.get("absent_classes", ())))
+            cells[key] = CellResult(**{**c, "scores": scores})
+        return cls(base_seed=d["base_seed"], num_classes=d["num_classes"],
+                   cells=cells)
 
 
 def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
@@ -299,5 +266,5 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
                               scores=None, error=f"{type(exc).__name__}: {exc}")
 
     tasks = [(m, r, f) for m in models for r in masking_rates for f in feature_modes]
-    cells = {_cell_key(*task): safe(*task) for task in tasks}
+    cells = {cell_key(*task): safe(*task) for task in tasks}
     return ExperimentResult(base_seed=base_seed, num_classes=num_classes, cells=cells)

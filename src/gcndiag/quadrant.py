@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .protocol import MASKING_RATES, ExperimentResult
+from .metrics import delta_f1
+from .protocol import MASKING_RATES, ExperimentResult, cell_key
 
 LOW_H_STRONG_F = "LowH-StrongF"
 HIGH_H_STRONG_F = "HighH-StrongF"
@@ -116,9 +117,9 @@ def averaged_class_metrics(result: ExperimentResult, masking_rates=MASKING_RATES
         if lr.scores is None or gcn.scores is None:
             bad = lr if lr.scores is None else gcn
             raise InputError(
-                f"cell {bad.model}:{rate} failed ({bad.error}); cannot average"
+                f"cell {cell_key(bad.model, rate, 'original')} failed "
+                f"({bad.error}); cannot average"
             )
         lr_rows.append(lr.scores.per_class_f1)
-        delta_rows.append(np.asarray(gcn.scores.per_class_f1)
-                          - np.asarray(lr.scores.per_class_f1))
+        delta_rows.append(delta_f1(gcn.scores, lr.scores)[1])
     return (np.mean(lr_rows, axis=0), np.mean(delta_rows, axis=0))

@@ -10,10 +10,13 @@ produce byte-identical files once that key is dropped.
 import datetime
 import json
 import math
+import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .errors import InputError
+from .metrics import retention
 from .protocol import (VAL_FRACTION, TRAIN_FRACTION, ExperimentResult,
                        masking_percent)
 
@@ -53,29 +56,32 @@ def jsonable(obj):
 
 def build_report(fingerprint: str, config: dict, homophily: dict,
                  result: ExperimentResult, quadrants=None) -> dict:
-    """Assemble the full report dict; every number traces to an input section."""
+    """Assemble the full report dict; every number traces to an input section.
+
+    The delta and retention tables derive from each cell's macro-F1, NaN for
+    a missing or failed cell, so an entry that lacks an input is null.
+    """
+    macro = {(c.model, masking_percent(c.masking_rate), c.feature_mode):
+             math.nan if c.scores is None else c.scores.macro_f1
+             for c in result.cells.values()}
+
+    def f1(model, pct, mode):
+        return macro.get((model, pct, mode), math.nan)
+
     deltas, retentions = {}, {}
-    for cell in result.cells.values():
-        pct = masking_percent(cell.masking_rate)
-        try:
-            kept = result.retention(cell.model, cell.masking_rate)
-        except (KeyError, InputError):
-            kept = None
-        retentions.setdefault(cell.model, {})[pct] = kept
-        if cell.model != "gcn":
-            continue
-        try:
-            delta = result.delta(cell.masking_rate, cell.feature_mode)
-        except (KeyError, InputError):
-            delta = None
-        deltas.setdefault(cell.feature_mode, {})[pct] = delta
+    for model, pct, mode in macro:
+        retentions.setdefault(model, {})[pct] = retention(
+            f1(model, pct, "original"), f1(model, pct, "random"))
+        if model == "gcn":
+            deltas.setdefault(mode, {})[pct] = (f1("gcn", pct, mode)
+                                                - f1("logreg", pct, mode))
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "dataset_fingerprint": fingerprint,
         "config": config,
         "homophily": homophily,
-        "grid": result.to_dict(),
+        "grid": asdict(result),
         "delta_f1": deltas,
         "retention": retentions,
         "quadrants": quadrants,
@@ -87,11 +93,19 @@ def build_report(fingerprint: str, config: dict, homophily: dict,
     return jsonable(report)
 
 
-def save_report(report: dict, path: str) -> None:
+def save_report(payload: dict, path=None) -> None:
+    """Write ``payload`` as sorted, indented JSON to ``path``, or to stdout.
+
+    Values pass through ``jsonable``; a path that cannot be written is an
+    InputError naming it.
+    """
+    text = json.dumps(jsonable(payload), indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write report: {exc}", path=path)
 

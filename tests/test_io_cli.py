@@ -148,6 +148,16 @@ def test_meta_errors(tmp_path):
     (bad / "meta.json").write_text("{not json")
     with pytest.raises(InputError, match="JSON"):
         load_dataset(str(bad))
+    # JSON booleans are ints to Python; a count must still be a real integer
+    write_container(tmp_path / "c4", {**GOOD_META, "num_classes": True},
+                    GOOD_EDGES, GOOD_LABELS, GOOD_FEATS)
+    with pytest.raises(InputError, match="positive integer, got True") as exc:
+        load_dataset(str(tmp_path / "c4"))
+    assert exc.value.path.endswith("meta.json")
+    write_container(tmp_path / "c5", 5, GOOD_EDGES, GOOD_LABELS, GOOD_FEATS)
+    with pytest.raises(InputError, match="meta.json must hold a JSON object") as exc:
+        load_dataset(str(tmp_path / "c5"))
+    assert exc.value.path.endswith("meta.json")
 
 
 def test_labels_count_mismatch_names_both_counts(tmp_path):
@@ -380,6 +390,56 @@ def test_cli_errors_exit_codes(tmp_path, capsys):
     ds_dir = make_container(tmp_path)
     assert run_cli("run", ds_dir, "--models", "transformer") == 1
     assert run_cli("run", ds_dir, "--masking", "120") == 1
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A small container and a run report over it, shared by the CLI tests."""
+    tmp_path = tmp_path_factory.mktemp("cli")
+    ds_dir = make_container(tmp_path, n=60, classes=2, homophily=0.9,
+                            degree=4, signal=3.0)
+    results = str(tmp_path / "results.json")
+    assert run_cli("run", ds_dir, "--models", "gcn,lr", "--masking", "0",
+                   "--features", "original", "--epochs", "2",
+                   "--out", results) == 0
+    return ds_dir, results
+
+
+@pytest.mark.parametrize("masking, message", [
+    ("0,0.4", "'0.4' is not a whole number"),
+    ("50.4", "'50.4' is not a whole number"),
+    ("50,50", "'50' given twice"),
+    ("0,90,90.0", "'90.0' given twice"),
+])
+def test_cli_masking_rejects_fractional_and_repeated_percents(
+        capsys, cli_inputs, masking, message):
+    capsys.readouterr()
+    assert run_cli("run", cli_inputs[0], "--masking", masking) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "run", "quadrant", "tune",
+                                     "synth"])
+def test_cli_out_under_missing_directory_is_an_error(
+        tmp_path, capsys, cli_inputs, command):
+    ds_dir, results = cli_inputs
+    out = str(tmp_path / "missing" / "out")
+    argv = {
+        "analyze": ["analyze", ds_dir],
+        "run": ["run", ds_dir, "--models", "lr", "--masking", "0",
+                "--features", "original"],
+        "quadrant": ["quadrant", results],
+        "tune": ["tune", ds_dir, "--epochs", "1"],
+        "synth": ["synth", "--n", "20", "--classes", "2", "--homophily",
+                  "0.9", "--degree", "2", "--dim", "2", "--signal", "1"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err
+    assert not os.path.exists(tmp_path / "missing")
 
 
 def test_tune_search_space_constants():

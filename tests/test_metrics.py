@@ -1,11 +1,15 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from gcndiag import ModelScores, confusion_matrix, delta_f1, retention, score
+from gcndiag import (CellResult, ExperimentResult, ModelScores,
+                     confusion_matrix, delta_f1, retention, score)
 from gcndiag.errors import ShapeError
 from gcndiag.metrics import macro_f1_over_present
+from gcndiag.report import jsonable
 
 from conftest import brute_f1
 
@@ -92,9 +96,18 @@ def test_retention():
 
 
 def test_model_scores_round_trip():
-    s = score(np.array([0, 1, 1]), np.array([0, 1, 2]), 3)
-    again = ModelScores.from_dict(s.to_dict())
+    s = score(np.array([0, 1, 1]), np.array([0, 1, 2]), 4)
+    cell = CellResult(model="logreg", masking_rate=0.0,
+                      feature_mode="original", scores=s)
+    result = ExperimentResult(base_seed=0, num_classes=4,
+                              cells={"logreg:0:original": cell})
+    stored = json.loads(json.dumps(jsonable(asdict(result))))
+    again = ExperimentResult.from_dict(stored).cells["logreg:0:original"].scores
     assert np.allclose(again.per_class_f1, s.per_class_f1)
     assert again.macro_f1 == s.macro_f1
     assert (again.confusion == s.confusion).all()
-    assert again.absent_classes == s.absent_classes
+    assert again.absent_classes == s.absent_classes == (3,)
+    # reports written before absent_classes existed still load
+    del stored["cells"]["logreg:0:original"]["scores"]["absent_classes"]
+    older = ExperimentResult.from_dict(stored).cells["logreg:0:original"].scores
+    assert older.absent_classes == ()

@@ -1,6 +1,7 @@
 """Property tests: invariants that must hold for arbitrary small inputs."""
 
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from gcndiag import (Dataset, GcnConfig, SyntheticSpec, apply_masking,
                      build_graph, generate_features, generate_graph,
                      load_dataset, normalized_adjacency, run_grid,
                      save_dataset)
+from gcndiag.report import jsonable
 
 from conftest import dense_normalized_adjacency
 
@@ -109,4 +111,4 @@ def test_run_grid_same_seed_agrees(data_seed, base_seed, classes):
     config = GcnConfig(hidden=8, max_epochs=20)
     first, second = (run_grid(a, x, y, base_seed=base_seed, gcn_config=config,
                               num_classes=classes) for _ in range(2))
-    assert first.to_dict() == second.to_dict()
+    assert jsonable(asdict(first)) == jsonable(asdict(second))

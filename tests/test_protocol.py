@@ -1,11 +1,15 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import gcndiag.baselines
 from gcndiag import (ExperimentResult, GcnConfig, InputError, ablate_features,
-                     apply_masking, build_graph, carve_validation, derive_seed,
-                     generate_features, generate_graph, make_split,
-                     normalized_adjacency, run_grid, stratified_split)
+                     apply_masking, build_graph, build_report,
+                     carve_validation, derive_seed, generate_features,
+                     generate_graph, make_split, normalized_adjacency,
+                     run_grid, stratified_split)
+from gcndiag.report import jsonable
 from gcndiag.synth import SyntheticSpec
 
 
@@ -150,7 +154,7 @@ def test_run_grid_complete_and_deterministic():
         for pct in (0, 50, 90):
             for mode in ("original", "random"):
                 assert f"{model}:{pct}:{mode}" in first.cells
-    assert first.to_dict() == second.to_dict()
+    assert jsonable(asdict(first)) == jsonable(asdict(second))
     assert all(not c.error for c in first.cells.values())
 
 
@@ -167,8 +171,10 @@ def test_run_grid_records_cell_failure(monkeypatch):
     assert all("synthetic failure" in c.error for c in lr_cells)
     gcn_cells = [c for k, c in result.cells.items() if k.startswith("gcn")]
     assert all(c.scores is not None for c in gcn_cells)
-    with pytest.raises(InputError):
-        result.delta(0.0)
+    report = build_report("fp", {}, {}, result)
+    assert report["delta_f1"]["original"]["0"] is None
+    assert report["retention"]["logreg"]["0"] is None
+    assert report["retention"]["gcn"]["0"] is not None
 
 
 def test_run_grid_reports_unconverged_baseline_fits(monkeypatch):
@@ -257,9 +263,12 @@ def test_experiment_result_round_trip():
     a, x, y = small_dataset()
     result = run_grid(a, x, y, base_seed=6, models=("gcn", "logreg"),
                       feature_modes=("original",))
-    again = ExperimentResult.from_dict(result.to_dict())
-    assert again.to_dict() == result.to_dict()
-    assert again.delta(0.9) == result.delta(0.9)
+    stored = jsonable(asdict(result))
+    again = ExperimentResult.from_dict(stored)
+    assert jsonable(asdict(again)) == stored
+    deltas = build_report("fp", {}, {}, result)["delta_f1"]
+    assert deltas["original"]["90"] is not None
+    assert build_report("fp", {}, {}, again)["delta_f1"] == deltas
 
 
 def test_random_features_shared_across_cells():
@@ -271,5 +280,5 @@ def test_random_features_shared_across_cells():
     # being reproducible against a manual rerun of the same cell
     manual = run_grid(a, x, y, base_seed=2, models=("logreg",),
                       masking_rates=(0.5,), feature_modes=("random",))
-    assert (result.cell("logreg", 0.5, "random").scores.to_dict()
-            == manual.cell("logreg", 0.5, "random").scores.to_dict())
+    assert (jsonable(asdict(result.cell("logreg", 0.5, "random").scores))
+            == jsonable(asdict(manual.cell("logreg", 0.5, "random").scores)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,9 @@ def test_averaged_class_metrics_from_grid():
                        masking_rates=(0.0,), feature_modes=("original",))
     with pytest.raises(InputError):
         averaged_class_metrics(partial)
+
+    lr_90 = result.cell("logreg", 0.9)
+    result.cells["logreg:90:original"] = replace(
+        lr_90, scores=None, error="RuntimeError: boom")
+    with pytest.raises(InputError, match="cell logreg:90:original failed"):
+        averaged_class_metrics(result)
