@@ -8,15 +8,15 @@ squared hinge, the default loss of LIBLINEAR and LinearSVC, with all classes
 in one problem (``svm_objective``). Both objectives are differentiable, with
 hand-written gradients, and both go through one deterministic L-BFGS
 (``_minimize_lbfgs``, numpy only). It keeps the last ``LBFGS_HISTORY``
-(s, y) pairs in preallocated arrays and turns the gradient into a search
-direction by the two-loop recursion. Its line search bisects or doubles
-the step until the weak Wolfe conditions hold (``WOLFE_C1``,
-``WOLFE_C2``); the first step is scaled by 1/max(1, ||g||). A fit has
-converged when the gradient's largest entry is at most ``LBFGS_GTOL`` or an
-iteration lowers the objective by at most ``LBFGS_FTOL`` relative to the
-larger of 1 and the objective's magnitude before and after. It has not
-converged when it reaches ``LBFGS_MAX_ITER`` iterations or when a line
-search finds no step in ``LINE_SEARCH_TRIALS`` evaluations.
+(s, y) pairs in a deque and turns the gradient into a search direction by
+the two-loop recursion. Its line search bisects or doubles the step until
+the weak Wolfe conditions hold (``WOLFE_C1``, ``WOLFE_C2``); the first step
+is scaled by 1/max(1, ||g||). A fit has converged when the gradient's
+largest entry is at most ``LBFGS_GTOL`` or an iteration lowers the objective
+by at most ``LBFGS_FTOL`` relative to the larger of 1 and the objective's
+magnitude before and after. It has not converged when it reaches
+``LBFGS_MAX_ITER`` iterations or when a line search finds no step in
+``LINE_SEARCH_TRIALS`` evaluations.
 
 Logistic regression starts every fit at zero. The SVM objective is strictly
 convex, so its optimum does not depend on the start: its fits walk the
@@ -28,6 +28,7 @@ fit did not converge, so a capped fit or a failed line search is visible
 rather than silent.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,21 +178,20 @@ def _minimize_lbfgs(objective, x0, args):
     f, g = objective(x, *args)
     if np.abs(g).max() <= LBFGS_GTOL:
         return x, 0, True
-    m = LBFGS_HISTORY
-    S, Y = np.empty((m, x.size)), np.empty((m, x.size))
-    S_rows, Y_rows = list(S), list(Y)  # row views, overwritten in place
-    rho, alpha = [0.0] * m, [0.0] * m
-    slots, gamma = [], 1.0  # slots of the stored (s, y) pairs, oldest first
+    pairs = deque(maxlen=LBFGS_HISTORY)  # (s, y, 1/s'y), oldest first
+    gamma = 1.0
     t = 1.0 / max(1.0, float(np.sqrt(g @ g)))
     for it in range(1, LBFGS_MAX_ITER + 1):
         # two-loop recursion: d = -H g with H0 = gamma I
         d = -g
-        for i in reversed(slots):
-            a = alpha[i] = rho[i] * S_rows[i].dot(d)
-            d -= a * Y_rows[i]
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            a = rho * s.dot(d)
+            d -= a * y
+            alphas.append(a)
         d *= gamma
-        for i in slots:
-            d += (alpha[i] - rho[i] * Y_rows[i].dot(d)) * S_rows[i]
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d += (a - rho * y.dot(d)) * s
 
         step = _wolfe_step(objective, args, x, f, g, d, t)
         if step is None:
@@ -200,9 +200,7 @@ def _minimize_lbfgs(objective, x0, args):
         s, y = x_new - x, g_new - g
         sy, yy = s.dot(y), y.dot(y)
         if sy > _EPS * yy:  # a pair with s'y <= 0 would make H indefinite
-            i = slots.pop(0) if len(slots) == m else len(slots)
-            S_rows[i][:], Y_rows[i][:], rho[i] = s, y, 1.0 / sy
-            slots.append(i)
+            pairs.append((s, y, 1.0 / sy))
             gamma = sy / yy
         f_old, x, f, g, t = f, x_new, f_new, g_new, 1.0
         if (np.abs(g).max() <= LBFGS_GTOL
@@ -237,14 +235,21 @@ def stratified_kfold(y, indices, folds: int, rng: np.random.Generator):
     return out
 
 
-def _check_visible(y, visible_rows):
+def _check_visible(x_norm, y, visible_rows, num_classes):
+    """The trainers' shared prelude; returns the checked (x_norm, y,
+    visible_rows, num_classes). An empty or single-class visible set is
+    reported before a non-finite feature."""
+    y = np.asarray(y)
     visible_rows = np.asarray(visible_rows)
     if visible_rows.size == 0:
         raise InputError("visible training set is empty")
-    classes = np.unique(np.asarray(y)[visible_rows])
-    if classes.size < 2:
+    if np.unique(y[visible_rows]).size < 2:
         raise InputError("visible training set contains a single class")
-    return visible_rows
+    if num_classes is None:
+        num_classes = int(y.max()) + 1
+    x_norm = np.asarray(x_norm, dtype=np.float64)
+    check_finite(x_norm)
+    return x_norm, y, visible_rows, num_classes
 
 
 def train_logreg(x_norm, y, visible_rows, seed: int = 0,
@@ -254,12 +259,8 @@ def train_logreg(x_norm, y, visible_rows, seed: int = 0,
     Folds shrink to the smallest per-class count when classes are scarce;
     below 2 usable folds there is nothing to cross-validate and we fail fast.
     """
-    y = np.asarray(y)
-    visible_rows = _check_visible(y, visible_rows)
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
-    x_norm = np.asarray(x_norm, dtype=np.float64)
-    check_finite(x_norm)
+    x_norm, y, visible_rows, num_classes = _check_visible(
+        x_norm, y, visible_rows, num_classes)
 
     counts = np.bincount(y[visible_rows], minlength=num_classes)
     folds_eff = min(LOGREG_FOLDS, int(counts[counts > 0].min()))
@@ -312,12 +313,8 @@ def _fit_svm_ovr(X, Y_signed, sample_w, reg_c, W0, b0):
 def train_svm(x_norm, y, visible_rows, seed: int = 0,
               num_classes=None) -> LinearModel:
     """Grid search on a stratified holdout by macro-F1; refit on all visible rows."""
-    y = np.asarray(y)
-    visible_rows = _check_visible(y, visible_rows)
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
-    x_norm = np.asarray(x_norm, dtype=np.float64)
-    check_finite(x_norm)
+    x_norm, y, visible_rows, num_classes = _check_visible(
+        x_norm, y, visible_rows, num_classes)
 
     fit_idx, val_idx = carve_validation(y, visible_rows, VAL_FRACTION, seed)
     if val_idx.size == 0:

@@ -10,13 +10,13 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import product
 
 from .baselines import (LOGREG_C_GRID, SVM_C_GRID, apply_scaler, fit_scaler,
                         train_logreg, train_svm)
 from .dataset_io import Dataset, load_dataset, save_dataset
-from .errors import GcnDiagError
+from .errors import GcnDiagError, InputError, require_keys
 from .gcn import GcnConfig, gradient_check, train_gcn
 from .graph import normalized_adjacency, spmm
 from .homophily import homophily_report
@@ -218,11 +218,17 @@ def cmd_run(args) -> int:
 
 def cmd_quadrant(args) -> int:
     report = load_report(args.results)
-    result = ExperimentResult.from_dict(report["grid"])
+    try:
+        require_keys(report, ("grid", "homophily"))
+        result = ExperimentResult.from_dict(report["grid"])
+        per_class = require_keys(report["homophily"], ("per_class",),
+                                 "homophily")["per_class"]
+    except InputError as exc:
+        raise InputError(str(exc), path=args.results) from None
     rates = sorted({cell.masking_rate for cell in result.cells.values()})
     lr_f1, delta = averaged_class_metrics(result, tuple(rates))
     assignment = assign_quadrants(
-        report["homophily"]["per_class"], lr_f1, delta,
+        per_class, lr_f1, delta,
         homophily_threshold=args.homophily_threshold,
         f1_threshold=args.f1_threshold,
     )
@@ -266,6 +272,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    base_cfg = GcnConfig(max_epochs=args.epochs)  # bad settings fail before loading
     ds = load_dataset(args.dataset)
     a = normalized_adjacency(ds.graph)
     split = make_split(ds.y, 0.0, args.seed, ds.num_classes)
@@ -276,9 +283,9 @@ def cmd_tune(args) -> int:
 
     def train_point(point):
         hidden, dropout, lr, wd = point
-        cfg = GcnConfig(hidden=hidden, dropout_rate=dropout, learning_rate=lr,
-                        weight_decay=wd, max_epochs=args.epochs,
-                        seed=derive_seed(args.seed, "tune", *point))
+        cfg = replace(base_cfg, hidden=hidden, dropout_rate=dropout,
+                      learning_rate=lr, weight_decay=wd,
+                      seed=derive_seed(args.seed, "tune", *point))
         trained = train_gcn(cfg, a, ds.x, ds.y, split, ds.num_classes, ax)
         return {"hidden": hidden, "dropout": dropout, "learning_rate": lr,
                 "weight_decay": wd,
@@ -398,7 +405,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GcnDiagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = getattr(exc, "path", None)
+        if where is not None and getattr(exc, "line", None) is not None:
+            where = f"{where}:{exc.line}"
+        print(f"error: {exc}" if where is None else f"error: {where}: {exc}",
+              file=sys.stderr)
         return 1
 
 

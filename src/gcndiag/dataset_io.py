@@ -66,73 +66,72 @@ def _read_meta(path: str) -> dict:
     return meta
 
 
-def _read_edges(path: str, n: int):
-    edges_path = os.path.join(path, "edges.tsv")
-    if not os.path.isfile(edges_path):
-        raise InputError("edges.tsv not found", path=edges_path)
-    first_line = {}  # (u, v) -> line that listed it
-    with open(edges_path, "r", encoding="utf-8") as fh:
+def _lines(path: str):
+    """Yield (line number, stripped text) for each non-blank line of ``path``."""
+    if not os.path.isfile(path):
+        raise InputError(f"{os.path.basename(path)} not found", path=path)
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise InputError(
-                    f"expected two tab-separated ids, got {len(parts)} fields",
-                    path=edges_path, line=lineno,
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise InputError(
-                    f"non-integer node id in {line!r}", path=edges_path, line=lineno)
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(
-                    f"node id out of range [0, {n}) in edge ({u}, {v})",
-                    path=edges_path, line=lineno,
-                )
-            if u >= v:
-                raise InputError(
-                    f"edge ({u}, {v}) violates u < v ordering",
-                    path=edges_path, line=lineno,
-                )
-            if (u, v) in first_line:
-                raise InputError(
-                    f"duplicate edge ({u}, {v}), first listed on line "
-                    f"{first_line[(u, v)]}",
-                    path=edges_path, line=lineno,
-                )
-            first_line[(u, v)] = lineno
+            if line:
+                yield lineno, line
+
+
+def _read_edges(path: str, n: int):
+    edges_path = os.path.join(path, "edges.tsv")
+    first_line = {}  # (u, v) -> line that listed it
+    for lineno, line in _lines(edges_path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise InputError(
+                f"expected two tab-separated ids, got {len(parts)} fields",
+                path=edges_path, line=lineno,
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(
+                f"non-integer node id in {line!r}", path=edges_path, line=lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(
+                f"node id out of range [0, {n}) in edge ({u}, {v})",
+                path=edges_path, line=lineno,
+            )
+        if u >= v:
+            raise InputError(
+                f"edge ({u}, {v}) violates u < v ordering",
+                path=edges_path, line=lineno,
+            )
+        if (u, v) in first_line:
+            raise InputError(
+                f"duplicate edge ({u}, {v}), first listed on line "
+                f"{first_line[(u, v)]}",
+                path=edges_path, line=lineno,
+            )
+        first_line[(u, v)] = lineno
     return list(first_line)
 
 
 def _read_labels(path: str, n: int, num_classes: int) -> np.ndarray:
     labels_path = os.path.join(path, "labels.tsv")
-    if not os.path.isfile(labels_path):
-        raise InputError("labels.tsv not found", path=labels_path)
     y = np.empty(n, dtype=np.int64)
     count = 0
-    with open(labels_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if count >= n:
-                raise InputError(
-                    f"more than the expected {n} labels", path=labels_path, line=lineno)
-            try:
-                label = int(line)
-            except ValueError:
-                raise InputError(
-                    f"non-integer label {line!r}", path=labels_path, line=lineno)
-            if not 0 <= label < num_classes:
-                raise InputError(
-                    f"label {label} outside [0, {num_classes})",
-                    path=labels_path, line=lineno,
-                )
-            y[count] = label
-            count += 1
+    for lineno, line in _lines(labels_path):
+        if count >= n:
+            raise InputError(
+                f"more than the expected {n} labels", path=labels_path, line=lineno)
+        try:
+            label = int(line)
+        except ValueError:
+            raise InputError(
+                f"non-integer label {line!r}", path=labels_path, line=lineno)
+        if not 0 <= label < num_classes:
+            raise InputError(
+                f"label {label} outside [0, {num_classes})",
+                path=labels_path, line=lineno,
+            )
+        y[count] = label
+        count += 1
     if count != n:
         raise InputError(
             f"expected {n} labels, found {count}", path=labels_path)
@@ -156,33 +155,27 @@ def _read_features(path: str, n: int, d: int) -> np.ndarray:
     if os.path.isfile(tsv_path):
         x = np.empty((n, d), dtype=np.float64)
         count = 0
-        with open(tsv_path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                if count >= n:
-                    raise InputError(
-                        f"more than the expected {n} feature rows",
-                        path=tsv_path, line=lineno,
-                    )
-                parts = line.split("\t")
-                if len(parts) != d:
-                    raise InputError(
-                        f"expected {d} tab-separated values, got {len(parts)}",
-                        path=tsv_path, line=lineno,
-                    )
-                try:
-                    x[count] = [float(p) for p in parts]
-                except ValueError:
-                    raise InputError(
-                        "non-numeric feature value", path=tsv_path, line=lineno)
-                if not np.isfinite(x[count]).all():
-                    raise InputError(
-                        f"features.tsv line {lineno} holds a non-finite value",
-                        path=tsv_path, line=lineno,
-                    )
-                count += 1
+        for lineno, line in _lines(tsv_path):
+            if count >= n:
+                raise InputError(
+                    f"more than the expected {n} feature rows",
+                    path=tsv_path, line=lineno,
+                )
+            parts = line.split("\t")
+            if len(parts) != d:
+                raise InputError(
+                    f"expected {d} tab-separated values, got {len(parts)}",
+                    path=tsv_path, line=lineno,
+                )
+            try:
+                x[count] = [float(p) for p in parts]
+            except ValueError:
+                raise InputError(
+                    "non-numeric feature value", path=tsv_path, line=lineno)
+            if not np.isfinite(x[count]).all():
+                raise InputError(
+                    "non-finite feature value", path=tsv_path, line=lineno)
+            count += 1
         if count != n:
             raise InputError(
                 f"expected {n} feature rows, found {count}", path=tsv_path)
@@ -222,13 +215,9 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        pairs = dataset.graph.edge_array()
-        with open(os.path.join(path, "edges.tsv"), "w", encoding="utf-8") as fh:
-            for u, v in pairs:
-                fh.write(f"{u}\t{v}\n")
-        with open(os.path.join(path, "labels.tsv"), "w", encoding="utf-8") as fh:
-            for label in dataset.y:
-                fh.write(f"{int(label)}\n")
+        np.savetxt(os.path.join(path, "edges.tsv"), dataset.graph.edge_array(),
+                   fmt="%d", delimiter="\t")
+        np.savetxt(os.path.join(path, "labels.tsv"), dataset.y, fmt="%d")
         np.ascontiguousarray(dataset.x, dtype="<f4").tofile(
             os.path.join(path, "features.bin"))
     except OSError as exc:

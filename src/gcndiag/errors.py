@@ -34,3 +34,15 @@ def check_finite(x, what="features", path=None) -> None:
             f"{what} holds a non-finite value at row {row}, column {col} (0-based)",
             path=path, index=(int(row), int(col)),
         )
+
+
+def require_keys(d, keys, where=""):
+    """Return ``d`` if it is a dict holding every key in ``keys``; otherwise
+    raise InputError naming the first missing key by its path ``where``."""
+    if not isinstance(d, dict):
+        raise InputError(
+            f"{where or 'report'} must be a JSON object, got {type(d).__name__}")
+    for key in keys:
+        if key not in d:
+            raise InputError(f"missing key {where + '.' if where else ''}{key}")
+    return d

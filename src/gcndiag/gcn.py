@@ -37,6 +37,18 @@ class GcnConfig:
     patience: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        for name, rule, ok in (
+                ("hidden", ">= 1", self.hidden >= 1),
+                ("dropout_rate", "in [0, 1)", 0.0 <= self.dropout_rate < 1.0),
+                ("learning_rate", "> 0", self.learning_rate > 0.0),
+                ("weight_decay", ">= 0", self.weight_decay >= 0.0),
+                ("max_epochs", ">= 1", self.max_epochs >= 1),
+                ("patience", ">= 1", self.patience >= 1)):
+            if not ok:
+                raise InputError(
+                    f"GCN {name} must be {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class GcnParams:
@@ -326,9 +338,7 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
     best_score = -np.inf
     best_params = params.copy()
     best_epoch = 0
-    since_best = 0
     history = []
-    epoch = 0
     for epoch in range(1, cfg.max_epochs + 1):
         loss, grads = gcn_loss_and_grad(
             params, a, x, y, sub, weights,
@@ -344,10 +354,7 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
             best_score = val_f1
             best_params = params.copy()
             best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-        if since_best >= cfg.patience:
+        if epoch - best_epoch >= cfg.patience:
             break
 
     return TrainedGcn(

@@ -70,19 +70,10 @@ def top_foreign_neighbor(matrix: np.ndarray):
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     C = matrix.shape[0]
-    result = []
-    for c in range(C):
-        row = matrix[c].copy()
-        if C == 1 or np.isnan(row).all():
-            result.append(None)
-            continue
-        row[c] = -np.inf
-        best = int(np.nanargmax(row))
-        if not row[best] > 0:
-            result.append(None)
-        else:
-            result.append((best, float(row[best])))
-    return result
+    foreign = np.where(np.isnan(matrix) | np.eye(C, dtype=bool), -np.inf, matrix)
+    best = np.argmax(foreign, axis=1)  # the first maximum: lowest class id
+    value = foreign[np.arange(C), best]
+    return [(int(b), float(v)) if v > 0 else None for b, v in zip(best, value)]
 
 
 def homophily_report(g: Graph, y, num_classes: int) -> dict:

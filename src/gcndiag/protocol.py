@@ -8,11 +8,11 @@ about which particular nodes happened to be drawn.
 """
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import InputError, check_finite
+from .errors import InputError, check_finite, require_keys
 from .metrics import ModelScores, score
 
 MASKING_RATES = (0.0, 0.5, 0.9)
@@ -99,6 +99,8 @@ def carve_validation(y, visible_idx, val_fraction: float = VAL_FRACTION,
     """
     y = np.asarray(y)
     visible_idx = np.asarray(visible_idx)
+    if visible_idx.size == 0:
+        raise InputError("cannot carve a validation set from an empty visible set")
     rng = np.random.default_rng(seed)
     sub_part, val_part = [], []
     for c in np.unique(y[visible_idx]):
@@ -111,8 +113,7 @@ def carve_validation(y, visible_idx, val_fraction: float = VAL_FRACTION,
                         max(1, int(np.floor(members.size * val_fraction + 0.5))))
         val_part.append(perm[:n_val])
         sub_part.append(perm[n_val:])
-    return (np.sort(np.concatenate(sub_part)),
-            np.sort(np.concatenate(val_part)) if val_part else np.empty(0, np.int64))
+    return np.sort(np.concatenate(sub_part)), np.sort(np.concatenate(val_part))
 
 
 def make_split(y, masking_rate: float, seed: int, num_classes=None) -> SplitSpec:
@@ -166,6 +167,12 @@ def cell_key(model: str, masking_rate: float, feature_mode: str) -> str:
     return f"{model}:{masking_percent(masking_rate)}:{feature_mode}"
 
 
+def _required(cls):
+    """Names of the fields of dataclass ``cls`` that have no default."""
+    return [f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING]
+
+
 @dataclass
 class ExperimentResult:
     """All cells of one grid run plus the ingredients to interpret them."""
@@ -183,15 +190,21 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentResult":
-        """Rebuild a result from its report form, ``jsonable(asdict(result))``."""
+        """Rebuild a result from its report form, ``jsonable(asdict(result))``,
+        found under a report's "grid" key. A missing dataclass field without
+        a default is an InputError naming its path in the report."""
+        require_keys(d, _required(cls), "grid")
         cells = {}
-        for key, c in d["cells"].items():
-            s = c["scores"]
-            scores = None if s is None else ModelScores(
-                per_class_f1=np.asarray(s["per_class_f1"], dtype=np.float64),
-                macro_f1=float(s["macro_f1"]),
-                confusion=np.asarray(s["confusion"], dtype=np.int64),
-                absent_classes=tuple(s.get("absent_classes", ())))
+        for key, c in require_keys(d["cells"], (), "grid.cells").items():
+            where = f'grid.cells["{key}"]'
+            scores = require_keys(c, _required(CellResult), where)["scores"]
+            if scores is not None:
+                s = require_keys(scores, _required(ModelScores), where + ".scores")
+                scores = ModelScores(
+                    per_class_f1=np.asarray(s["per_class_f1"], dtype=np.float64),
+                    macro_f1=float(s["macro_f1"]),
+                    confusion=np.asarray(s["confusion"], dtype=np.int64),
+                    absent_classes=tuple(s.get("absent_classes", ())))
             cells[key] = CellResult(**{**c, "scores": scores})
         return cls(base_seed=d["base_seed"], num_classes=d["num_classes"],
                    cells=cells)

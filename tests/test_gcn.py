@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -476,6 +479,31 @@ def test_early_stopping_on_flat_validation_score():
     trained = train_gcn(cfg, a, np.zeros_like(x), y, split, 2)
     assert trained.stopped_epoch <= cfg.patience + 1
     assert trained.best_epoch == 1
+
+
+def test_early_stopping_stops_patience_epochs_after_best():
+    g, x, y = yin_yang_data()
+    a = normalized_adjacency(g)
+    split = make_split(y, 0.0, seed=3, num_classes=2)
+    cfg = GcnConfig(hidden=8, max_epochs=200, patience=3, seed=5)
+    trained = train_gcn(cfg, a, np.zeros_like(x), y, split, 2)
+    assert (trained.best_epoch, trained.stopped_epoch) == (1, 4)
+    assert len(trained.history) == 4
+
+
+@pytest.mark.parametrize("field, value", [
+    ("hidden", 0), ("dropout_rate", -0.1), ("dropout_rate", 1.0),
+    ("learning_rate", 0.0), ("learning_rate", float("nan")),
+    ("weight_decay", -1e-4), ("max_epochs", 0), ("patience", 0),
+])
+def test_gcn_config_rejects_invalid_settings(field, value):
+    message = f"GCN {field} must be .*, got {re.escape(repr(value))}$"
+    with pytest.raises(InputError, match=message):
+        GcnConfig(**{field: value})
+    with pytest.raises(InputError, match=message):
+        replace(GcnConfig(), **{field: value})
+    GcnConfig(hidden=1, dropout_rate=0.0, learning_rate=1e-12,
+              weight_decay=0.0, max_epochs=1, patience=1)
 
 
 def test_snapshot_is_best_epoch_not_last():

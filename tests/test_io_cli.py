@@ -183,6 +183,27 @@ def test_malformed_edge_line_reports_line(tmp_path):
     assert exc.value.line == 2
 
 
+def test_blank_lines_are_skipped_but_counted(tmp_path):
+    write_container(tmp_path / "c", GOOD_META, "\n0\t1\n\n1\t2\n",
+                    "0\n\n1\n1\n\n", features_text="\n0\t1\n2\t3\n\n4\t5\n")
+    ds = load_dataset(str(tmp_path / "c"))
+    assert ds.graph.num_edges == 2
+    assert ds.y.tolist() == [0, 1, 1]
+    assert ds.x.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, "0\n\n1\n7\n")
+    with pytest.raises(InputError) as exc:
+        load_dataset(str(tmp_path / "c"))
+    assert exc.value.line == 4
+
+
+def test_container_text_format(tmp_path):
+    ds = Dataset(name="t", graph=build_graph([(1, 2), (0, 1)], 3),
+                 x=np.zeros((3, 2)), y=np.array([0, 1, 0]), num_classes=2)
+    save_dataset(ds, str(tmp_path / "c"))
+    assert (tmp_path / "c" / "edges.tsv").read_bytes() == b"0\t1\n1\t2\n"
+    assert (tmp_path / "c" / "labels.tsv").read_bytes() == b"0\n1\n0\n"
+
+
 def test_edge_order_enforced(tmp_path):
     write_container(tmp_path / "c", GOOD_META, "1\t0\n", GOOD_LABELS,
                     GOOD_FEATS)
@@ -440,6 +461,70 @@ def test_cli_out_under_missing_directory_is_an_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and out in err
     assert not os.path.exists(tmp_path / "missing")
+
+
+@pytest.mark.parametrize("name, line, text", [
+    ("edges.tsv", 5, "3\tx"),
+    ("labels.tsv", 7, "abc"),
+])
+def test_cli_error_names_file_and_line(tmp_path, capsys, name, line, text):
+    ds_dir = make_container(tmp_path)
+    path = os.path.join(ds_dir, name)
+    with open(path) as fh:
+        rows = fh.read().splitlines()
+    rows[line - 1] = text
+    with open(path, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert run_cli("analyze", ds_dir) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
+
+
+def test_cli_error_without_a_line_names_the_path(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    capsys.readouterr()
+    assert run_cli("analyze", missing) == 1
+    assert capsys.readouterr().err == (
+        f"error: {missing}: dataset directory not found\n")
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("run", ["--epochs", "0"], "max_epochs"),
+    ("run", ["--hidden", "0"], "hidden"),
+    ("run", ["--learning-rate", "-1"], "learning_rate"),
+    ("run", ["--dropout", "1"], "dropout_rate"),
+    ("run", ["--weight-decay", "-0.5"], "weight_decay"),
+    ("tune", ["--epochs", "0"], "max_epochs"),
+])
+def test_cli_rejects_invalid_gcn_settings(capsys, cli_inputs, command, flags,
+                                          field):
+    grid = ["--models", "gcn", "--masking", "0", "--features", "original"]
+    capsys.readouterr()
+    assert run_cli(command, cli_inputs[0], *(grid if command == "run" else []),
+                   *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: GCN {field} must be ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("case, message", [
+    ("empty", "missing key grid"),
+    ("list", "report must be a JSON object, got list"),
+    ("no_scores", 'missing key grid.cells["gcn:0:original"].scores'),
+    ("no_homophily", "missing key homophily"),
+])
+def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
+                                                case, message):
+    report = load_report(cli_inputs[1])
+    if case == "no_scores":
+        del report["grid"]["cells"]["gcn:0:original"]["scores"]
+    elif case == "no_homophily":
+        del report["homophily"]
+    path = str(tmp_path / "bad.json")
+    save_report({"empty": {}, "list": [report]}.get(case, report), path)
+    capsys.readouterr()
+    assert run_cli("quadrant", path) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_tune_search_space_constants():

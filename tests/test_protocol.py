@@ -97,6 +97,11 @@ def test_carve_validation_counts():
     assert 15 in sub  # the lone class-2 node stays trainable
 
 
+def test_carve_validation_rejects_empty_visible_set():
+    with pytest.raises(InputError, match="empty visible set"):
+        carve_validation(labels([3, 3]), np.array([], dtype=np.int64), 0.2, 0)
+
+
 def test_make_split_structure():
     y = labels([40, 30, 30])
     split = make_split(y, 0.5, seed=2, num_classes=3)
