@@ -42,12 +42,12 @@ class Dataset:
 def _read_meta(path: str) -> dict:
     meta_path = os.path.join(path, "meta.json")
     if not os.path.isfile(meta_path):
-        raise InputError("meta.json not found", path=meta_path)
+        raise InputError("not found", path=meta_path)
     with open(meta_path, "r", encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InputError(f"meta.json is not valid JSON: {exc}", path=meta_path)
+            raise InputError(f"not valid JSON: {exc}", path=meta_path)
     if not isinstance(meta, dict):
         raise InputError(
             f"meta.json must hold a JSON object, got {type(meta).__name__}",
@@ -55,12 +55,12 @@ def _read_meta(path: str) -> dict:
         )
     for key in ("name", "n", "d", "num_classes"):
         if key not in meta:
-            raise InputError(f"meta.json missing required key {key!r}", path=meta_path)
+            raise InputError(f"missing required key {key!r}", path=meta_path)
     for key in ("n", "d", "num_classes"):
         value = meta[key]
         if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise InputError(
-                f"meta.json key {key!r} must be a positive integer, got {value!r}",
+                f"key {key!r} must be a positive integer, got {value!r}",
                 path=meta_path,
             )
     return meta
@@ -69,7 +69,7 @@ def _read_meta(path: str) -> dict:
 def _lines(path: str):
     """Yield (line number, stripped text) for each non-blank line of ``path``."""
     if not os.path.isfile(path):
-        raise InputError(f"{os.path.basename(path)} not found", path=path)
+        raise InputError("not found", path=path)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -146,11 +146,11 @@ def _read_features(path: str, n: int, d: int) -> np.ndarray:
         actual = os.path.getsize(bin_path)
         if actual != expected:
             raise InputError(
-                f"features.bin holds {actual} bytes, expected n*d*4 = {expected}",
+                f"holds {actual} bytes, expected n*d*4 = {expected}",
                 path=bin_path,
             )
         x = np.fromfile(bin_path, dtype="<f4").reshape(n, d)
-        check_finite(x, "features.bin", path=bin_path)
+        check_finite(x, path=bin_path)
         return x.astype(np.float64)
     if os.path.isfile(tsv_path):
         x = np.empty((n, d), dtype=np.float64)
@@ -221,4 +221,5 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         np.ascontiguousarray(dataset.x, dtype="<f4").tofile(
             os.path.join(path, "features.bin"))
     except OSError as exc:
-        raise InputError(f"cannot write dataset: {exc}", path=path)
+        raise InputError(f"cannot write dataset: {exc.strerror or exc}",
+                         path=exc.filename or path)

@@ -40,7 +40,6 @@ class GcnConfig:
     def __post_init__(self):
         for name, rule, ok in (
                 ("hidden", ">= 1", self.hidden >= 1),
-                ("dropout_rate", "in [0, 1)", 0.0 <= self.dropout_rate < 1.0),
                 ("learning_rate", "> 0", self.learning_rate > 0.0),
                 ("weight_decay", ">= 0", self.weight_decay >= 0.0),
                 ("max_epochs", ">= 1", self.max_epochs >= 1),

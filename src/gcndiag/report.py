@@ -107,7 +107,7 @@ def save_report(payload: dict, path=None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write report: {exc}", path=path)
+        raise InputError(f"cannot write report: {exc.strerror or exc}", path=path)
 
 
 def load_report(path: str) -> dict:
@@ -115,7 +115,7 @@ def load_report(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read report: {exc}", path=path)
+        raise InputError(f"cannot read report: {exc.strerror or exc}", path=path)
     except json.JSONDecodeError as exc:
         raise InputError(f"report is not valid JSON: {exc}", path=path)
 

@@ -492,8 +492,7 @@ def test_early_stopping_stops_patience_epochs_after_best():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("hidden", 0), ("dropout_rate", -0.1), ("dropout_rate", 1.0),
-    ("learning_rate", 0.0), ("learning_rate", float("nan")),
+    ("hidden", 0), ("learning_rate", 0.0), ("learning_rate", float("nan")),
     ("weight_decay", -1e-4), ("max_epochs", 0), ("patience", 0),
 ])
 def test_gcn_config_rejects_invalid_settings(field, value):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -488,11 +489,29 @@ def test_cli_error_without_a_line_names_the_path(tmp_path, capsys):
         f"error: {missing}: dataset directory not found\n")
 
 
+@pytest.mark.parametrize("name", ["meta.json", "edges.tsv", "labels.tsv"])
+def test_cli_error_names_a_missing_file_once(tmp_path, capsys, name):
+    ds_dir = make_container(tmp_path)
+    path = os.path.join(ds_dir, name)
+    os.remove(path)
+    capsys.readouterr()
+    assert run_cli("analyze", ds_dir) == 1
+    assert capsys.readouterr().err == f"error: {path}: not found\n"
+
+
+def test_cli_error_names_an_unwritable_report_once(tmp_path, capsys,
+                                                   cli_inputs):
+    out = str(tmp_path / "missing" / "out.json")
+    capsys.readouterr()
+    assert run_cli("analyze", cli_inputs[0], "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out}: cannot write report: {os.strerror(errno.ENOENT)}\n")
+
+
 @pytest.mark.parametrize("command, flags, field", [
     ("run", ["--epochs", "0"], "max_epochs"),
     ("run", ["--hidden", "0"], "hidden"),
     ("run", ["--learning-rate", "-1"], "learning_rate"),
-    ("run", ["--dropout", "1"], "dropout_rate"),
     ("run", ["--weight-decay", "-0.5"], "weight_decay"),
     ("tune", ["--epochs", "0"], "max_epochs"),
 ])
