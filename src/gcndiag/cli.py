@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 structured failure, 2 usage error.
 """
 
 import argparse
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from itertools import product
 
 from .baselines import (LOGREG_C_GRID, SVM_C_GRID, apply_scaler, fit_scaler,
                         train_logreg, train_svm)
+from . import parallel
 from .dataset_io import Dataset, load_dataset, save_dataset
 from .errors import GcnDiagError, InputError, require_keys
 from .gcn import GcnConfig, gradient_check, train_gcn
@@ -24,7 +23,8 @@ from .protocol import (FEATURE_MODES, ExperimentResult, derive_seed,
                        make_split, masking_percent, run_grid)
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
                        averaged_class_metrics, quadrant_summary)
-from .report import build_report, load_report, save_report
+from .report import (build_report, check_report_dir, load_report,
+                     save_report)
 from .synth import SyntheticSpec, generate_features, generate_graph
 
 # hyperparameter search spaces for `tune`
@@ -38,14 +38,6 @@ GCN_WD_GRID = (5e-4, 1e-4, 1e-5, 0.0)
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
-
-# (set, get) thread-count symbols of the OpenBLAS numpy links, in the order
-# tried: numpy 2 wheels' scipy-openblas, 64-bit-integer builds, plain builds
-OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
 
 MODEL_ALIASES = {"gcn": "gcn", "lr": "logreg", "logreg": "logreg", "svm": "svm"}
 FEATURE_NAMES = {mode: mode for mode in FEATURE_MODES}
@@ -71,59 +63,6 @@ def _pin_malloc_thresholds() -> bool:
     mallopt.restype = ctypes.c_int
     return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
                 and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES))
-
-
-def _openblas_thread_calls():
-    """(set, get) for the thread count of the OpenBLAS numpy links, or None.
-
-    dlsym on numpy's extension module also searches the libraries it links,
-    so this finds a bundled OpenBLAS without knowing its file name.
-    """
-    import ctypes
-    import numpy  # noqa: F401  (loads the extension module looked up below)
-    umath = (sys.modules.get("numpy._core._multiarray_umath")
-             or sys.modules.get("numpy.core._multiarray_umath"))
-    try:
-        lib = ctypes.CDLL(umath.__file__)
-    except (AttributeError, OSError, TypeError):
-        return None
-    for set_name, get_name in OPENBLAS_THREAD_SYMBOLS:
-        try:
-            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
-        except AttributeError:
-            continue
-        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
-        return set_threads, get_threads
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread; yields whether it is.
-
-    Concurrent trainings each wake OpenBLAS's own pool for their small
-    matrix products, which oversubscribes the cores. The previous count comes
-    back afterwards. Where the symbols are missing nothing changes and the
-    block is told so.
-    """
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield False
-        return
-    set_threads, get_threads = calls
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield True
-    finally:
-        set_threads(before)
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _parse_choices(raw: str, names: dict, what: str):
@@ -179,6 +118,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_run(args) -> int:
+    check_report_dir(args.out)
     ds = load_dataset(args.dataset)
     a = normalized_adjacency(ds.graph)
     models = _parse_choices(args.models, MODEL_ALIASES, "model")
@@ -188,9 +128,18 @@ def cmd_run(args) -> int:
                     learning_rate=args.learning_rate,
                     weight_decay=args.weight_decay, max_epochs=args.epochs,
                     seed=args.seed)
+    total = len(models) * len(masking) * len(modes)
+    cell_seconds = {}
+
+    def finished(key, seconds, error):
+        cell_seconds[key] = seconds
+        print(f"cell {key} {'failed' if error else 'done'} in {seconds:.2f} s "
+              f"({len(cell_seconds)}/{total})", file=sys.stderr)
+
     result = run_grid(a, ds.x, ds.y, base_seed=args.seed, models=models,
                       masking_rates=masking, feature_modes=modes,
-                      gcn_config=cfg, num_classes=ds.num_classes)
+                      gcn_config=cfg, num_classes=ds.num_classes,
+                      on_cell=finished)
     hom = homophily_report(ds.graph, ds.y, ds.num_classes)
     quad = None
     try:
@@ -208,8 +157,8 @@ def cmd_run(args) -> int:
         "undirected_edges": ds.graph.num_edges,
         "directed_edges": 2 * ds.graph.num_edges,
     }
-    save_report(build_report(ds.fingerprint(), config_echo, hom, result, quad),
-                args.out)
+    save_report(build_report(ds.fingerprint(), config_echo, hom, result, quad,
+                             cell_seconds), args.out)
     failures = {k: c for k, c in result.cells.items() if c.error}
     for key, cell in failures.items():
         print(f"cell {key} failed: {cell.error}", file=sys.stderr)
@@ -298,8 +247,8 @@ def cmd_tune(args) -> int:
     # per core and map() keeps grid order. Over multithreaded BLAS two
     # trainings oversubscribe the cores, so without the pin one worker runs.
     from concurrent.futures import ThreadPoolExecutor  # not at import time
-    with _one_blas_thread() as pinned:
-        workers = min(len(points), _usable_cores()) if pinned else 1
+    with parallel.one_blas_thread() as pinned:
+        workers = min(len(points), parallel.usable_cores()) if pinned else 1
         with ThreadPoolExecutor(max_workers=workers) as pool:
             gcn_rows = list(pool.map(train_point, points))
     best_gcn = max(gcn_rows, key=lambda r: r["val_f1"])

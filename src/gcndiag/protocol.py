@@ -8,6 +8,8 @@ about which particular nodes happened to be drawn.
 """
 
 import hashlib
+import math
+import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -173,6 +175,52 @@ def _required(cls):
             if f.default is MISSING and f.default_factory is MISSING]
 
 
+def _json(kind):
+    """Reader of a JSON value that must hold Python type ``kind``; true and
+    false are not numbers."""
+    def read(value):
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise TypeError
+        return value
+    return read
+
+
+def _json_float(value):
+    """A JSON number as a float; null reads back as the NaN it was written from."""
+    return math.nan if value is None else float(_json((int, float))(value))
+
+
+def _json_array(read, dtype):
+    return lambda value: np.array([read(v) for v in _json(list)(value)], dtype=dtype)
+
+
+_SCORES_JSON = {
+    "per_class_f1": _json_array(_json_float, np.float64),
+    "macro_f1": _json_float,
+    "confusion": _json_array(_json_array(_json(int), np.int64), np.int64),
+    "absent_classes": lambda value: tuple(_json(int)(v) for v in _json(list)(value)),
+}
+_CELL_JSON = {"model": _json(str), "masking_rate": _json_float,
+              "feature_mode": _json(str), "selected_hyper": _json(dict),
+              "error": _json(str)}
+
+
+def _from_json(cls, d, readers, where):
+    """Dataclass ``cls`` from its report form ``d``, each key read by
+    ``readers``. A missing field without a default, an unknown key or a value
+    of the wrong JSON type is an InputError naming its path in the report."""
+    require_keys(d, _required(cls), where)
+    values = {}
+    for key, value in d.items():
+        if key not in readers:
+            raise InputError(f"unknown key {where}.{key}")
+        try:
+            values[key] = readers[key](value)
+        except (TypeError, ValueError):
+            raise InputError(f"malformed value at {where}.{key}: {value!r:.60}") from None
+    return cls(**values)
+
+
 @dataclass
 class ExperimentResult:
     """All cells of one grid run plus the ingredients to interpret them."""
@@ -191,42 +239,46 @@ class ExperimentResult:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentResult":
         """Rebuild a result from its report form, ``jsonable(asdict(result))``,
-        found under a report's "grid" key. A missing dataclass field without
-        a default is an InputError naming its path in the report."""
-        require_keys(d, _required(cls), "grid")
-        cells = {}
-        for key, c in require_keys(d["cells"], (), "grid.cells").items():
+        found under a report's "grid" key. Malformed input is an InputError
+        naming its path in the report, as in ``grid.cells["gcn:0:original"]``."""
+        def cell(key, c):
             where = f'grid.cells["{key}"]'
-            scores = require_keys(c, _required(CellResult), where)["scores"]
-            if scores is not None:
-                s = require_keys(scores, _required(ModelScores), where + ".scores")
-                scores = ModelScores(
-                    per_class_f1=np.asarray(s["per_class_f1"], dtype=np.float64),
-                    macro_f1=float(s["macro_f1"]),
-                    confusion=np.asarray(s["confusion"], dtype=np.int64),
-                    absent_classes=tuple(s.get("absent_classes", ())))
-            cells[key] = CellResult(**{**c, "scores": scores})
-        return cls(base_seed=d["base_seed"], num_classes=d["num_classes"],
-                   cells=cells)
+
+            def scores(s):
+                return None if s is None else _from_json(
+                    ModelScores, s, _SCORES_JSON, where + ".scores")
+            return _from_json(CellResult, c, {**_CELL_JSON, "scores": scores}, where)
+
+        return _from_json(cls, d, {
+            "base_seed": _json(int), "num_classes": _json(int),
+            "cells": lambda cells: {key: cell(key, c)
+                                    for key, c in _json(dict)(cells).items()},
+        }, "grid")
 
 
 def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
              masking_rates=MASKING_RATES, feature_modes=FEATURE_MODES,
-             gcn_config=None, num_classes=None) -> ExperimentResult:
+             gcn_config=None, num_classes=None, on_cell=None) -> ExperimentResult:
     """Run every (model, masking rate, feature mode) cell on one dataset.
 
     One stratified split per run; one random feature draw per run, shared by
     every "random" cell; one masking stream shared by all models so each
     model sees identical visible sets at a given rate. The GCN cells of a
-    feature mode share one propagation A_hat * x. Cells run serially in task
-    order. A failing cell records its error instead of aborting its
-    siblings; non-finite features fail the whole run before any cell.
+    feature mode share one propagation A_hat * x. All of that, and every
+    cell's seed, is worked out here before any cell runs. The cells then run
+    through ``fork_map``, one per usable core, and only each cell's scores,
+    hyperparameters or error and its wall time come back; the CellResults
+    are built here, in task order. ``on_cell(key, seconds, error)`` hears of
+    each cell as it finishes. A failing cell records its error instead of
+    aborting its siblings; non-finite features fail the whole run before any
+    cell.
     """
     # deferred: baselines imports protocol, and tracers patch these names
     from .baselines import (apply_scaler, fit_scaler, linear_predict,
                             train_logreg, train_svm)
     from .gcn import GcnConfig, gcn_predict, train_gcn
     from .graph import spmm
+    from .parallel import fork_map
 
     y = np.asarray(y)
     x = np.asarray(x, dtype=np.float64)
@@ -241,15 +293,15 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
         feature_sets["random"] = ablate_features(x, derive_seed(base_seed, "ablate"))
 
     splits = {m: make_split(y, m, base_seed, num_classes) for m in masking_rates}
-    propagated = {}  # feature mode -> A_hat * feats, filled by the first GCN cell
+    propagated = {mode: spmm(a, feature_sets[mode])
+                  for mode in (feature_modes if "gcn" in models else ())}
+    tasks = [(m, r, f, derive_seed(base_seed, m, masking_percent(r), f))
+             for m in models for r in masking_rates for f in feature_modes]
 
-    def run_cell(model, rate, mode):
+    def fit_and_score(model, rate, mode, cell_seed):
         split = splits[rate]
         feats = feature_sets[mode]
-        cell_seed = derive_seed(base_seed, model, masking_percent(rate), mode)
         if model == "gcn":
-            if mode not in propagated:
-                propagated[mode] = spmm(a, feats)
             cfg = replace(gcn_config, seed=cell_seed)
             trained = train_gcn(cfg, a, feats, y, split, num_classes,
                                 propagated[mode])
@@ -269,15 +321,26 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
         scores = score(pred[split.test_idx], y[split.test_idx], num_classes)
         return scores, hyper
 
-    def safe(model, rate, mode):
+    def run_cell(task):
+        """(scores, hyper, error, seconds), all plain enough to pickle."""
+        start = time.perf_counter()
         try:
-            scores, hyper = run_cell(model, rate, mode)
-            return CellResult(model=model, masking_rate=rate, feature_mode=mode,
-                              scores=scores, selected_hyper=hyper)
+            scores, hyper = fit_and_score(*task)
+            error = ""
         except Exception as exc:  # cell failure must not sink the grid
-            return CellResult(model=model, masking_rate=rate, feature_mode=mode,
-                              scores=None, error=f"{type(exc).__name__}: {exc}")
+            scores, hyper, error = None, {}, f"{type(exc).__name__}: {exc}"
+        return scores, hyper, error, time.perf_counter() - start
 
-    tasks = [(m, r, f) for m in models for r in masking_rates for f in feature_modes]
-    cells = {cell_key(*task): safe(*task) for task in tasks}
+    outcomes = [None] * len(tasks)
+    for i, outcome in fork_map(run_cell, tasks):
+        if isinstance(outcome, Exception):  # its worker died; no result came back
+            outcome = None, {}, f"{type(outcome).__name__}: {outcome}", math.nan
+        outcomes[i] = outcome
+        if on_cell is not None:
+            on_cell(cell_key(*tasks[i][:3]), outcome[3], outcome[2])
+    cells = {cell_key(model, rate, mode): CellResult(
+                 model=model, masking_rate=rate, feature_mode=mode,
+                 scores=scores, selected_hyper=hyper, error=error)
+             for (model, rate, mode, _), (scores, hyper, error, _)
+             in zip(tasks, outcomes)}
     return ExperimentResult(base_seed=base_seed, num_classes=num_classes, cells=cells)

@@ -8,8 +8,10 @@ produce byte-identical files once that key is dropped.
 """
 
 import datetime
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -55,11 +57,13 @@ def jsonable(obj):
 
 
 def build_report(fingerprint: str, config: dict, homophily: dict,
-                 result: ExperimentResult, quadrants=None) -> dict:
+                 result: ExperimentResult, quadrants=None,
+                 cell_seconds=None) -> dict:
     """Assemble the full report dict; every number traces to an input section.
 
     The delta and retention tables derive from each cell's macro-F1, NaN for
-    a missing or failed cell, so an entry that lacks an input is null.
+    a missing or failed cell, so an entry that lacks an input is null. Each
+    cell's wall time, ``cell_seconds`` by cell key, goes under "volatile".
     """
     macro = {(c.model, masking_percent(c.masking_rate), c.feature_mode):
              math.nan if c.scores is None else c.scores.macro_f1
@@ -88,6 +92,7 @@ def build_report(fingerprint: str, config: dict, homophily: dict,
         "decisions": decisions_metadata(),
         "volatile": {
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "cell_seconds": cell_seconds or {},
         },
     }
     return jsonable(report)
@@ -108,6 +113,14 @@ def save_report(payload: dict, path=None) -> None:
             fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write report: {exc.strerror or exc}", path=path)
+
+
+def check_report_dir(path) -> None:
+    """Raise the InputError ``save_report`` would raise for a report ``path``
+    in a missing directory, so a long run fails before it starts."""
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise InputError(
+            f"cannot write report: {os.strerror(errno.ENOENT)}", path=path)
 
 
 def load_report(path: str) -> dict:

@@ -531,6 +531,9 @@ def test_cli_rejects_invalid_gcn_settings(capsys, cli_inputs, command, flags,
     ("list", "report must be a JSON object, got list"),
     ("no_scores", 'missing key grid.cells["gcn:0:original"].scores'),
     ("no_homophily", "missing key homophily"),
+    ("text_f1", "malformed value at "
+                'grid.cells["logreg:0:original"].scores.macro_f1: \'x\''),
+    ("extra_key", 'unknown key grid.cells["logreg:0:original"].extra'),
 ])
 def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
                                                 case, message):
@@ -539,6 +542,10 @@ def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
         del report["grid"]["cells"]["gcn:0:original"]["scores"]
     elif case == "no_homophily":
         del report["homophily"]
+    elif case == "text_f1":
+        report["grid"]["cells"]["logreg:0:original"]["scores"]["macro_f1"] = "x"
+    elif case == "extra_key":
+        report["grid"]["cells"]["logreg:0:original"]["extra"] = 1
     path = str(tmp_path / "bad.json")
     save_report({"empty": {}, "list": [report]}.get(case, report), path)
     capsys.readouterr()

@@ -1,9 +1,11 @@
+import multiprocessing
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import gcndiag.baselines
+import gcndiag.parallel
 from gcndiag import (ExperimentResult, GcnConfig, InputError, ablate_features,
                      apply_masking, build_graph, build_report,
                      carve_validation, derive_seed, generate_features,
@@ -218,12 +220,19 @@ def test_run_grid_propagates_features_once_per_mode(monkeypatch):
     monkeypatch.setattr(gcndiag.graph, "spmm", counting)
     monkeypatch.setattr(gcndiag.gcn, "spmm", counting)
     monkeypatch.setattr(gcndiag.gcn, "train_gcn", traced_training)
-    result = run_grid(a, x, y, base_seed=2, models=("gcn",),
-                      masking_rates=(0.0, 0.5), feature_modes=("original",),
-                      gcn_config=GcnConfig(hidden=8, max_epochs=5))
-    assert all(not c.error for c in result.cells.values())
     d, C = x.shape[1], 3
-    assert widths == [d, C, C]
+    forks = (gcndiag.parallel.openblas_thread_calls() is not None
+             and "fork" in multiprocessing.get_all_start_methods())
+    # one core runs the cells here; two fork them, so only the shared
+    # propagation is seen in this process
+    for cores, seen in ((1, [d, C, C]), (2, [d] if forks else [d, C, C])):
+        monkeypatch.setattr(gcndiag.parallel, "usable_cores", lambda: cores)
+        widths.clear()
+        result = run_grid(a, x, y, base_seed=2, models=("gcn",),
+                          masking_rates=(0.0, 0.5), feature_modes=("original",),
+                          gcn_config=GcnConfig(hidden=8, max_epochs=5))
+        assert all(not c.error for c in result.cells.values())
+        assert widths == seen
 
 
 def test_run_grid_reports_gcn_warnings():

@@ -10,10 +10,11 @@ import threading
 import pytest
 
 import gcndiag.cli as cli
-from gcndiag import InputError
-from gcndiag.cli import _one_blas_thread, _openblas_thread_calls, main
+from gcndiag import InputError, parallel
+from gcndiag.cli import main
+from gcndiag.parallel import one_blas_thread, openblas_thread_calls
 
-BLAS = _openblas_thread_calls()
+BLAS = openblas_thread_calls()
 needs_blas = pytest.mark.skipif(BLAS is None,
                                 reason="numpy's OpenBLAS thread symbols not found")
 
@@ -57,11 +58,11 @@ def test_pooled_report_equals_one_worker_report(container, tmp_path, monkeypatch
 
     code, seen = tune(container, str(tmp_path / "pooled.json"), monkeypatch)
     assert code == 0 and len(seen) == 72
-    workers = min(cli._usable_cores(), 72) if BLAS is not None else 1
+    workers = min(parallel.usable_cores(), 72) if BLAS is not None else 1
     assert len({ident for ident, _ in seen}) == workers
 
     # more workers than cores, switching threads as often as it can
-    monkeypatch.setattr(cli, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -70,7 +71,7 @@ def test_pooled_report_equals_one_worker_report(container, tmp_path, monkeypatch
         sys.setswitchinterval(interval)
     assert code == 0 and len(seen) == 72
 
-    monkeypatch.setattr(cli, "_openblas_thread_calls", lambda: None)
+    monkeypatch.setattr(parallel, "openblas_thread_calls", lambda: None)
     code, seen = tune(container, str(tmp_path / "serial.json"), monkeypatch)
     assert code == 0 and len(seen) == 72
     assert len({ident for ident, _ in seen}) == 1  # unpinned: one worker
@@ -111,8 +112,8 @@ def test_pin_is_a_no_op_without_the_symbols(monkeypatch):
     import ctypes
     before = blas_threads()
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-    assert _openblas_thread_calls() is None
-    with _one_blas_thread() as pinned:
+    assert openblas_thread_calls() is None
+    with one_blas_thread() as pinned:
         assert pinned is False
         assert blas_threads() == before
     assert blas_threads() == before
