@@ -13,12 +13,12 @@ from itertools import product
 
 from .baselines import (LOGREG_C_GRID, SVM_C_GRID, apply_scaler, fit_scaler,
                         train_logreg, train_svm)
-from . import parallel
 from .dataset_io import Dataset, load_dataset, save_dataset
 from .errors import GcnDiagError, InputError, require_keys
 from .gcn import GcnConfig, gradient_check, train_gcn
 from .graph import normalized_adjacency, spmm
 from .homophily import homophily_report
+from .parallel import fork_map
 from .protocol import (FEATURE_MODES, ExperimentResult, derive_seed,
                        make_split, masking_percent, run_grid)
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
@@ -221,6 +221,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    check_report_dir(args.out)
     base_cfg = GcnConfig(max_epochs=args.epochs)  # bad settings fail before loading
     ds = load_dataset(args.dataset)
     a = normalized_adjacency(ds.graph)
@@ -244,13 +245,13 @@ def cmd_tune(args) -> int:
                 "warnings": list(trained.warnings)}
 
     # The points are independent and separately seeded, so they train one
-    # per core and map() keeps grid order. Over multithreaded BLAS two
-    # trainings oversubscribe the cores, so without the pin one worker runs.
-    from concurrent.futures import ThreadPoolExecutor  # not at import time
-    with parallel.one_blas_thread() as pinned:
-        workers = min(len(points), parallel.usable_cores()) if pinned else 1
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            gcn_rows = list(pool.map(train_point, points))
+    # per core; each row goes to its point's place, keeping grid order.
+    gcn_rows = [None] * len(points)
+    for i, row in fork_map(train_point, points):
+        if isinstance(row, Exception):
+            raise GcnDiagError(f"tune point {points[i]} failed: "
+                               f"{type(row).__name__}: {row}")
+        gcn_rows[i] = row
     best_gcn = max(gcn_rows, key=lambda r: r["val_f1"])
 
     scaler = fit_scaler(ds.x, split.visible_idx)

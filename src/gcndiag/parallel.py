@@ -1,17 +1,17 @@
 """Independent work run one item per usable core, on one BLAS thread each.
 
-Two or more numpy computations at once each wake OpenBLAS's own thread pool
-for their matrix products, which oversubscribes the cores; so concurrent
-work runs with OpenBLAS pinned to one thread. `tune` spreads its GCN
-trainings over threads (`one_blas_thread`, `usable_cores`); `run_grid`
-spreads its cells over forked processes (`fork_map`). Importing this module
-starts nothing and loads neither ``multiprocessing`` nor
+``fork_map`` is the package's one way to run independent work at once: the
+cells of ``run_grid`` and the GCN search points of ``tune`` both go through
+it. Two or more numpy computations at once each wake OpenBLAS's own thread
+pool for their matrix products, which oversubscribes the cores; so
+``fork_map`` pins OpenBLAS to one thread before it forks its workers and puts
+the previous count back when it is done. Importing this module starts
+nothing, pins nothing and loads neither ``multiprocessing`` nor
 ``concurrent.futures.process``.
 """
 
 import os
 import sys
-from contextlib import contextmanager
 
 # (set, get) thread-count symbols of the OpenBLAS numpy links, in the order
 # tried: numpy 2 wheels' scipy-openblas, 64-bit-integer builds, plain builds
@@ -47,26 +47,6 @@ def openblas_thread_calls():
     return None
 
 
-@contextmanager
-def one_blas_thread():
-    """Run the block with numpy's OpenBLAS on one thread; yields whether it is.
-
-    The previous count comes back afterwards. Where the symbols are missing
-    nothing changes and the block is told so.
-    """
-    calls = openblas_thread_calls()
-    if calls is None:
-        yield False
-        return
-    set_threads, get_threads = calls
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield True
-    finally:
-        set_threads(before)
-
-
 def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -90,22 +70,37 @@ def fork_map(fn, items):
 
     With two or more items and cores, the items run in forked worker
     processes, one per usable core, each inheriting OpenBLAS pinned to one
-    thread. A forked worker starts from this process's memory, so ``fn`` may
-    be a closure over large arrays: only its result crosses back, pickled.
-    Where fork or the pin is unavailable, or there is one item or one core,
-    the items run here, in order, with BLAS left as it is. An item whose
-    result does not come back, because its worker died or the result does
-    not pickle, yields the exception instead of a result.
+    thread; the previous count comes back when the generator ends. A forked
+    worker starts from this process's memory, so ``fn`` may be a closure over
+    large arrays: only its result crosses back, pickled. Where fork or the
+    OpenBLAS thread symbols are missing, or there is one item or one core,
+    the items run here, in order, with BLAS left as it is. On either path an
+    item whose ``fn`` raises, or whose result does not come back because its
+    worker died or the result does not pickle, yields the exception instead
+    of a result. Closing the generator early cancels the items not started.
     """
     import multiprocessing  # not at import time
     workers = min(len(items), usable_cores())
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        with one_blas_thread() as pinned:
-            if pinned:
-                yield from _forked(fn, items, workers,
-                                   multiprocessing.get_context("fork"))
-                return
-    yield from enumerate(map(fn, items))
+    forks = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+    calls = openblas_thread_calls() if forks else None
+    if calls is None:
+        yield from ((i, _outcome(fn, item)) for i, item in enumerate(items))
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield from _forked(fn, items, workers, multiprocessing.get_context("fork"))
+    finally:
+        set_threads(before)
+
+
+def _outcome(call, *args):
+    """call(*args), or the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return exc
 
 
 def _forked(fn, items, workers, context):
@@ -118,9 +113,8 @@ def _forked(fn, items, workers, context):
                              initializer=_start_worker,
                              initargs=(fn,)) as pool:
         futures = {pool.submit(_run_job, item): i for i, item in enumerate(items)}
-        for future in as_completed(futures):
-            try:
-                outcome = future.result()
-            except Exception as exc:  # its worker died or its result did not pickle
-                outcome = exc
-            yield futures[future], outcome
+        try:
+            for future in as_completed(futures):
+                yield futures[future], _outcome(future.result)
+        finally:  # a caller that stops early does not wait for the rest
+            pool.shutdown(cancel_futures=True)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import gcndiag.cli
 from gcndiag import (CellResult, Dataset, ExperimentResult, InputError,
                      ModelScores, build_graph, build_report, generate_features,
                      generate_graph, load_dataset, load_report,
@@ -445,8 +446,12 @@ def test_cli_masking_rejects_fractional_and_repeated_percents(
 @pytest.mark.parametrize("command", ["analyze", "run", "quadrant", "tune",
                                      "synth"])
 def test_cli_out_under_missing_directory_is_an_error(
-        tmp_path, capsys, cli_inputs, command):
+        tmp_path, capsys, monkeypatch, cli_inputs, command):
     ds_dir, results = cli_inputs
+    if command in ("run", "tune"):  # a long run checks its --out first
+        for name in ("load_dataset", "train_gcn"):
+            monkeypatch.setattr(gcndiag.cli, name, lambda *a, name=name, **k:
+                                pytest.fail(f"{name} ran before --out was checked"))
     out = str(tmp_path / "missing" / "out")
     argv = {
         "analyze": ["analyze", ds_dir],
