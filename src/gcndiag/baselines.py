@@ -356,3 +356,12 @@ def train_svm(x_norm, y, visible_rows, seed: int = 0,
         selected_reg=selected, grid_scores=tuple(grid_scores),
         unconverged=tuple(c for c in SVM_C_GRID if c in failed),
     )
+
+
+def fit_baseline(model: str, x, y, visible_rows, seed: int, num_classes):
+    """(fitted ``model``, x standardized on the visible rows) for "logreg" or
+    "svm"; the trainer is looked up at call time, so a patched one runs."""
+    x_norm = apply_scaler(fit_scaler(x, visible_rows), x)
+    trainer = train_logreg if model == "logreg" else train_svm
+    return trainer(x_norm, y, visible_rows, seed=seed,
+                   num_classes=num_classes), x_norm

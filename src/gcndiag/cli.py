@@ -7,12 +7,12 @@ Exit codes: 0 success, 1 structured failure, 2 usage error.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, replace
 from itertools import product
 
-from .baselines import (LOGREG_C_GRID, SVM_C_GRID, apply_scaler, fit_scaler,
-                        train_logreg, train_svm)
+from .baselines import LOGREG_C_GRID, SVM_C_GRID, fit_baseline
 from .dataset_io import Dataset, load_dataset, save_dataset
 from .errors import GcnDiagError, InputError, require_keys
 from .gcn import GcnConfig, gradient_check, train_gcn
@@ -231,37 +231,35 @@ def cmd_tune(args) -> int:
     points = list(product(GCN_HIDDEN_GRID, GCN_DROPOUT_GRID, GCN_LR_GRID,
                           GCN_WD_GRID))
 
-    def train_point(point):
-        hidden, dropout, lr, wd = point
+    def train_item(item):
+        if isinstance(item, str):  # a baseline's name
+            return fit_baseline(item, ds.x, ds.y, split.visible_idx,
+                                derive_seed(args.seed, "tune", item),
+                                ds.num_classes)[0]
+        hidden, dropout, lr, wd = item
         cfg = replace(base_cfg, hidden=hidden, dropout_rate=dropout,
                       learning_rate=lr, weight_decay=wd,
-                      seed=derive_seed(args.seed, "tune", *point))
+                      seed=derive_seed(args.seed, "tune", *item))
         trained = train_gcn(cfg, a, ds.x, ds.y, split, ds.num_classes, ax)
         return {"hidden": hidden, "dropout": dropout, "learning_rate": lr,
                 "weight_decay": wd,
                 "val_f1": max(v for _, v in trained.history),
-                "best_epoch": trained.best_epoch,
-                "stopped_epoch": trained.stopped_epoch,
-                "warnings": list(trained.warnings)}
+                **trained.summary()}
 
-    # The points are independent and separately seeded, so they train one
-    # per core; each row goes to its point's place, keeping grid order.
-    gcn_rows = [None] * len(points)
-    for i, row in fork_map(train_point, points):
-        if isinstance(row, Exception):
-            raise GcnDiagError(f"tune point {points[i]} failed: "
-                               f"{type(row).__name__}: {row}")
-        gcn_rows[i] = row
+    # The baselines and the points are independent and separately seeded, so
+    # they train one per core; the baselines are the longest items, so they
+    # start first. Each result goes to its item's place, keeping grid order.
+    items = ["logreg", "svm", *points]
+    results = [None] * len(items)
+    for i, result, error, seconds in fork_map(train_item, items):
+        if math.isnan(seconds):
+            raise GcnDiagError(f"a tune worker died: {error}")
+        if error:
+            what = items[i] if isinstance(items[i], str) else f"point {items[i]}"
+            raise GcnDiagError(f"tune {what} failed: {error}")
+        results[i] = result
+    lr_model, svm_model, *gcn_rows = results
     best_gcn = max(gcn_rows, key=lambda r: r["val_f1"])
-
-    scaler = fit_scaler(ds.x, split.visible_idx)
-    x_norm = apply_scaler(scaler, ds.x)
-    lr_model = train_logreg(x_norm, ds.y, split.visible_idx,
-                            seed=derive_seed(args.seed, "tune", "logreg"),
-                            num_classes=ds.num_classes)
-    svm_model = train_svm(x_norm, ds.y, split.visible_idx,
-                          seed=derive_seed(args.seed, "tune", "svm"),
-                          num_classes=ds.num_classes)
 
     save_report({
         "search_spaces": {

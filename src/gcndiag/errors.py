@@ -25,13 +25,13 @@ class ShapeError(GcnDiagError):
     """Dimension mismatch between arrays that must agree."""
 
 
-def check_finite(x, what="features", path=None) -> None:
+def check_finite(x, path=None) -> None:
     """Raise InputError naming the first NaN or infinite entry of 2-D ``x``."""
     bad = ~np.isfinite(x)
     if bad.any():
         row, col = np.unravel_index(np.argmax(bad), bad.shape)
         raise InputError(
-            f"{what} holds a non-finite value at row {row}, column {col} (0-based)",
+            f"features holds a non-finite value at row {row}, column {col} (0-based)",
             path=path, index=(int(row), int(col)),
         )
 

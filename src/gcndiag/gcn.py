@@ -73,6 +73,12 @@ class TrainedGcn:
     best_epoch: int
     warnings: tuple = field(default=())
 
+    def summary(self) -> dict:
+        """The early-stopping trace that reports show for a training."""
+        return {"best_epoch": self.best_epoch,
+                "stopped_epoch": self.stopped_epoch,
+                "warnings": list(self.warnings)}
+
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -271,11 +277,8 @@ def gcn_predict(params: GcnParams, a: NormAdj, x: np.ndarray, ax=None) -> np.nda
 class Adam:
     """Standard bias-corrected Adam updating arrays in place."""
 
-    def __init__(self, learning_rate, beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
+    def __init__(self, learning_rate):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = None
         self.v = None
@@ -286,13 +289,13 @@ class Adam:
             self.v = [np.zeros_like(a) for a in arrays]
         self.t += 1
         for p, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * (g * g)
+            m_hat = m / (1 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1 - ADAM_BETA2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,

@@ -40,9 +40,13 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.row_offsets)
 
+    def half_edge_sources(self) -> np.ndarray:
+        """Source node of each half-edge, aligned with ``col_indices``."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+
     def edge_array(self) -> np.ndarray:
         """(num_edges, 2) array with u < v, each undirected edge once."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        src = self.half_edge_sources()
         keep = src < self.col_indices
         return np.column_stack([src[keep], self.col_indices[keep]])
 
@@ -112,8 +116,7 @@ def normalized_adjacency(g: Graph) -> NormAdj:
     """Compute D^{-1/2} (A + I) D^{-1/2} where D counts degrees plus the self-loop."""
     deg = g.degrees().astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-    weights = inv_sqrt[src] * inv_sqrt[g.col_indices]
+    weights = inv_sqrt[g.half_edge_sources()] * inv_sqrt[g.col_indices]
     off_diag = sp.csr_matrix(
         (weights, g.col_indices.copy(), g.row_offsets.copy()), shape=(g.n, g.n)
     )

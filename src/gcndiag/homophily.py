@@ -47,8 +47,7 @@ def neighbor_distribution(g: Graph, y, num_classes: int) -> np.ndarray:
     """
     y = _check_labels(g, y, num_classes)
     counts = np.zeros((num_classes, num_classes), dtype=np.float64)
-    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees())
-    np.add.at(counts, (y[src], y[g.col_indices]), 1.0)
+    np.add.at(counts, (y[g.half_edge_sources()], y[g.col_indices]), 1.0)
     totals = counts.sum(axis=1)
     out = np.full_like(counts, np.nan)
     nonzero = totals > 0

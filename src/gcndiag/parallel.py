@@ -1,8 +1,9 @@
 """Independent work run one item per usable core, on one BLAS thread each.
 
 ``fork_map`` is the package's one way to run independent work at once: the
-cells of ``run_grid`` and the GCN search points of ``tune`` both go through
-it. Two or more numpy computations at once each wake OpenBLAS's own thread
+cells of ``run_grid`` and the baselines and GCN search points of ``tune`` all
+go through it, and it times each item and catches its failure where the item
+ran. Two or more numpy computations at once each wake OpenBLAS's own thread
 pool for their matrix products, which oversubscribes the cores; so
 ``fork_map`` pins OpenBLAS to one thread before it forks its workers and puts
 the previous count back when it is done. Importing this module starts
@@ -10,8 +11,10 @@ nothing, pins nothing and loads neither ``multiprocessing`` nor
 ``concurrent.futures.process``.
 """
 
+import math
 import os
 import sys
+import time
 
 # (set, get) thread-count symbols of the OpenBLAS numpy links, in the order
 # tried: numpy 2 wheels' scipy-openblas, 64-bit-integer builds, plain builds
@@ -62,11 +65,26 @@ def _start_worker(fn):
 
 
 def _run_job(item):
-    return _job(item)
+    return _timed(_job, item)
+
+
+def _timed(fn, item):
+    """(fn(item), "", seconds), or (None, "Type: message", seconds) if it raised."""
+    start = time.perf_counter()
+    try:
+        result, error = fn(item), ""
+    except Exception as exc:
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, error, time.perf_counter() - start
 
 
 def fork_map(fn, items):
-    """Yield ``(i, fn(items[i]))`` for every item, as each one finishes.
+    """Yield ``(i, result, error, seconds)`` for every item, as each finishes.
+
+    ``result`` is ``fn(items[i])`` and ``error`` is ``""``, or ``result`` is
+    None and ``error`` reads "Type: message"; a failing item does not stop
+    the others. ``seconds`` is the item's wall time where it ran, or NaN when
+    no result came back: its worker died or the result does not pickle.
 
     With two or more items and cores, the items run in forked worker
     processes, one per usable core, each inheriting OpenBLAS pinned to one
@@ -74,47 +92,33 @@ def fork_map(fn, items):
     worker starts from this process's memory, so ``fn`` may be a closure over
     large arrays: only its result crosses back, pickled. Where fork or the
     OpenBLAS thread symbols are missing, or there is one item or one core,
-    the items run here, in order, with BLAS left as it is. On either path an
-    item whose ``fn`` raises, or whose result does not come back because its
-    worker died or the result does not pickle, yields the exception instead
-    of a result. Closing the generator early cancels the items not started.
+    the items run here, in order, with BLAS left as it is. Closing the
+    generator early cancels the items not started.
     """
     import multiprocessing  # not at import time
     workers = min(len(items), usable_cores())
     forks = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
     calls = openblas_thread_calls() if forks else None
     if calls is None:
-        yield from ((i, _outcome(fn, item)) for i, item in enumerate(items))
+        yield from ((i, *_timed(fn, item)) for i, item in enumerate(items))
         return
     set_threads, get_threads = calls
     before = get_threads()
-    set_threads(1)
-    try:
-        yield from _forked(fn, items, workers, multiprocessing.get_context("fork"))
-    finally:
-        set_threads(before)
-
-
-def _outcome(call, *args):
-    """call(*args), or the exception it raised."""
-    try:
-        return call(*args)
-    except Exception as exc:
-        return exc
-
-
-def _forked(fn, items, workers, context):
     # fork, not spawn: the workers read the caller's arrays and any patched
     # module functions without pickling them. Forking starts them from the
     # calling thread before the pool's own thread, and OpenBLAS stops its
     # thread pool at fork.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                             initializer=_start_worker,
-                             initargs=(fn,)) as pool:
+    from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(fn,))
+    set_threads(1)
+    try:
         futures = {pool.submit(_run_job, item): i for i, item in enumerate(items)}
-        try:
-            for future in as_completed(futures):
-                yield futures[future], _outcome(future.result)
-        finally:  # a caller that stops early does not wait for the rest
-            pool.shutdown(cancel_futures=True)
+        for future in as_completed(futures):
+            # no outcome comes back from a dead worker or an unpicklable result
+            outcome, error, _ = _timed(Future.result, future)
+            yield (futures[future], *(outcome or (None, error, math.nan)))
+    finally:  # a caller that stops early does not wait for the rest
+        pool.shutdown(cancel_futures=True)
+        set_threads(before)

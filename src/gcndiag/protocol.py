@@ -9,7 +9,6 @@ about which particular nodes happened to be drawn.
 
 import hashlib
 import math
-import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -266,16 +265,15 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
     model sees identical visible sets at a given rate. The GCN cells of a
     feature mode share one propagation A_hat * x. All of that, and every
     cell's seed, is worked out here before any cell runs. The cells then run
-    through ``fork_map``, one per usable core, and only each cell's scores,
-    hyperparameters or error and its wall time come back; the CellResults
-    are built here, in task order. ``on_cell(key, seconds, error)`` hears of
-    each cell as it finishes. A failing cell records its error instead of
-    aborting its siblings; non-finite features fail the whole run before any
-    cell.
+    through ``fork_map``, one per usable core, and only each cell's scores
+    and hyperparameters, or its error, and its wall time come back; the
+    CellResults are built here, in task order. ``on_cell(key, seconds,
+    error)`` hears of each cell as it finishes; ``seconds`` is NaN when the
+    cell's worker died. A failing cell records its error instead of aborting
+    its siblings; non-finite features fail the whole run before any cell.
     """
     # deferred: baselines imports protocol, and tracers patch these names
-    from .baselines import (apply_scaler, fit_scaler, linear_predict,
-                            train_logreg, train_svm)
+    from .baselines import fit_baseline, linear_predict
     from .gcn import GcnConfig, gcn_predict, train_gcn
     from .graph import spmm
     from .parallel import fork_map
@@ -298,7 +296,9 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
     tasks = [(m, r, f, derive_seed(base_seed, m, masking_percent(r), f))
              for m in models for r in masking_rates for f in feature_modes]
 
-    def fit_and_score(model, rate, mode, cell_seed):
+    def fit_and_score(task):
+        """(scores, hyper), both plain enough to pickle."""
+        model, rate, mode, cell_seed = task
         split = splits[rate]
         feats = feature_sets[mode]
         if model == "gcn":
@@ -306,41 +306,24 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
             trained = train_gcn(cfg, a, feats, y, split, num_classes,
                                 propagated[mode])
             pred = gcn_predict(trained.params, a, feats, propagated[mode])
-            hyper = {"best_epoch": trained.best_epoch,
-                     "stopped_epoch": trained.stopped_epoch,
-                     "warnings": list(trained.warnings)}
+            hyper = trained.summary()
         else:
-            scaler = fit_scaler(feats, split.visible_idx)
-            feats_n = apply_scaler(scaler, feats)
-            trainer = train_logreg if model == "logreg" else train_svm
-            fitted = trainer(feats_n, y, split.visible_idx, seed=cell_seed,
-                             num_classes=num_classes)
+            fitted, feats_n = fit_baseline(model, feats, y, split.visible_idx,
+                                           cell_seed, num_classes)
             pred = linear_predict(fitted, feats_n)
             hyper = {"selected_reg": fitted.selected_reg,
                      "unconverged_reg": list(fitted.unconverged)}
         scores = score(pred[split.test_idx], y[split.test_idx], num_classes)
         return scores, hyper
 
-    def run_cell(task):
-        """(scores, hyper, error, seconds), all plain enough to pickle."""
-        start = time.perf_counter()
-        try:
-            scores, hyper = fit_and_score(*task)
-            error = ""
-        except Exception as exc:  # cell failure must not sink the grid
-            scores, hyper, error = None, {}, f"{type(exc).__name__}: {exc}"
-        return scores, hyper, error, time.perf_counter() - start
-
     outcomes = [None] * len(tasks)
-    for i, outcome in fork_map(run_cell, tasks):
-        if isinstance(outcome, Exception):  # its worker died; no result came back
-            outcome = None, {}, f"{type(outcome).__name__}: {outcome}", math.nan
-        outcomes[i] = outcome
+    for i, result, error, seconds in fork_map(fit_and_score, tasks):
+        outcomes[i] = result or (None, {}), error
         if on_cell is not None:
-            on_cell(cell_key(*tasks[i][:3]), outcome[3], outcome[2])
+            on_cell(cell_key(*tasks[i][:3]), seconds, error)
     cells = {cell_key(model, rate, mode): CellResult(
                  model=model, masking_rate=rate, feature_mode=mode,
                  scores=scores, selected_hyper=hyper, error=error)
-             for (model, rate, mode, _), (scores, hyper, error, _)
+             for (model, rate, mode, _), ((scores, hyper), error)
              in zip(tasks, outcomes)}
     return ExperimentResult(base_seed=base_seed, num_classes=num_classes, cells=cells)

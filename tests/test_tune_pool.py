@@ -1,8 +1,9 @@
-"""`tune` trains its GCN search points through `fork_map`, one forked worker
-per usable core with OpenBLAS pinned to one thread; the report and the BLAS
-thread count come out as a serial run leaves them, and a failed point fails
-the whole search loudly."""
+"""`tune` trains its baselines and GCN search points through one `fork_map`
+call, one forked worker per usable core with OpenBLAS pinned to one thread;
+the report and the BLAS thread count come out as a serial run leaves them,
+and a failed item fails the whole search loudly, naming that item."""
 
+import math
 import multiprocessing
 import os
 import subprocess
@@ -10,9 +11,11 @@ import sys
 
 import pytest
 
+import gcndiag.baselines
 import gcndiag.cli as cli
 from gcndiag import InputError, parallel
 from gcndiag.cli import main
+from gcndiag.baselines import train_logreg
 from gcndiag.gcn import train_gcn
 from gcndiag.parallel import fork_map, openblas_thread_calls
 
@@ -37,17 +40,23 @@ def container(tmp_path):
     return out
 
 
-def tune(container, out, monkeypatch, tmp_path, fail_at=None, die=False):
-    """Run `tune --epochs 2` on two cores; returns its exit code and the
-    ``(pid, BLAS threads)`` each training saw. The pairs go through a file,
-    since forked workers cannot append to a list here. ``fail_at`` makes
-    that point raise, or with ``die`` kill its worker."""
-    seen = tmp_path / "seen.txt"
+def tune(container, out, monkeypatch, tmp_path, fail_at=None, die=False,
+         cores=2):
+    """Run `tune --epochs 2` on ``cores`` cores; returns its exit code, the
+    ``(pid, BLAS threads)`` each GCN training saw and those the logreg fit
+    saw. The pairs go through files, since forked workers cannot append to a
+    list here. ``fail_at`` makes that point raise, or with ``die`` kill its
+    worker."""
+    seen, logreg_seen = tmp_path / "seen.txt", tmp_path / "logreg.txt"
     seen.write_text("")
+    logreg_seen.write_text("")
+
+    def record(path):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {blas_threads()}\n")
 
     def recording(cfg, *args):
-        with open(seen, "a") as fh:
-            fh.write(f"{os.getpid()} {blas_threads()}\n")
+        record(seen)
         if (cfg.hidden, cfg.dropout_rate, cfg.learning_rate,
                 cfg.weight_decay) == fail_at:
             if die:
@@ -55,11 +64,18 @@ def tune(container, out, monkeypatch, tmp_path, fail_at=None, die=False):
             raise InputError("injected failure")
         return train_gcn(cfg, *args)
 
+    def recording_logreg(*args, **kwargs):
+        record(logreg_seen)
+        return train_logreg(*args, **kwargs)
+
     monkeypatch.setattr(cli, "train_gcn", recording)
-    monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+    monkeypatch.setattr(gcndiag.baselines, "train_logreg", recording_logreg)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
     code = main(["tune", container, "--epochs", "2", "--seed", "3",
                  "--out", out])
-    return code, [tuple(line.split()) for line in seen.read_text().splitlines()]
+
+    return code, *([tuple(line.split()) for line in path.read_text().splitlines()]
+                   for path in (seen, logreg_seen))
 
 
 @forks
@@ -69,17 +85,21 @@ def test_pooled_report_equals_one_worker_report(container, tmp_path, monkeypatch
             return fh.read()
 
     here = str(os.getpid())
-    code, seen = tune(container, str(tmp_path / "pooled.json"), monkeypatch,
-                      tmp_path)
+    code, seen, logreg_seen = tune(container, str(tmp_path / "pooled.json"),
+                                   monkeypatch, tmp_path)
     assert code == 0 and len(seen) == 72
     assert 1 <= len({pid for pid, _ in seen}) <= 2
     assert all(pid != here and blas == "1" for pid, blas in seen)
+    # the logreg fit ran once, in a worker, on one BLAS thread
+    [(pid, blas)] = logreg_seen
+    assert pid != here and blas == "1"
 
-    # without the pin symbols the points train here, in order, on BLAS as is
+    # without the pin symbols everything trains here, in order, on BLAS as is
     monkeypatch.setattr(parallel, "openblas_thread_calls", lambda: None)
-    code, seen = tune(container, str(tmp_path / "serial.json"), monkeypatch,
-                      tmp_path)
+    code, seen, logreg_seen = tune(container, str(tmp_path / "serial.json"),
+                                   monkeypatch, tmp_path)
     assert code == 0 and seen == [(here, str(blas_threads()))] * 72
+    assert logreg_seen == [(here, str(blas_threads()))]
     assert report("pooled.json") == report("serial.json")
 
 
@@ -102,7 +122,7 @@ def test_tune_restores_blas_threads_and_joins_workers(container, tmp_path,
                                                       blas_before, fail_at):
     out = tmp_path / "t.json"
     capsys.readouterr()
-    code, seen = tune(container, str(out), monkeypatch, tmp_path, fail_at)
+    code, seen, _ = tune(container, str(out), monkeypatch, tmp_path, fail_at)
     err = capsys.readouterr().err
     if fail_at is None:
         assert code == 0 and len(seen) == 72 and err == ""
@@ -123,29 +143,50 @@ def test_dead_worker_fails_tune_loudly(container, tmp_path, monkeypatch, capsys)
     point = (64, 0.3, 0.01, 1e-4)
     out = tmp_path / "t.json"
     capsys.readouterr()
-    code, _ = tune(container, str(out), monkeypatch, tmp_path, point, die=True)
+    code, *_ = tune(container, str(out), monkeypatch, tmp_path, point, die=True)
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert err.startswith("error: tune point (")
-    assert "failed: BrokenProcessPool: " in err
+    # the first item left without a result need not be the one that killed
+    # its worker, so the line names no point
+    assert err.startswith("error: a tune worker died: BrokenProcessPool: ")
+    assert "point" not in err and "(" not in err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cores", [2, 1])
+def test_failing_baseline_fails_tune_naming_it(container, tmp_path,
+                                               monkeypatch, capsys, cores):
+    def failing_svm(*args, **kwargs):
+        raise InputError("injected svm failure")
+
+    monkeypatch.setattr(gcndiag.baselines, "train_svm", failing_svm)
+    out = tmp_path / "t.json"
+    capsys.readouterr()
+    code, *_ = tune(container, str(out), monkeypatch, tmp_path, cores=cores)
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err == "error: tune svm failed: InputError: injected svm failure\n"
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cores", [2, 1])
 def test_fork_map_yields_what_fn_raises(monkeypatch, cores):
     # the forked path and the serial path keep one contract: an item whose
-    # function raises yields the exception, and the other items still run
+    # function raises yields no result and its "Type: message", each item
+    # comes with its finite wall time, and the other items still run
     def fn(item):
         if item == 1:
             raise ValueError("boom")
         return item
 
     monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
-    outcomes = dict(fork_map(fn, [0, 1, 2]))
+    outcomes = {i: rest for i, *rest in fork_map(fn, [0, 1, 2])}
     assert sorted(outcomes) == [0, 1, 2]
-    assert outcomes[0] == 0 and outcomes[2] == 2
-    assert type(outcomes[1]) is ValueError and str(outcomes[1]) == "boom"
+    assert [outcomes[i][:2] for i in (0, 1, 2)] == [
+        [0, ""], [None, "ValueError: boom"], [2, ""]]
+    assert all(math.isfinite(seconds) and seconds >= 0
+               for _, _, seconds in outcomes.values())
     assert multiprocessing.active_children() == []
 
 
@@ -156,8 +197,9 @@ def test_pin_is_a_no_op_without_the_symbols(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
     monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
     assert openblas_thread_calls() is None
-    seen = dict(fork_map(lambda item: (os.getpid(), blas_threads()), [0, 1]))
-    assert seen == {0: (os.getpid(), before), 1: (os.getpid(), before)}
+    seen = {i: (result, error) for i, result, error, _ in
+            fork_map(lambda item: (os.getpid(), blas_threads()), [0, 1])}
+    assert seen == {0: ((os.getpid(), before), ""), 1: ((os.getpid(), before), "")}
     assert blas_threads() == before
 
 
