@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InputError, ShapeError, check_finite
 from .gcn import class_weights, softmax_cross_entropy
 from .metrics import score
-from .protocol import VAL_FRACTION, carve_validation
+from .protocol import carve_validation
 
 LOGREG_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 LOGREG_FOLDS = 5
@@ -235,32 +235,29 @@ def stratified_kfold(y, indices, folds: int, rng: np.random.Generator):
     return out
 
 
-def _check_visible(x_norm, y, visible_rows, num_classes):
+def _check_visible(x_norm, y, visible_rows):
     """The trainers' shared prelude; returns the checked (x_norm, y,
-    visible_rows, num_classes). An empty or single-class visible set is
-    reported before a non-finite feature."""
+    visible_rows). An empty or single-class visible set is reported before a
+    non-finite feature."""
     y = np.asarray(y)
     visible_rows = np.asarray(visible_rows)
     if visible_rows.size == 0:
         raise InputError("visible training set is empty")
     if np.unique(y[visible_rows]).size < 2:
         raise InputError("visible training set contains a single class")
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
     x_norm = np.asarray(x_norm, dtype=np.float64)
     check_finite(x_norm)
-    return x_norm, y, visible_rows, num_classes
+    return x_norm, y, visible_rows
 
 
-def train_logreg(x_norm, y, visible_rows, seed: int = 0,
-                 num_classes=None) -> LinearModel:
+def train_logreg(x_norm, y, visible_rows, seed: int = 0, *,
+                 num_classes: int) -> LinearModel:
     """Select C_reg by stratified k-fold CV macro-F1, then refit on all visible rows.
 
     Folds shrink to the smallest per-class count when classes are scarce;
     below 2 usable folds there is nothing to cross-validate and we fail fast.
     """
-    x_norm, y, visible_rows, num_classes = _check_visible(
-        x_norm, y, visible_rows, num_classes)
+    x_norm, y, visible_rows = _check_visible(x_norm, y, visible_rows)
 
     counts = np.bincount(y[visible_rows], minlength=num_classes)
     folds_eff = min(LOGREG_FOLDS, int(counts[counts > 0].min()))
@@ -310,13 +307,12 @@ def _fit_svm_ovr(X, Y_signed, sample_w, reg_c, W0, b0):
     return *_unpack(wb, *W0.shape), converged
 
 
-def train_svm(x_norm, y, visible_rows, seed: int = 0,
-              num_classes=None) -> LinearModel:
+def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
+              num_classes: int) -> LinearModel:
     """Grid search on a stratified holdout by macro-F1; refit on all visible rows."""
-    x_norm, y, visible_rows, num_classes = _check_visible(
-        x_norm, y, visible_rows, num_classes)
+    x_norm, y, visible_rows = _check_visible(x_norm, y, visible_rows)
 
-    fit_idx, val_idx = carve_validation(y, visible_rows, VAL_FRACTION, seed)
+    fit_idx, val_idx = carve_validation(y, visible_rows, seed)
     if val_idx.size == 0:
         raise InputError("too few visible examples to carve an SVM validation split")
 

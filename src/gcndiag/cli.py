@@ -19,8 +19,8 @@ from .gcn import GcnConfig, gradient_check, train_gcn
 from .graph import normalized_adjacency, spmm
 from .homophily import homophily_report
 from .parallel import fork_map
-from .protocol import (FEATURE_MODES, ExperimentResult, derive_seed,
-                       make_split, masking_percent, run_grid)
+from .protocol import (FEATURE_MODES, MASKING_RATES, MODELS, ExperimentResult,
+                       derive_seed, make_split, masking_percent, run_grid)
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
                        averaged_class_metrics, quadrant_summary)
 from .report import (build_report, check_report_dir, load_report,
@@ -298,17 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the model x masking x feature grid")
     p.add_argument("dataset")
-    p.add_argument("--models", default="gcn,lr,svm")
-    p.add_argument("--masking", default="0,50,90",
+    p.add_argument("--models", default=",".join(MODELS))
+    p.add_argument("--masking",
+                   default=",".join(str(masking_percent(r)) for r in MASKING_RATES),
                    help="comma-separated masking percents")
-    p.add_argument("--features", default="original,random")
+    p.add_argument("--features", default=",".join(FEATURE_MODES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--hidden", type=int, default=GcnConfig.hidden)
+    p.add_argument("--dropout", type=float, default=GcnConfig.dropout_rate)
+    p.add_argument("--learning-rate", type=float, default=GcnConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=GcnConfig.weight_decay)
+    p.add_argument("--epochs", type=int, default=GcnConfig.max_epochs)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("quadrant", help="quadrant assignment from results JSON")
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="hyperparameter search on one dataset")
     p.add_argument("dataset")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--epochs", type=int, default=GcnConfig.max_epochs)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tune)
 

@@ -36,6 +36,13 @@ def check_finite(x, path=None) -> None:
         )
 
 
+def check_settings(what, rules) -> None:
+    """Raise InputError naming the first (name, value, rule, ok) not ok."""
+    for name, value, rule, ok in rules:
+        if not ok:
+            raise InputError(f"{what} {name} must be {rule}, got {value!r}")
+
+
 def require_keys(d, keys, where=""):
     """Return ``d`` if it is a dict holding every key in ``keys``; otherwise
     raise InputError naming the first missing key by its path ``where``."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ShapeError, check_finite
+from .errors import InputError, ShapeError, check_finite, check_settings
 from .graph import NormAdj, normalized_adjacency, spmm
 from .metrics import macro_f1_over_present
 from .synth import SyntheticSpec, generate_graph
@@ -25,6 +25,7 @@ from .synth import SyntheticSpec, generate_graph
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+PATIENCE = 10  # epochs without a better validation score before stopping
 
 
 @dataclass(frozen=True)
@@ -34,19 +35,16 @@ class GcnConfig:
     learning_rate: float = 0.01
     weight_decay: float = 0.0
     max_epochs: int = 200
-    patience: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        for name, rule, ok in (
-                ("hidden", ">= 1", self.hidden >= 1),
-                ("learning_rate", "> 0", self.learning_rate > 0.0),
-                ("weight_decay", ">= 0", self.weight_decay >= 0.0),
-                ("max_epochs", ">= 1", self.max_epochs >= 1),
-                ("patience", ">= 1", self.patience >= 1)):
-            if not ok:
-                raise InputError(
-                    f"GCN {name} must be {rule}, got {getattr(self, name)!r}")
+        check_settings("GCN", (
+            ("hidden", self.hidden, ">= 1", self.hidden >= 1),
+            ("learning_rate", self.learning_rate, "finite and > 0",
+             0.0 < self.learning_rate < np.inf),
+            ("weight_decay", self.weight_decay, "finite and >= 0",
+             0.0 <= self.weight_decay < np.inf),
+            ("max_epochs", self.max_epochs, ">= 1", self.max_epochs >= 1)))
 
 
 @dataclass
@@ -223,7 +221,7 @@ def gcn_forward(params: GcnParams, a: NormAdj, x: np.ndarray,
 
 
 def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
-                      labeled_idx, weights=None, weight_decay: float = 0.0,
+                      labeled_idx, weights, weight_decay: float = 0.0,
                       dropout_rate: float = 0.0, rng=None):
     """Class-weighted NLL over labeled nodes and exact analytic gradients.
 
@@ -240,7 +238,7 @@ def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
     z, x_in, ax_in, h_drop, live = _forward(params, a, x, dropout_rate, rng)
     y_l = y[labeled_idx]
     ce, dz_labeled = softmax_cross_entropy(z[labeled_idx], y_l)
-    wl = np.ones(labeled_idx.size) if weights is None else np.asarray(weights)[y_l]
+    wl = np.asarray(weights)[y_l]
     wsum = wl.sum()
     loss = float((wl * ce).sum() / wsum)
     dz_labeled *= (wl / wsum)[:, None]
@@ -299,20 +297,19 @@ class Adam:
 
 
 def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
-              num_classes=None, ax=None) -> TrainedGcn:
+              num_classes: int, ax=None) -> TrainedGcn:
     """Full-batch Adam with early stopping on validation macro-F1.
 
     ``split`` supplies disjoint ``subtrain_idx`` and ``val_idx``. Stops when
-    the validation score fails to improve for ``patience`` consecutive epochs;
+    the validation score fails to improve for ``PATIENCE`` consecutive epochs;
     the returned snapshot is the first epoch achieving the best score. ``ax``
     is the propagated features A_hat * x, computed from ``x`` when not given.
+    A non-finite training loss raises FloatingPointError naming its epoch.
     """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
     _check_propagated(x, ax)
     y = np.asarray(y)
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
     sub = np.asarray(split.subtrain_idx)
     val = np.asarray(split.val_idx)
     if sub.size == 0:
@@ -348,6 +345,8 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
             dropout_rate=cfg.dropout_rate,
             rng=rng,
         )
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"GCN training loss is {loss} at epoch {epoch}")
         adam.step(params.arrays(), grads.arrays())
         val_pred = gcn_predict(params, a, x, ax)[val]
         val_f1 = macro_f1_over_present(val_pred, y[val], num_classes)
@@ -356,7 +355,7 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
             best_score = val_f1
             best_params = params.copy()
             best_epoch = epoch
-        if epoch - best_epoch >= cfg.patience:
+        if epoch - best_epoch >= PATIENCE:
             break
 
     return TrainedGcn(
@@ -399,6 +398,10 @@ def gradient_check(num_instances: int = 50, seed: int = 0, step: float = 1e-5,
     being a valid oracle, while the analytic subgradient stays exact.
     Returns (max forgiven relative error over checked coordinates, instances).
     """
+    check_settings("gradient check", (
+        ("num_instances", num_instances, ">= 1", num_instances >= 1),
+        ("seed", seed, ">= 0", seed >= 0),
+        ("tolerance", tolerance, "finite and > 0", 0.0 < tolerance < np.inf)))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(num_instances):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InputError, check_finite, require_keys
 from .metrics import ModelScores, score
 
+MODELS = ("gcn", "logreg", "svm")
 MASKING_RATES = (0.0, 0.5, 0.9)
 FEATURE_MODES = ("original", "random")
 VAL_FRACTION = 0.2
@@ -43,16 +44,14 @@ class SplitSpec:
     seed: int
 
 
-def stratified_split(y, train_fraction: float = TRAIN_FRACTION, seed: int = 0):
+def stratified_split(y, seed: int = 0):
     """Per-class split into (train_idx, test_idx), both sorted.
 
-    Each class contributes floor(n_c * fraction + 0.5) training nodes, clamped
-    so both sides keep at least one node. Classes with fewer than 2 members
-    cannot satisfy that and are an input error.
+    Each class contributes floor(n_c * TRAIN_FRACTION + 0.5) training nodes,
+    clamped so both sides keep at least one node. Classes with fewer than 2
+    members cannot satisfy that and are an input error.
     """
     y = np.asarray(y)
-    if not 0.0 < train_fraction < 1.0:
-        raise InputError(f"train fraction must be in (0, 1), got {train_fraction}")
     rng = np.random.default_rng(seed)
     train_part, test_part = [], []
     for c in np.unique(y):
@@ -62,7 +61,7 @@ def stratified_split(y, train_fraction: float = TRAIN_FRACTION, seed: int = 0):
                 f"class {int(c)} has {members.size} node(s); need at least 2 "
                 "to appear on both sides of the split"
             )
-        n_train = int(np.floor(members.size * train_fraction + 0.5))
+        n_train = int(np.floor(members.size * TRAIN_FRACTION + 0.5))
         n_train = min(max(n_train, 1), members.size - 1)
         perm = rng.permutation(members)
         train_part.append(perm[:n_train])
@@ -91,9 +90,9 @@ def apply_masking(y, train_idx, masking_rate: float, seed: int) -> np.ndarray:
     return np.sort(np.concatenate(kept))
 
 
-def carve_validation(y, visible_idx, val_fraction: float = VAL_FRACTION,
-                     seed: int = 0):
-    """Split visible labels into (subtrain_idx, val_idx), stratified and sorted.
+def carve_validation(y, visible_idx, seed: int = 0):
+    """Split visible labels into (subtrain_idx, val_idx), stratified and sorted,
+    with about VAL_FRACTION of each class in validation.
 
     A class with a single visible node keeps it for training and contributes
     nothing to validation.
@@ -107,34 +106,28 @@ def carve_validation(y, visible_idx, val_fraction: float = VAL_FRACTION,
     for c in np.unique(y[visible_idx]):
         members = np.sort(visible_idx[y[visible_idx] == c])
         perm = rng.permutation(members)
-        if members.size == 1:
-            n_val = 0
-        else:
-            n_val = min(members.size - 1,
-                        max(1, int(np.floor(members.size * val_fraction + 0.5))))
+        n_val = min(members.size - 1,
+                    max(1, int(np.floor(members.size * VAL_FRACTION + 0.5))))
         val_part.append(perm[:n_val])
         sub_part.append(perm[n_val:])
     return np.sort(np.concatenate(sub_part)), np.sort(np.concatenate(val_part))
 
 
-def make_split(y, masking_rate: float, seed: int, num_classes=None) -> SplitSpec:
+def make_split(y, masking_rate: float, seed: int, num_classes: int) -> SplitSpec:
     """Full pipeline: stratified 80/20, per-class masking, validation carve.
 
     Fails fast if the surviving visible set is too thin to train on (fewer
     than two visible nodes per class on average).
     """
     y = np.asarray(y)
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
-    train_idx, test_idx = stratified_split(y, TRAIN_FRACTION, derive_seed(seed, "split"))
+    train_idx, test_idx = stratified_split(y, derive_seed(seed, "split"))
     visible_idx = apply_masking(y, train_idx, masking_rate, derive_seed(seed, "mask"))
     if visible_idx.size < 2 * num_classes:
         raise InputError(
             f"only {visible_idx.size} visible labels for {num_classes} classes; "
             "need at least 2 per class on average"
         )
-    subtrain_idx, val_idx = carve_validation(
-        y, visible_idx, VAL_FRACTION, derive_seed(seed, "val"))
+    subtrain_idx, val_idx = carve_validation(y, visible_idx, derive_seed(seed, "val"))
     return SplitSpec(
         train_idx=train_idx, test_idx=test_idx, visible_idx=visible_idx,
         subtrain_idx=subtrain_idx, val_idx=val_idx,
@@ -255,9 +248,9 @@ class ExperimentResult:
         }, "grid")
 
 
-def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
+def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
              masking_rates=MASKING_RATES, feature_modes=FEATURE_MODES,
-             gcn_config=None, num_classes=None, on_cell=None) -> ExperimentResult:
+             gcn_config=None, *, num_classes: int, on_cell=None) -> ExperimentResult:
     """Run every (model, masking rate, feature mode) cell on one dataset.
 
     One stratified split per run; one random feature draw per run, shared by
@@ -281,8 +274,6 @@ def run_grid(a, x, y, base_seed: int = 0, models=("gcn", "logreg", "svm"),
     y = np.asarray(y)
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
-    if num_classes is None:
-        num_classes = int(y.max()) + 1
     if gcn_config is None:
         gcn_config = GcnConfig()
 

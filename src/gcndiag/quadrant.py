@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_settings
 from .metrics import delta_f1
 from .protocol import MASKING_RATES, ExperimentResult, cell_key
 
@@ -47,9 +47,8 @@ class QuadrantAssignment:
         return tuple(a.class_id for a in self.assignments if a.quadrant == quadrant)
 
 
-def quadrant_of(homophily: float, feature_f1: float,
-                homophily_threshold: float = HOMOPHILY_THRESHOLD,
-                f1_threshold: float = F1_THRESHOLD) -> str:
+def quadrant_of(homophily: float, feature_f1: float, homophily_threshold: float,
+                f1_threshold: float) -> str:
     """Strictly above a threshold counts as high; sitting on it counts as low."""
     high_h = homophily > homophily_threshold
     strong_f = feature_f1 > f1_threshold
@@ -62,6 +61,10 @@ def assign_quadrants(per_class_homophily, per_class_lr_f1, per_class_delta,
                      homophily_threshold: float = HOMOPHILY_THRESHOLD,
                      f1_threshold: float = F1_THRESHOLD) -> QuadrantAssignment:
     """Place every class; classes with undefined homophily are flagged, not placed."""
+    check_settings("quadrant", (
+        ("homophily_threshold", homophily_threshold, "in [0, 1]",
+         0.0 <= homophily_threshold <= 1.0),
+        ("f1_threshold", f1_threshold, "in [0, 1]", 0.0 <= f1_threshold <= 1.0)))
     h = np.asarray(per_class_homophily, dtype=np.float64)
     f1 = np.asarray(per_class_lr_f1, dtype=np.float64)
     delta = np.asarray(per_class_delta, dtype=np.float64)

@@ -18,6 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import InputError
+from .gcn import PATIENCE
 from .metrics import retention
 from .protocol import (VAL_FRACTION, TRAIN_FRACTION, ExperimentResult,
                        masking_percent)
@@ -25,17 +26,17 @@ from .protocol import (VAL_FRACTION, TRAIN_FRACTION, ExperimentResult,
 SCHEMA_VERSION = 1
 
 
-def decisions_metadata() -> dict:
-    """Conventions a reader needs to interpret the numbers."""
-    return {
-        "train_fraction": TRAIN_FRACTION,
-        "validation_fraction": VAL_FRACTION,
-        "argmax_tie_rule": "lowest class id wins",
-        "grid_tie_rule": "smallest regularization value wins",
-        "quadrant_boundary_rule": "values equal to a threshold count as low/weak",
-        "masking_rule": "per-class nested prefixes of one seeded permutation",
-        "undefined_value_rule": "NaN inputs serialize as null and flag the class",
-    }
+# conventions a reader needs to interpret the numbers
+DECISIONS = {
+    "train_fraction": TRAIN_FRACTION,
+    "validation_fraction": VAL_FRACTION,
+    "early_stopping_patience": PATIENCE,
+    "argmax_tie_rule": "lowest class id wins",
+    "grid_tie_rule": "smallest regularization value wins",
+    "quadrant_boundary_rule": "values equal to a threshold count as low/weak",
+    "masking_rule": "per-class nested prefixes of one seeded permutation",
+    "undefined_value_rule": "NaN inputs serialize as null and flag the class",
+}
 
 
 def jsonable(obj):
@@ -89,7 +90,7 @@ def build_report(fingerprint: str, config: dict, homophily: dict,
         "delta_f1": deltas,
         "retention": retentions,
         "quadrants": quadrants,
-        "decisions": decisions_metadata(),
+        "decisions": DECISIONS,
         "volatile": {
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "cell_seconds": cell_seconds or {},

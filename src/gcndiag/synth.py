@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_settings
 from .graph import Graph, build_graph
 
 
@@ -24,19 +24,24 @@ class SyntheticSpec:
     dim: int
     signal: float
     seed: int = 0
-    class_proportions: tuple = None  # optional; balanced when omitted
+
+    def __post_init__(self):
+        check_settings("synthetic", (
+            ("n", self.n, ">= 2", self.n >= 2),
+            ("num_classes", self.num_classes, ">= 1", self.num_classes >= 1),
+            ("target_homophily", self.target_homophily, "in (0, 1]",
+             0.0 < self.target_homophily <= 1.0),
+            ("avg_degree", self.avg_degree, "finite and > 0",
+             0.0 < self.avg_degree < np.inf),
+            ("dim", self.dim, ">= 1", self.dim >= 1),
+            ("signal", self.signal, "finite and >= 0",
+             0.0 <= self.signal < np.inf),
+            ("seed", self.seed, ">= 0", self.seed >= 0)))
 
 
-def class_sizes(n: int, num_classes: int, proportions=None) -> np.ndarray:
-    """Split n nodes into classes by largest remainder; balanced by default."""
-    if proportions is None:
-        proportions = np.full(num_classes, 1.0 / num_classes)
-    else:
-        proportions = np.asarray(proportions, dtype=np.float64)
-        if proportions.size != num_classes or (proportions <= 0).any():
-            raise InputError("class proportions must be positive, one per class")
-        proportions = proportions / proportions.sum()
-    ideal = proportions * n
+def class_sizes(n: int, num_classes: int) -> np.ndarray:
+    """Split n nodes into balanced classes by largest remainder."""
+    ideal = np.full(num_classes, 1.0 / num_classes) * n
     sizes = np.floor(ideal).astype(np.int64)
     remainder = n - sizes.sum()
     order = np.argsort(-(ideal - sizes), kind="stable")
@@ -46,16 +51,8 @@ def class_sizes(n: int, num_classes: int, proportions=None) -> np.ndarray:
 
 def generate_graph(spec: SyntheticSpec):
     """Sample (Graph, labels) with edge homophily near the target."""
-    if spec.n < 2:
-        raise InputError(f"need at least 2 nodes, got {spec.n}")
-    if not (0.0 < spec.target_homophily <= 1.0):
-        raise InputError(
-            f"target homophily must lie in (0, 1], got {spec.target_homophily}"
-        )
-    if spec.avg_degree <= 0:
-        raise InputError("average degree must be positive")
     C = spec.num_classes
-    sizes = class_sizes(spec.n, C, spec.class_proportions)
+    sizes = class_sizes(spec.n, C)
     if spec.target_homophily * spec.n / C < 1.0:
         raise InputError(
             f"infeasible spec: homophily {spec.target_homophily} with "

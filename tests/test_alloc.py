@@ -61,6 +61,7 @@ def test_pinned_training_stops_refaulting_its_temporaries():
     # faults against about 1.4k.
     code = "\n".join([
         "import json, resource",
+        "import gcndiag.gcn",
         "from gcndiag import GcnConfig, make_split, normalized_adjacency, train_gcn",
         "from gcndiag.cli import _pin_malloc_thresholds",
         "from gcndiag.synth import SyntheticSpec, generate_features, generate_graph",
@@ -70,7 +71,8 @@ def test_pinned_training_stops_refaulting_its_temporaries():
         "x = generate_features(y, 32, 1.5, seed=1)",
         "a = normalized_adjacency(g)",
         "split = make_split(y, 0.0, 7, 5)",
-        "cfg = GcnConfig(hidden=64, max_epochs=20, patience=20, seed=3)",
+        "gcndiag.gcn.PATIENCE = 20",
+        "cfg = GcnConfig(hidden=64, max_epochs=20, seed=3)",
         "def faults():",
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
         "    assert train_gcn(cfg, a, x, y, split, 5).stopped_epoch == 20",

@@ -7,9 +7,10 @@ import pytest
 from gcndiag import (GcnConfig, GcnParams, InputError, ShapeError, build_graph,
                      gcn_forward, gcn_loss_and_grad, gcn_predict,
                      gradient_check, normalized_adjacency, train_gcn)
-from gcndiag.gcn import (Adam, class_weights, finite_difference_grads,
-                         glorot_uniform, init_params, softmax_cross_entropy,
-                         _forward, _propagates_input_first)
+from gcndiag.gcn import (PATIENCE, Adam, class_weights,
+                         finite_difference_grads, glorot_uniform, init_params,
+                         softmax_cross_entropy, _forward,
+                         _propagates_input_first)
 from gcndiag.baselines import logreg_objective
 from gcndiag.graph import spmm
 from gcndiag.protocol import make_split
@@ -54,7 +55,7 @@ def test_loss_matches_manual_softmax():
 def test_unweighted_loss_is_plain_mean():
     _, g, a, x, params, y = tiny_instance()
     labeled = np.array([1, 2])
-    loss, _ = gcn_loss_and_grad(params, a, x, y, labeled)
+    loss, _ = gcn_loss_and_grad(params, a, x, y, labeled, np.ones(2))
     z = gcn_forward(params, a, x)[labeled]
     ce, _ = softmax_cross_entropy(z, y[labeled])
     assert loss == pytest.approx(float(ce.mean()), rel=1e-12)
@@ -164,7 +165,7 @@ def test_shared_loss_bit_identical_to_inline_formulas():
         params = GcnParams(rng.standard_normal((d, hidden)),
                            rng.standard_normal((hidden, C)))
         labeled = np.sort(rng.choice(n, size=n // 2, replace=False))
-        weights = class_weights(y, labeled, C) if case % 2 else None
+        weights = class_weights(y, labeled, C) if case % 2 else np.ones(C)
         dropout = 0.5 if case % 4 < 2 else 0.0
         seed = int(rng.integers(2**32))
         got_loss, got = gcn_loss_and_grad(
@@ -266,9 +267,10 @@ def test_finite_difference_on_known_function():
 def test_corrupted_gradient_detected():
     _, g, a, x, params, y = tiny_instance()
     labeled = np.arange(4)
-    _, grads = gcn_loss_and_grad(params, a, x, y, labeled)
+    w = np.ones(2)
+    _, grads = gcn_loss_and_grad(params, a, x, y, labeled, w)
     fd = finite_difference_grads(
-        params, lambda p: gcn_loss_and_grad(p, a, x, y, labeled)[0])
+        params, lambda p: gcn_loss_and_grad(p, a, x, y, labeled, w)[0])
     assert np.allclose(grads.w0, fd.w0, atol=1e-9)
     corrupted = grads.w0 + 1e-3
     assert not np.allclose(corrupted, fd.w0, atol=1e-6)
@@ -277,8 +279,9 @@ def test_corrupted_gradient_detected():
 def test_weight_decay_enters_gradient_not_loss():
     _, g, a, x, params, y = tiny_instance()
     labeled = np.arange(4)
-    loss0, g0 = gcn_loss_and_grad(params, a, x, y, labeled, weight_decay=0.0)
-    loss1, g1 = gcn_loss_and_grad(params, a, x, y, labeled, weight_decay=0.1)
+    w = np.ones(2)
+    loss0, g0 = gcn_loss_and_grad(params, a, x, y, labeled, w, weight_decay=0.0)
+    loss1, g1 = gcn_loss_and_grad(params, a, x, y, labeled, w, weight_decay=0.1)
     assert loss0 == loss1
     assert np.allclose(g1.w0 - g0.w0, 0.1 * params.w0)
     assert np.allclose(g1.w1 - g0.w1, 0.1 * params.w1)
@@ -416,8 +419,7 @@ def test_training_propagation_budget(monkeypatch, hidden):
 
     monkeypatch.setattr(gcn_module, "spmm", counting)
     k, d, C = 5, x.shape[1], 2
-    cfg = GcnConfig(hidden=hidden, dropout_rate=0.5, max_epochs=k,
-                    patience=k + 1, seed=4)
+    cfg = GcnConfig(hidden=hidden, dropout_rate=0.5, max_epochs=k, seed=4)
     trained = train_gcn(cfg, a, x, y, split, C)
     assert trained.stopped_epoch == k
     if d < 2 * hidden:
@@ -441,7 +443,7 @@ def test_train_reuses_given_propagation(monkeypatch):
     g, x, y = yin_yang_data()
     a = normalized_adjacency(g)
     split = make_split(y, 0.0, seed=3, num_classes=2)
-    cfg = GcnConfig(hidden=8, max_epochs=5, patience=6, seed=4)
+    cfg = GcnConfig(hidden=8, max_epochs=5, seed=4)
     ax = a.matrix @ x
     with pytest.raises(ShapeError):
         train_gcn(cfg, a, x, y, split, 2, ax[:, :1])
@@ -475,17 +477,19 @@ def test_early_stopping_on_flat_validation_score():
     a = normalized_adjacency(g)
     split = make_split(y, 0.0, seed=3, num_classes=2)
     # all-zero features freeze predictions, so the validation score never moves
-    cfg = GcnConfig(hidden=8, max_epochs=200, patience=10, seed=5)
+    cfg = GcnConfig(hidden=8, max_epochs=200, seed=5)
     trained = train_gcn(cfg, a, np.zeros_like(x), y, split, 2)
-    assert trained.stopped_epoch <= cfg.patience + 1
+    assert trained.stopped_epoch <= PATIENCE + 1
     assert trained.best_epoch == 1
 
 
-def test_early_stopping_stops_patience_epochs_after_best():
+def test_early_stopping_stops_patience_epochs_after_best(monkeypatch):
+    import gcndiag.gcn as gcn_module
+    monkeypatch.setattr(gcn_module, "PATIENCE", 3)
     g, x, y = yin_yang_data()
     a = normalized_adjacency(g)
     split = make_split(y, 0.0, seed=3, num_classes=2)
-    cfg = GcnConfig(hidden=8, max_epochs=200, patience=3, seed=5)
+    cfg = GcnConfig(hidden=8, max_epochs=200, seed=5)
     trained = train_gcn(cfg, a, np.zeros_like(x), y, split, 2)
     assert (trained.best_epoch, trained.stopped_epoch) == (1, 4)
     assert len(trained.history) == 4
@@ -493,7 +497,8 @@ def test_early_stopping_stops_patience_epochs_after_best():
 
 @pytest.mark.parametrize("field, value", [
     ("hidden", 0), ("learning_rate", 0.0), ("learning_rate", float("nan")),
-    ("weight_decay", -1e-4), ("max_epochs", 0), ("patience", 0),
+    ("learning_rate", float("inf")), ("weight_decay", -1e-4),
+    ("weight_decay", float("inf")), ("max_epochs", 0),
 ])
 def test_gcn_config_rejects_invalid_settings(field, value):
     message = f"GCN {field} must be .*, got {re.escape(repr(value))}$"
@@ -502,7 +507,17 @@ def test_gcn_config_rejects_invalid_settings(field, value):
     with pytest.raises(InputError, match=message):
         replace(GcnConfig(), **{field: value})
     GcnConfig(hidden=1, dropout_rate=0.0, learning_rate=1e-12,
-              weight_decay=0.0, max_epochs=1, patience=1)
+              weight_decay=0.0, max_epochs=1)
+
+
+def test_training_fails_on_the_first_non_finite_loss():
+    g, x, y = yin_yang_data()
+    a = normalized_adjacency(g)
+    split = make_split(y, 0.0, seed=3, num_classes=2)
+    # the first step moves every weight by about 1e300, so epoch 2 overflows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match=r"loss is (nan|inf) at epoch 2$"):
+        train_gcn(GcnConfig(hidden=8, learning_rate=1e300), a, x, y, split, 2)
 
 
 def test_snapshot_is_best_epoch_not_last():

@@ -73,7 +73,7 @@ def test_local_cell_result_subclass_is_built_here(monkeypatch):
     monkeypatch.setattr(protocol, "CellResult", LocalCellResult)
     monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
     a, x, y = small_dataset()
-    result = run_grid(a, x, y, base_seed=4, models=("logreg", "svm"),
+    result = run_grid(a, x, y, num_classes=3, base_seed=4, models=("logreg", "svm"),
                       masking_rates=(0.0,), feature_modes=("original",))
     assert all(type(c) is LocalCellResult and not c.error
                for c in result.cells.values())

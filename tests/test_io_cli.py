@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -265,7 +266,7 @@ def test_no_features_file(tmp_path):
 def small_report():
     ds = tiny_dataset()
     a = normalized_adjacency(ds.graph)
-    result = run_grid(a, ds.x, ds.y, base_seed=3, models=("gcn", "logreg"),
+    result = run_grid(a, ds.x, ds.y, num_classes=3, base_seed=3, models=("gcn", "logreg"),
                       feature_modes=("original",))
     from gcndiag import homophily_report
     hom = homophily_report(ds.graph, ds.y, 3)
@@ -531,6 +532,72 @@ def test_cli_rejects_invalid_gcn_settings(capsys, cli_inputs, command, flags,
     assert captured.out == ""
 
 
+SYNTH_FLAGS = ["--n", "20", "--classes", "2", "--homophily", "0.9",
+               "--degree", "2", "--dim", "2", "--signal", "1"]
+GCN_CELL = ["--models", "gcn", "--masking", "0", "--features", "original"]
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("synth", ["--classes", "0"], "synthetic num_classes must be >= 1, got 0"),
+    ("synth", ["--classes", "-1"], "synthetic num_classes must be >= 1, got -1"),
+    ("synth", ["--seed", "-1"], "synthetic seed must be >= 0, got -1"),
+    ("synth", ["--degree", "inf"],
+     "synthetic avg_degree must be finite and > 0, got inf"),
+    ("synth", ["--degree", "nan"],
+     "synthetic avg_degree must be finite and > 0, got nan"),
+    ("synth", ["--signal", "nan"],
+     "synthetic signal must be finite and >= 0, got nan"),
+    ("synth", ["--signal", "inf"],
+     "synthetic signal must be finite and >= 0, got inf"),
+    ("synth", ["--dim", "0"], "synthetic dim must be >= 1, got 0"),
+    ("run", ["--learning-rate", "inf"],
+     "GCN learning_rate must be finite and > 0, got inf"),
+    ("run", ["--learning-rate", "nan"],
+     "GCN learning_rate must be finite and > 0, got nan"),
+    ("run", ["--weight-decay", "inf"],
+     "GCN weight_decay must be finite and >= 0, got inf"),
+    ("gradcheck", ["--instances", "0"],
+     "gradient check num_instances must be >= 1, got 0"),
+    ("gradcheck", ["--instances", "-3"],
+     "gradient check num_instances must be >= 1, got -3"),
+    ("gradcheck", ["--tolerance", "nan"],
+     "gradient check tolerance must be finite and > 0, got nan"),
+    ("gradcheck", ["--seed", "-1"], "gradient check seed must be >= 0, got -1"),
+    ("quadrant", ["--homophily-threshold", "nan"],
+     "quadrant homophily_threshold must be in [0, 1], got nan"),
+    ("quadrant", ["--f1-threshold", "inf"],
+     "quadrant f1_threshold must be in [0, 1], got inf"),
+])
+def test_cli_rejects_out_of_range_settings(tmp_path, capsys, cli_inputs,
+                                           command, flags, message):
+    ds_dir, results = cli_inputs
+    out = str(tmp_path / "out")
+    argv = {"synth": ["synth", *SYNTH_FLAGS, "--out", out],
+            "run": ["run", ds_dir, *GCN_CELL, "--out", out],
+            "gradcheck": ["gradcheck"],
+            "quadrant": ["quadrant", results, "--out", out]}[command]
+    capsys.readouterr()
+    assert run_cli(*argv, *flags) == 1  # the last of a repeated flag wins
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_cli_run_fails_a_diverging_gcn_cell(tmp_path, capsys, cli_inputs):
+    out = str(tmp_path / "r.json")
+    capsys.readouterr()
+    assert run_cli("run", cli_inputs[0], *GCN_CELL, "--learning-rate", "1e300",
+                   "--out", out) == 1
+    cell = load_report(out)["grid"]["cells"]["gcn:0:original"]
+    assert cell["scores"] is None
+    assert re.fullmatch(r"FloatingPointError: GCN training loss is (nan|inf) "
+                        r"at epoch \d+", cell["error"])
+    assert f"cell gcn:0:original failed: {cell['error']}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case, message", [
     ("empty", "missing key grid"),
     ("list", "report must be a JSON object, got list"),
@@ -594,3 +661,19 @@ def test_cli_tune_reports_unconverged_fits(tmp_path, monkeypatch):
     payload = json.loads(open(out).read())
     assert payload["unconverged"] == {"logreg": list(baselines.LOGREG_C_GRID),
                                       "svm": list(baselines.SVM_C_GRID)}
+
+
+def test_cli_defaults_are_read_from_their_owners():
+    from gcndiag import GcnConfig
+    from gcndiag.protocol import FEATURE_MODES, MASKING_RATES, MODELS
+    run = gcndiag.cli.build_parser().parse_args(["run", "ds"])
+    tune = gcndiag.cli.build_parser().parse_args(["tune", "ds"])
+    gcn = GcnConfig()
+    assert (run.hidden, run.dropout, run.learning_rate, run.weight_decay,
+            run.epochs, tune.epochs) == (gcn.hidden, gcn.dropout_rate,
+                                         gcn.learning_rate, gcn.weight_decay,
+                                         gcn.max_epochs, gcn.max_epochs)
+    assert gcndiag.cli._parse_choices(run.models, gcndiag.cli.MODEL_ALIASES,
+                                      "model") == MODELS
+    assert gcndiag.cli._parse_masking(run.masking) == MASKING_RATES
+    assert tuple(run.features.split(",")) == FEATURE_MODES

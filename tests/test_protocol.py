@@ -37,7 +37,7 @@ def labels(counts):
 
 def test_stratified_split_counts():
     y = labels([10, 7, 3])
-    train, test = stratified_split(y, 0.8, seed=0)
+    train, test = stratified_split(y, seed=0)
     assert sorted(np.concatenate([train, test])) == list(range(20))
     assert np.intersect1d(train, test).size == 0
     # per class: floor(n_c * 0.8 + 0.5) = 8, 6, 2
@@ -48,16 +48,14 @@ def test_stratified_split_counts():
 
 def test_stratified_split_keeps_both_sides_nonempty():
     y = labels([2, 2])
-    train, test = stratified_split(y, 0.9, seed=1)
+    train, test = stratified_split(y, seed=1)
     assert np.bincount(y[train], minlength=2).min() >= 1
     assert np.bincount(y[test], minlength=2).min() >= 1
 
 
 def test_stratified_split_errors():
     with pytest.raises(InputError):
-        stratified_split(labels([5, 1]), 0.8, seed=0)
-    with pytest.raises(InputError):
-        stratified_split(labels([5, 5]), 1.0, seed=0)
+        stratified_split(labels([5, 1]), seed=0)
 
 
 def test_masking_counts_and_floor():
@@ -92,7 +90,7 @@ def test_masking_rejects_bad_rate():
 def test_carve_validation_counts():
     y = labels([10, 5, 1])
     vis = np.arange(16)
-    sub, val = carve_validation(y, vis, 0.2, seed=0)
+    sub, val = carve_validation(y, vis, seed=0)
     assert sorted(np.concatenate([sub, val])) == list(range(16))
     # n_val = min(n_c - 1, max(1, floor(n_c/5 + 0.5))) = 2, 1, 0
     assert list(np.bincount(y[val], minlength=3)) == [2, 1, 0]
@@ -101,7 +99,7 @@ def test_carve_validation_counts():
 
 def test_carve_validation_rejects_empty_visible_set():
     with pytest.raises(InputError, match="empty visible set"):
-        carve_validation(labels([3, 3]), np.array([], dtype=np.int64), 0.2, 0)
+        carve_validation(labels([3, 3]), np.array([], dtype=np.int64), 0)
 
 
 def test_make_split_structure():
@@ -119,9 +117,9 @@ def test_make_split_structure():
 
 def test_make_split_nesting_across_rates():
     y = labels([50, 40, 30])
-    v0 = set(make_split(y, 0.0, seed=3).visible_idx)
-    v5 = set(make_split(y, 0.5, seed=3).visible_idx)
-    v9 = set(make_split(y, 0.9, seed=3).visible_idx)
+    v0 = set(make_split(y, 0.0, seed=3, num_classes=3).visible_idx)
+    v5 = set(make_split(y, 0.5, seed=3, num_classes=3).visible_idx)
+    v9 = set(make_split(y, 0.9, seed=3, num_classes=3).visible_idx)
     assert v9 <= v5 <= v0
 
 
@@ -153,8 +151,8 @@ def small_dataset(seed=20):
 
 def test_run_grid_complete_and_deterministic():
     a, x, y = small_dataset()
-    first = run_grid(a, x, y, base_seed=4)
-    second = run_grid(a, x, y, base_seed=4)
+    first = run_grid(a, x, y, num_classes=3, base_seed=4)
+    second = run_grid(a, x, y, num_classes=3, base_seed=4)
 
     assert len(first.cells) == 18
     for model in ("gcn", "logreg", "svm"):
@@ -172,7 +170,7 @@ def test_run_grid_records_cell_failure(monkeypatch):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(gcndiag.baselines, "train_logreg", boom)
-    result = run_grid(a, x, y, base_seed=4)
+    result = run_grid(a, x, y, num_classes=3, base_seed=4)
     lr_cells = [c for k, c in result.cells.items() if k.startswith("logreg")]
     assert lr_cells and all(c.scores is None for c in lr_cells)
     assert all("synthetic failure" in c.error for c in lr_cells)
@@ -187,7 +185,7 @@ def test_run_grid_records_cell_failure(monkeypatch):
 def test_run_grid_reports_unconverged_baseline_fits(monkeypatch):
     a, x, y = small_dataset()
     monkeypatch.setattr(gcndiag.baselines, "LBFGS_MAX_ITER", 2)
-    result = run_grid(a, x, y, base_seed=4, models=("logreg", "svm"),
+    result = run_grid(a, x, y, num_classes=3, base_seed=4, models=("logreg", "svm"),
                       masking_rates=(0.0,), feature_modes=("original",))
     assert result.cell("logreg", 0.0).selected_hyper["unconverged_reg"] == list(
         gcndiag.baselines.LOGREG_C_GRID)
@@ -228,7 +226,7 @@ def test_run_grid_propagates_features_once_per_mode(monkeypatch):
     for cores, seen in ((1, [d, C, C]), (2, [d] if forks else [d, C, C])):
         monkeypatch.setattr(gcndiag.parallel, "usable_cores", lambda: cores)
         widths.clear()
-        result = run_grid(a, x, y, base_seed=2, models=("gcn",),
+        result = run_grid(a, x, y, num_classes=3, base_seed=2, models=("gcn",),
                           masking_rates=(0.0, 0.5), feature_modes=("original",),
                           gcn_config=GcnConfig(hidden=8, max_epochs=5))
         assert all(not c.error for c in result.cells.values())
@@ -244,7 +242,7 @@ def test_run_grid_reports_gcn_warnings():
                     for _ in range(300)})
     a = normalized_adjacency(build_graph(edges, 100))
     x = rng.standard_normal((100, 4)) + y[:, None]
-    result = run_grid(a, x, y, base_seed=3, models=("gcn",),
+    result = run_grid(a, x, y, num_classes=3, base_seed=3, models=("gcn",),
                       masking_rates=(0.0, 0.9), feature_modes=("original",),
                       gcn_config=GcnConfig(hidden=8, max_epochs=5))
     assert result.cell("gcn", 0.0).selected_hyper["warnings"] == []
@@ -261,12 +259,12 @@ def test_run_grid_rejects_non_finite_features(monkeypatch):
 
     monkeypatch.setattr(gcndiag.baselines, "train_logreg", boom)
     with pytest.raises(InputError, match="row 10, column 3"):
-        run_grid(a, x, y, base_seed=4, models=("logreg",))
+        run_grid(a, x, y, num_classes=3, base_seed=4, models=("logreg",))
 
 
 def test_run_grid_subset():
     a, x, y = small_dataset()
-    result = run_grid(a, x, y, base_seed=1, models=("logreg",),
+    result = run_grid(a, x, y, num_classes=3, base_seed=1, models=("logreg",),
                       masking_rates=(0.0,), feature_modes=("original",))
     assert list(result.cells) == ["logreg:0:original"]
     with pytest.raises(KeyError):
@@ -275,7 +273,7 @@ def test_run_grid_subset():
 
 def test_experiment_result_round_trip():
     a, x, y = small_dataset()
-    result = run_grid(a, x, y, base_seed=6, models=("gcn", "logreg"),
+    result = run_grid(a, x, y, num_classes=3, base_seed=6, models=("gcn", "logreg"),
                       feature_modes=("original",))
     stored = jsonable(asdict(result))
     again = ExperimentResult.from_dict(stored)
@@ -287,12 +285,12 @@ def test_experiment_result_round_trip():
 
 def test_random_features_shared_across_cells():
     a, x, y = small_dataset()
-    result = run_grid(a, x, y, base_seed=2, models=("logreg",),
+    result = run_grid(a, x, y, num_classes=3, base_seed=2, models=("logreg",),
                       masking_rates=(0.0, 0.5), feature_modes=("random",))
     # same noise draw at both rates: identical split at rate 0 vs 0.5 would
     # differ, but the feature fingerprint must match; proxy through scores
     # being reproducible against a manual rerun of the same cell
-    manual = run_grid(a, x, y, base_seed=2, models=("logreg",),
+    manual = run_grid(a, x, y, num_classes=3, base_seed=2, models=("logreg",),
                       masking_rates=(0.5,), feature_modes=("random",))
     assert (jsonable(asdict(result.cell("logreg", 0.5, "random").scores))
             == jsonable(asdict(manual.cell("logreg", 0.5, "random").scores)))

@@ -6,7 +6,8 @@ import pytest
 from gcndiag import (InputError, assign_quadrants, averaged_class_metrics,
                      generate_features, generate_graph, normalized_adjacency,
                      quadrant_summary, run_grid)
-from gcndiag.quadrant import (HIGH_H_STRONG_F, HIGH_H_WEAK_F, LOW_H_STRONG_F,
+from gcndiag.quadrant import (F1_THRESHOLD, HIGH_H_STRONG_F, HIGH_H_WEAK_F,
+                              HOMOPHILY_THRESHOLD, LOW_H_STRONG_F,
                               LOW_H_WEAK_F, QUADRANT_NAMES, quadrant_of)
 from gcndiag.synth import SyntheticSpec
 
@@ -49,10 +50,12 @@ def test_reference_mean_deltas():
 
 
 def test_boundary_values_fall_to_low_side():
-    assert quadrant_of(0.70, 0.85) == LOW_H_WEAK_F
-    assert quadrant_of(0.700001, 0.850001) == HIGH_H_STRONG_F
-    assert quadrant_of(0.70, 0.86) == LOW_H_STRONG_F
-    assert quadrant_of(0.71, 0.85) == HIGH_H_WEAK_F
+    paper = (HOMOPHILY_THRESHOLD, F1_THRESHOLD)
+    assert paper == (0.70, 0.85)
+    assert quadrant_of(0.70, 0.85, *paper) == LOW_H_WEAK_F
+    assert quadrant_of(0.700001, 0.850001, *paper) == HIGH_H_STRONG_F
+    assert quadrant_of(0.70, 0.86, *paper) == LOW_H_STRONG_F
+    assert quadrant_of(0.71, 0.85, *paper) == HIGH_H_WEAK_F
 
 
 def test_custom_thresholds():
@@ -97,7 +100,7 @@ def test_averaged_class_metrics_from_grid():
     g, y = generate_graph(spec)
     x = generate_features(y, 6, 1.5, seed=22)
     a = normalized_adjacency(g)
-    result = run_grid(a, x, y, base_seed=8, models=("gcn", "logreg"),
+    result = run_grid(a, x, y, num_classes=3, base_seed=8, models=("gcn", "logreg"),
                       feature_modes=("original",))
     lr_f1, delta = averaged_class_metrics(result)
     assert lr_f1.shape == (3,)
@@ -107,7 +110,7 @@ def test_averaged_class_metrics_from_grid():
         axis=0)
     assert np.allclose(lr_f1, manual_lr)
 
-    partial = run_grid(a, x, y, base_seed=8, models=("gcn", "logreg"),
+    partial = run_grid(a, x, y, num_classes=3, base_seed=8, models=("gcn", "logreg"),
                        masking_rates=(0.0,), feature_modes=("original",))
     with pytest.raises(InputError):
         averaged_class_metrics(partial)

@@ -12,15 +12,6 @@ def test_class_sizes_balanced():
     assert class_sizes(2000, 10).tolist() == [200] * 10
 
 
-def test_class_sizes_proportions():
-    assert class_sizes(10, 3, (0.5, 0.25, 0.25)).tolist() == [5, 3, 2]
-    assert class_sizes(100, 2, (3, 1)).tolist() == [75, 25]
-    with pytest.raises(InputError):
-        class_sizes(10, 2, (0.5, -0.5))
-    with pytest.raises(InputError):
-        class_sizes(10, 3, (0.5, 0.5))  # wrong length
-
-
 def test_class_sizes_always_sum_to_n():
     rng = np.random.default_rng(23)
     for _ in range(50):
