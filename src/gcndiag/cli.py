@@ -18,7 +18,7 @@ from .errors import GcnDiagError, InputError, require_keys
 from .gcn import GcnConfig, gradient_check, train_gcn
 from .graph import normalized_adjacency, spmm
 from .homophily import homophily_report
-from .parallel import fork_map
+from . import parallel
 from .protocol import (FEATURE_MODES, MASKING_RATES, MODELS, ExperimentResult,
                        derive_seed, make_split, masking_percent, run_grid)
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
@@ -63,6 +63,12 @@ def _pin_malloc_thresholds() -> bool:
     mallopt.restype = ctypes.c_int
     return bool(mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
                 and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES))
+
+
+def _blas_threads():
+    """The OpenBLAS thread count ``fork_map`` runs every item on: 1, or None
+    where the thread symbols are missing and BLAS runs as the host set it."""
+    return None if parallel.openblas_thread_calls() is None else 1
 
 
 def _parse_choices(raw: str, names: dict, what: str):
@@ -156,6 +162,7 @@ def cmd_run(args) -> int:
         "gcn": asdict(cfg),
         "undirected_edges": ds.graph.num_edges,
         "directed_edges": 2 * ds.graph.num_edges,
+        "blas_threads": _blas_threads(),
     }
     save_report(build_report(ds.fingerprint(), config_echo, hom, result, quad,
                              cell_seconds), args.out)
@@ -213,7 +220,7 @@ def cmd_gradcheck(args) -> int:
                                       seed=args.seed,
                                       tolerance=args.tolerance)
     except AssertionError as exc:
-        print(f"gradient check failed: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)  # the message names the failed check
         return 1
     print(f"gradient check passed: {count} instances, "
           f"worst relative error {worst:.3e}")
@@ -251,7 +258,7 @@ def cmd_tune(args) -> int:
     # start first. Each result goes to its item's place, keeping grid order.
     items = ["logreg", "svm", *points]
     results = [None] * len(items)
-    for i, result, error, seconds in fork_map(train_item, items):
+    for i, result, error, seconds in parallel.fork_map(train_item, items):
         if math.isnan(seconds):
             raise GcnDiagError(f"a tune worker died: {error}")
         if error:
@@ -262,6 +269,7 @@ def cmd_tune(args) -> int:
     best_gcn = max(gcn_rows, key=lambda r: r["val_f1"])
 
     save_report({
+        "blas_threads": _blas_threads(),
         "search_spaces": {
             "gcn": {"hidden": list(GCN_HIDDEN_GRID),
                     "dropout": list(GCN_DROPOUT_GRID),

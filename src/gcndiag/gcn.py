@@ -338,25 +338,29 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
     best_params = params.copy()
     best_epoch = 0
     history = []
-    for epoch in range(1, cfg.max_epochs + 1):
-        loss, grads = gcn_loss_and_grad(
-            params, a, x, y, sub, weights,
-            weight_decay=cfg.weight_decay,
-            dropout_rate=cfg.dropout_rate,
-            rng=rng,
-        )
-        if not np.isfinite(loss):
-            raise FloatingPointError(f"GCN training loss is {loss} at epoch {epoch}")
-        adam.step(params.arrays(), grads.arrays())
-        val_pred = gcn_predict(params, a, x, ax)[val]
-        val_f1 = macro_f1_over_present(val_pred, y[val], num_classes)
-        history.append((loss, val_f1))
-        if val_f1 > best_score:
-            best_score = val_f1
-            best_params = params.copy()
-            best_epoch = epoch
-        if epoch - best_epoch >= PATIENCE:
-            break
+    # a diverging run overflows before its loss turns non-finite; the loss
+    # check below is the one signal, so numpy does not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            loss, grads = gcn_loss_and_grad(
+                params, a, x, y, sub, weights,
+                weight_decay=cfg.weight_decay,
+                dropout_rate=cfg.dropout_rate,
+                rng=rng,
+            )
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"GCN training loss is {loss} at epoch {epoch}")
+            adam.step(params.arrays(), grads.arrays())
+            val_pred = gcn_predict(params, a, x, ax)[val]
+            val_f1 = macro_f1_over_present(val_pred, y[val], num_classes)
+            history.append((loss, val_f1))
+            if val_f1 > best_score:
+                best_score = val_f1
+                best_params = params.copy()
+                best_epoch = epoch
+            if epoch - best_epoch >= PATIENCE:
+                break
 
     return TrainedGcn(
         params=best_params,
@@ -427,7 +431,8 @@ def gradient_check(num_instances: int = 50, seed: int = 0, step: float = 1e-5,
             if np.abs(h_pre).min() > kink_margin:
                 break
         else:
-            raise AssertionError("could not draw an instance clear of ReLU kinks")
+            raise AssertionError("gradient check failed: could not draw an "
+                                 "instance clear of ReLU kinks")
         labeled = rng.choice(n, size=max(2, n // 2), replace=False)
         weights = class_weights(y, labeled, C)
         wd = float(rng.choice([0.0, 0.0, 1e-3]))

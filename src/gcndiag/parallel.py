@@ -3,12 +3,12 @@
 ``fork_map`` is the package's one way to run independent work at once: the
 cells of ``run_grid`` and the baselines and GCN search points of ``tune`` all
 go through it, and it times each item and catches its failure where the item
-ran. Two or more numpy computations at once each wake OpenBLAS's own thread
-pool for their matrix products, which oversubscribes the cores; so
-``fork_map`` pins OpenBLAS to one thread before it forks its workers and puts
-the previous count back when it is done. Importing this module starts
-nothing, pins nothing and loads neither ``multiprocessing`` nor
-``concurrent.futures.process``.
+ran. Where it can pin OpenBLAS, every item runs on one thread, forked or
+not: numpy computations at once would each wake OpenBLAS's thread pool and
+oversubscribe the cores, and a product's rounding depends on its thread
+count, so one rule makes an item's result independent of the schedule.
+Importing this module starts nothing, pins nothing and loads neither
+``multiprocessing`` nor ``concurrent.futures.process``.
 """
 
 import math
@@ -86,39 +86,44 @@ def fork_map(fn, items):
     the others. ``seconds`` is the item's wall time where it ran, or NaN when
     no result came back: its worker died or the result does not pickle.
 
-    With two or more items and cores, the items run in forked worker
-    processes, one per usable core, each inheriting OpenBLAS pinned to one
-    thread; the previous count comes back when the generator ends. A forked
-    worker starts from this process's memory, so ``fn`` may be a closure over
-    large arrays: only its result crosses back, pickled. Where fork or the
-    OpenBLAS thread symbols are missing, or there is one item or one core,
-    the items run here, in order, with BLAS left as it is. Closing the
-    generator early cancels the items not started.
+    Wherever the OpenBLAS thread symbols are found, every item runs on one
+    BLAS thread, so its result does not depend on how many ran beside it;
+    the previous count comes back when the generator ends. With two or more
+    items and cores, the items run in forked worker processes, one per
+    usable core; a worker starts from this process's memory, so ``fn`` may
+    be a closure over large arrays: only its result crosses back, pickled.
+    With one item or core, or without fork or the symbols (workers on
+    unpinned BLAS would oversubscribe the cores), the items run here, in
+    order. Closing the generator early cancels the items not started.
     """
     import multiprocessing  # not at import time
-    workers = min(len(items), usable_cores())
-    forks = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-    calls = openblas_thread_calls() if forks else None
+    serial = ((i, *_timed(fn, item)) for i, item in enumerate(items))
+    calls = openblas_thread_calls()
     if calls is None:
-        yield from ((i, *_timed(fn, item)) for i, item in enumerate(items))
+        yield from serial
         return
     set_threads, get_threads = calls
-    before = get_threads()
-    # fork, not spawn: the workers read the caller's arrays and any patched
-    # module functions without pickling them. Forking starts them from the
-    # calling thread before the pool's own thread, and OpenBLAS stops its
-    # thread pool at fork.
-    from concurrent.futures import Future, ProcessPoolExecutor, as_completed
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(fn,))
+    before, pool = get_threads(), None
     set_threads(1)
     try:
+        workers = min(len(items), usable_cores())
+        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            yield from serial
+            return
+        # fork, not spawn: the workers read the caller's arrays and any
+        # patched module functions without pickling them. Forking starts them
+        # from the calling thread before the pool's own thread, and OpenBLAS
+        # stops its thread pool at fork.
+        from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_start_worker, initargs=(fn,))
         futures = {pool.submit(_run_job, item): i for i, item in enumerate(items)}
         for future in as_completed(futures):
             # no outcome comes back from a dead worker or an unpicklable result
             outcome, error, _ = _timed(Future.result, future)
             yield (futures[future], *(outcome or (None, error, math.nan)))
     finally:  # a caller that stops early does not wait for the rest
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         set_threads(before)

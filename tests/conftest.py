@@ -1,11 +1,37 @@
-"""Shared helpers: independent brute-force oracles the library must agree with.
+"""Shared helpers: independent brute-force oracles the library must agree
+with, and the skip marks and BLAS fixture of the ``fork_map`` tests.
 
-Everything here recomputes quantities from raw edge lists with plain loops or
+The oracles recompute quantities from raw edge lists with plain loops or
 dense numpy, deliberately avoiding the library's CSR code paths.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
+
+from gcndiag.parallel import openblas_thread_calls
+
+# (set, get) for numpy's OpenBLAS thread count, or None where it is not found
+BLAS = openblas_thread_calls()
+needs_blas = pytest.mark.skipif(BLAS is None,
+                                reason="numpy's OpenBLAS thread symbols not found")
+forks = pytest.mark.skipif(
+    BLAS is None or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork and numpy's OpenBLAS thread symbols")
+
+
+@pytest.fixture
+def blas_before():
+    """Start from two BLAS threads, a count that a pin left in place would
+    change (OpenBLAS caps it at the core count), and put the original back."""
+    if BLAS is None:
+        yield None
+        return
+    original = BLAS[1]()
+    BLAS[0](2)
+    yield BLAS[1]()
+    BLAS[0](original)
 
 
 def random_edge_list(rng, n, p=0.15):

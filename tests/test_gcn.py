@@ -510,13 +510,14 @@ def test_gcn_config_rejects_invalid_settings(field, value):
               weight_decay=0.0, max_epochs=1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_training_fails_on_the_first_non_finite_loss():
     g, x, y = yin_yang_data()
     a = normalized_adjacency(g)
     split = make_split(y, 0.0, seed=3, num_classes=2)
-    # the first step moves every weight by about 1e300, so epoch 2 overflows
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            FloatingPointError, match=r"loss is (nan|inf) at epoch 2$"):
+    # the first step moves every weight by about 1e300, so epoch 2 overflows;
+    # the loss check fails it, and numpy warns of nothing on the way
+    with pytest.raises(FloatingPointError, match=r"loss is (nan|inf) at epoch 2$"):
         train_gcn(GcnConfig(hidden=8, learning_rate=1e300), a, x, y, split, 2)
 
 

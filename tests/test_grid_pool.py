@@ -1,24 +1,22 @@
-"""`run` forks its grid cells one per usable core with OpenBLAS pinned to one
-thread; only plain results cross back, and the report matches a serial run."""
+"""`run` forks its grid cells one per usable core; every cell runs on one
+OpenBLAS thread, forked or not, only plain results cross back, and the report
+matches a serial run."""
 
-import multiprocessing
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gcndiag.baselines
 import gcndiag.protocol as protocol
+from conftest import BLAS, forks
 from gcndiag import parallel, run_grid
 from gcndiag.cli import main
+from gcndiag.parallel import fork_map
 from gcndiag.report import load_report, stable_form
 from test_protocol import small_dataset
-
-BLAS = parallel.openblas_thread_calls()
-forks = pytest.mark.skipif(
-    BLAS is None or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="needs fork and numpy's OpenBLAS thread symbols")
 
 GRID = ["--masking", "0,90", "--features", "original", "--epochs", "5"]
 
@@ -60,8 +58,48 @@ def test_pooled_report_equals_one_worker_report(container, tmp_path,
         assert (sorted(reports[cores]["volatile"]["cell_seconds"])
                 == sorted(reports[cores]["grid"]["cells"]))
     assert stable_form(reports[2]) == stable_form(reports[1])
-    assert where[1] == {(str(os.getpid()), str(BLAS[1]()))}
+    assert reports[1]["config"]["blas_threads"] == 1
+    assert where[1] == {(str(os.getpid()), "1")}
     assert all(pid != str(os.getpid()) and blas == "1" for pid, blas in where[2])
+
+
+def thread_dependent_product():
+    """(x, g) whose ``x.T @ g`` rounds differently on one BLAS thread than on
+    two, from a few probed shapes, or None when every probe agrees."""
+    rng = np.random.default_rng(0)
+    before = BLAS[1]()
+    try:
+        for n, d, c in ((400, 300, 10), (1000, 500, 10), (2000, 767, 10)):
+            x, g = rng.standard_normal((n, d)), rng.standard_normal((n, c))
+            BLAS[0](1)
+            one = x.T @ g
+            BLAS[0](2)
+            if not np.array_equal(one, x.T @ g):
+                return x, g
+    finally:
+        BLAS[0](before)
+    return None
+
+
+@forks
+def test_an_item_alone_gets_the_bits_it_gets_beside_another(blas_before):
+    # a lone item runs here and a pair in forked workers; the answer must not
+    # depend on which, even where the thread count changes the rounding
+    if parallel.usable_cores() < 2:
+        pytest.skip("needs 2 cores to tell 1 BLAS thread from 2")
+    found = thread_dependent_product()
+    if found is None:
+        pytest.skip("no probed x.T @ g differs between 1 and 2 BLAS threads")
+    x, g = found
+
+    def product(item):
+        return x.T @ g
+
+    [(_, alone, error, _)] = fork_map(product, [0])
+    paired = [result for _, result, _, _ in fork_map(product, [0, 1])]
+    assert error == "" and len(paired) == 2
+    assert all(np.array_equal(alone, result) for result in paired)
+    assert BLAS[1]() == blas_before
 
 
 @forks

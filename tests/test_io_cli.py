@@ -403,6 +403,18 @@ def test_cli_gradcheck_ok(capsys):
     assert "passed" in capsys.readouterr().out
 
 
+def test_cli_gradcheck_failure_names_the_check_once(monkeypatch, capsys):
+    message = "gradient check failed: max relative error 1.000e-03 > 1e-05"
+
+    def failing(**kwargs):
+        raise AssertionError(message)  # the text the real audit raises
+
+    monkeypatch.setattr(gcndiag.cli, "gradient_check", failing)
+    capsys.readouterr()
+    assert run_cli("gradcheck") == 1
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_cli_errors_exit_codes(tmp_path, capsys):
     assert run_cli("analyze", str(tmp_path / "missing")) == 1
     assert "error" in capsys.readouterr().err
@@ -584,8 +596,7 @@ def test_cli_rejects_out_of_range_settings(tmp_path, capsys, cli_inputs,
     assert not os.path.exists(out)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_fails_a_diverging_gcn_cell(tmp_path, capsys, cli_inputs):
     out = str(tmp_path / "r.json")
     capsys.readouterr()
@@ -595,7 +606,9 @@ def test_cli_run_fails_a_diverging_gcn_cell(tmp_path, capsys, cli_inputs):
     assert cell["scores"] is None
     assert re.fullmatch(r"FloatingPointError: GCN training loss is (nan|inf) "
                         r"at epoch \d+", cell["error"])
-    assert f"cell gcn:0:original failed: {cell['error']}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"cell gcn:0:original failed: {cell['error']}" in err
+    assert "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize("case, message", [

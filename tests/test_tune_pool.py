@@ -13,18 +13,13 @@ import pytest
 
 import gcndiag.baselines
 import gcndiag.cli as cli
+from conftest import BLAS, forks, needs_blas
 from gcndiag import InputError, parallel
 from gcndiag.cli import main
 from gcndiag.baselines import train_logreg
 from gcndiag.gcn import train_gcn
 from gcndiag.parallel import fork_map, openblas_thread_calls
-
-BLAS = openblas_thread_calls()
-needs_blas = pytest.mark.skipif(BLAS is None,
-                                reason="numpy's OpenBLAS thread symbols not found")
-forks = pytest.mark.skipif(
-    BLAS is None or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="needs fork and numpy's OpenBLAS thread symbols")
+from gcndiag.report import load_report
 
 
 def blas_threads():
@@ -81,8 +76,7 @@ def tune(container, out, monkeypatch, tmp_path, fail_at=None, die=False,
 @forks
 def test_pooled_report_equals_one_worker_report(container, tmp_path, monkeypatch):
     def report(name):
-        with open(tmp_path / name, "rb") as fh:
-            return fh.read()
+        return load_report(str(tmp_path / name))
 
     here = str(os.getpid())
     code, seen, logreg_seen = tune(container, str(tmp_path / "pooled.json"),
@@ -100,20 +94,10 @@ def test_pooled_report_equals_one_worker_report(container, tmp_path, monkeypatch
                                    monkeypatch, tmp_path)
     assert code == 0 and seen == [(here, str(blas_threads()))] * 72
     assert logreg_seen == [(here, str(blas_threads()))]
-    assert report("pooled.json") == report("serial.json")
-
-
-@pytest.fixture
-def blas_before():
-    """Start from two BLAS threads, a count that a pin left in place would
-    change (OpenBLAS caps it at the core count), and put the original back."""
-    if BLAS is None:
-        yield None
-        return
-    original = blas_threads()
-    BLAS[0](2)
-    yield blas_threads()
-    BLAS[0](original)
+    # the reports differ only in the recorded pin
+    pooled, serial = report("pooled.json"), report("serial.json")
+    assert (pooled.pop("blas_threads"), serial.pop("blas_threads")) == (1, None)
+    assert pooled == serial
 
 
 @pytest.mark.parametrize("fail_at", [None, (32, 0.2, 0.001, 5e-4)])
@@ -132,9 +116,8 @@ def test_tune_restores_blas_threads_and_joins_workers(container, tmp_path,
         assert err == (f"error: tune point {fail_at} failed: "
                        "InputError: injected failure\n")
     assert multiprocessing.active_children() == []
-    if BLAS is not None:
-        if "fork" in multiprocessing.get_all_start_methods():
-            assert {blas for _, blas in seen} == {"1"}
+    if BLAS is not None:  # every point trained on one thread, forked or not
+        assert {blas for _, blas in seen} == {"1"}
         assert blas_threads() == blas_before
 
 
