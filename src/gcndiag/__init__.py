@@ -10,8 +10,8 @@ from .homophily import (edge_homophily, homophily_report,
                         neighbor_distribution, per_class_homophily,
                         top_foreign_neighbor)
 from .metrics import ModelScores, confusion_matrix, delta_f1, retention, score
-from .baselines import (LinearModel, Scaler, apply_scaler, fit_scaler,
-                        linear_predict, train_logreg, train_svm)
+from .baselines import (LinearModel, fit_baseline, linear_predict, train_logreg,
+                        train_svm)
 from .protocol import (CellResult, ExperimentResult, SplitSpec,
                        ablate_features, apply_masking, carve_validation,
                        derive_seed, make_split, run_grid, stratified_split)

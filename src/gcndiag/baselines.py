@@ -1,7 +1,10 @@
 """Feature-only linear baselines: multinomial logistic regression and OvR SVM.
 
-Both models see z-score normalized features and balanced class weights, and
-select their regularization strength from the fixed search grids below.
+``fit_baseline`` standardizes each feature on the visible training rows, to
+zero mean and unit population std (a constant feature maps to 0), and trains
+``train_logreg`` or ``train_svm`` on the result. Both use balanced class
+weights and select their regularization strength from the fixed grids below,
+the first on a tie, then refit it on every visible row.
 Logistic regression minimizes a weighted multinomial cross-entropy
 (``logreg_objective``). The SVM minimizes the L2-regularized one-vs-rest
 squared hinge, the default loss of LIBLINEAR and LinearSVC, with all classes
@@ -51,41 +54,8 @@ LINE_SEARCH_TRIALS = 40
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
-class Scaler:
-    """Per-feature mean/std fitted on the visible training rows.
-
-    Constant features get std 1 so normalization maps them to zero instead of
-    dividing by zero.
-    """
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def fit_scaler(x: np.ndarray, visible_rows) -> Scaler:
-    visible_rows = np.asarray(visible_rows)
-    if visible_rows.size == 0:
-        raise InputError("cannot fit a scaler on an empty visible set")
-    sub = np.asarray(x, dtype=np.float64)[visible_rows]
-    mean = sub.mean(axis=0)
-    std = sub.std(axis=0)  # population std
-    std = np.where(std == 0, 1.0, std)
-    return Scaler(mean=mean, std=std)
-
-
-def apply_scaler(scaler: Scaler, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != scaler.mean.size:
-        raise ShapeError(
-            f"scaler fitted on {scaler.mean.size} features, got {x.shape[1]}"
-        )
-    return (x - scaler.mean) / scaler.std
-
-
 @dataclass
 class LinearModel:
-    kind: str  # "logreg" or "svm"
     weights: np.ndarray  # d x C
     bias: np.ndarray  # length C
     selected_reg: float
@@ -250,6 +220,20 @@ def _check_visible(x_norm, y, visible_rows):
     return x_norm, y, visible_rows
 
 
+def _select_and_refit(grid_scores, failed, refit) -> LinearModel:
+    """Refit at the best-scoring (C_reg, score) pair of ``grid_scores``, the
+    first on a tie, by ``refit(i) -> (W, b, converged)``; ``failed`` holds the
+    C_reg values whose selection fits did not converge."""
+    best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])
+    selected = grid_scores[best][0]
+    W, b, converged = refit(best)
+    if not converged:
+        failed.add(selected)
+    return LinearModel(
+        weights=W, bias=b, selected_reg=selected, grid_scores=tuple(grid_scores),
+        unconverged=tuple(c for c, _ in grid_scores if c in failed))
+
+
 def train_logreg(x_norm, y, visible_rows, seed: int = 0, *,
                  num_classes: int) -> LinearModel:
     """Select C_reg by stratified k-fold CV macro-F1, then refit on all visible rows.
@@ -284,18 +268,9 @@ def train_logreg(x_norm, y, visible_rows, seed: int = 0, *,
     grid_scores = [(reg_c, float(np.mean(scores)))
                    for reg_c, scores in zip(LOGREG_C_GRID, fold_f1)]
 
-    best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])
-    selected = grid_scores[best][0]
     sw = class_weights(y, visible_rows, num_classes)[y[visible_rows]]
-    W, b, converged = fit_logreg(x_norm[visible_rows], y[visible_rows], sw,
-                                 selected, num_classes)
-    if not converged:
-        failed.add(selected)
-    return LinearModel(
-        kind="logreg", weights=W, bias=b,
-        selected_reg=selected, grid_scores=tuple(grid_scores),
-        unconverged=tuple(c for c in LOGREG_C_GRID if c in failed),
-    )
+    return _select_and_refit(grid_scores, failed, lambda i: fit_logreg(
+        x_norm[visible_rows], y[visible_rows], sw, LOGREG_C_GRID[i], num_classes))
 
 
 def _fit_svm_ovr(X, Y_signed, sample_w, reg_c, W0, b0):
@@ -339,25 +314,24 @@ def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
         pred = _argmax_scores(X_val, W, b)
         grid_scores.append((reg_c, score(pred, y_val, num_classes).macro_f1))
 
-    best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])
-    selected = grid_scores[best][0]
     del X_fit, X_val  # release the split's copies before the refit's own
     Y_all, s_all = signed_and_weights(visible_rows)
-    W, b, converged = _fit_svm_ovr(x_norm[visible_rows], Y_all, s_all, selected,
-                                   *fits[best])
-    if not converged:
-        failed.add(selected)
-    return LinearModel(
-        kind="svm", weights=W, bias=b,
-        selected_reg=selected, grid_scores=tuple(grid_scores),
-        unconverged=tuple(c for c in SVM_C_GRID if c in failed),
-    )
+    return _select_and_refit(grid_scores, failed, lambda i: _fit_svm_ovr(
+        x_norm[visible_rows], Y_all, s_all, SVM_C_GRID[i], *fits[i]))
 
 
 def fit_baseline(model: str, x, y, visible_rows, seed: int, num_classes):
     """(fitted ``model``, x standardized on the visible rows) for "logreg" or
     "svm"; the trainer is looked up at call time, so a patched one runs."""
-    x_norm = apply_scaler(fit_scaler(x, visible_rows), x)
+    visible_rows = np.asarray(visible_rows)
+    if visible_rows.size == 0:
+        raise InputError("cannot fit a scaler on an empty visible set")
+    x = np.asarray(x, dtype=np.float64)
+    sub = x[visible_rows]
+    mean = sub.mean(axis=0)
+    std = sub.std(axis=0)  # population std
+    del sub  # release the visible rows' copy before training
+    x_norm = (x - mean) / np.where(std == 0, 1.0, std)
     trainer = train_logreg if model == "logreg" else train_svm
     return trainer(x_norm, y, visible_rows, seed=seed,
                    num_classes=num_classes), x_norm

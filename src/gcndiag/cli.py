@@ -19,10 +19,12 @@ from .gcn import GcnConfig, gradient_check, train_gcn
 from .graph import normalized_adjacency, spmm
 from .homophily import homophily_report
 from . import parallel
-from .protocol import (FEATURE_MODES, MASKING_RATES, MODELS, ExperimentResult,
-                       derive_seed, make_split, masking_percent, run_grid)
+from .protocol import (FEATURE_MODES, JSON_FLOATS, MASKING_RATES, MODELS,
+                       ExperimentResult, derive_seed, make_split,
+                       masking_percent, read_json, run_grid)
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
-                       averaged_class_metrics, quadrant_summary)
+                       averaged_class_metrics, check_thresholds,
+                       quadrant_summary)
 from .report import (build_report, check_report_dir, load_report,
                      save_report)
 from .synth import SyntheticSpec, generate_features, generate_graph
@@ -173,21 +175,23 @@ def cmd_run(args) -> int:
 
 
 def cmd_quadrant(args) -> int:
+    check_thresholds(args.homophily_threshold, args.f1_threshold)
     report = load_report(args.results)
     try:
         require_keys(report, ("grid", "homophily"))
         result = ExperimentResult.from_dict(report["grid"])
-        per_class = require_keys(report["homophily"], ("per_class",),
-                                 "homophily")["per_class"]
-    except InputError as exc:
+        per_class = read_json(JSON_FLOATS, require_keys(
+            report["homophily"], ("per_class",), "homophily")["per_class"],
+            "homophily.per_class")
+        rates = sorted({cell.masking_rate for cell in result.cells.values()})
+        lr_f1, delta = averaged_class_metrics(result, tuple(rates))
+        assignment = assign_quadrants(
+            per_class, lr_f1, delta,
+            homophily_threshold=args.homophily_threshold,
+            f1_threshold=args.f1_threshold,
+        )
+    except GcnDiagError as exc:  # the thresholds passed, so the report is at fault
         raise InputError(str(exc), path=args.results) from None
-    rates = sorted({cell.masking_rate for cell in result.cells.values()})
-    lr_f1, delta = averaged_class_metrics(result, tuple(rates))
-    assignment = assign_quadrants(
-        per_class, lr_f1, delta,
-        homophily_threshold=args.homophily_threshold,
-        f1_threshold=args.f1_threshold,
-    )
     summary = quadrant_summary(assignment)
     summary["thresholds"] = {"homophily": args.homophily_threshold,
                              "feature_f1": args.f1_threshold}

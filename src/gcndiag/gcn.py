@@ -26,6 +26,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 PATIENCE = 10  # epochs without a better validation score before stopping
+GRADCHECK_MIN_MAGNITUDE = 1e-8  # the gradient audit's additive floor
 
 
 @dataclass(frozen=True)
@@ -389,14 +390,14 @@ def finite_difference_grads(params: GcnParams, loss_fn, step: float = 1e-5) -> G
 
 
 def gradient_check(num_instances: int = 50, seed: int = 0, step: float = 1e-5,
-                   tolerance: float = 1e-5, min_magnitude: float = 1e-8):
+                   tolerance: float = 1e-5):
     """Compare analytic gradients against central differences on random instances.
 
-    A coordinate agrees when |analytic - numeric| is at most min_magnitude +
-    tolerance * max(|analytic|, |numeric|), the same mixed bound numpy.allclose
-    uses; the additive floor absorbs the oracle's own roundoff, which sits
-    near eps * |loss| / (2 * step) regardless of the gradient's size.
-    Coordinates where both gradients are below ``min_magnitude`` are skipped.
+    A coordinate agrees when |analytic - numeric| is at most the floor
+    GRADCHECK_MIN_MAGNITUDE + tolerance * max(|analytic|, |numeric|), the same
+    mixed bound numpy.allclose uses; the floor absorbs the oracle's own
+    roundoff, near eps * |loss| / (2 * step) whatever the gradient's size.
+    Coordinates where both gradients are below the floor are skipped.
     Instances whose hidden pre-activations land within a few steps of the ReLU
     kink are redrawn: central differences straddle the kink there and stop
     being a valid oracle, while the analytic subgradient stays exact.
@@ -449,8 +450,8 @@ def gradient_check(num_instances: int = 50, seed: int = 0, step: float = 1e-5,
         numeric = finite_difference_grads(params, objective, step=step)
         for ga, gn in zip(analytic.arrays(), numeric.arrays()):
             mag = np.maximum(np.abs(ga), np.abs(gn))
-            excess = np.abs(ga - gn) - min_magnitude
-            check = (mag > min_magnitude) & (excess > 0)
+            excess = np.abs(ga - gn) - GRADCHECK_MIN_MAGNITUDE
+            check = (mag > GRADCHECK_MIN_MAGNITUDE) & (excess > 0)
             if check.any():
                 rel = (excess / mag)[check]
                 worst = max(worst, float(rel.max()))

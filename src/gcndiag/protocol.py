@@ -182,17 +182,35 @@ def _json_float(value):
     return math.nan if value is None else float(_json((int, float))(value))
 
 
+def _json_rate(value):
+    """A masking rate: a finite JSON number in [0, 1)."""
+    rate = float(_json((int, float))(value))
+    if not 0.0 <= rate < 1.0:
+        raise ValueError
+    return rate
+
+
 def _json_array(read, dtype):
     return lambda value: np.array([read(v) for v in _json(list)(value)], dtype=dtype)
 
 
+def read_json(read, value, where):
+    """``read(value)``; a value of the wrong JSON type or range is an
+    InputError naming its path ``where`` in the report."""
+    try:
+        return read(value)
+    except (TypeError, ValueError):
+        raise InputError(f"malformed value at {where}: {value!r:.60}") from None
+
+
+JSON_FLOATS = _json_array(_json_float, np.float64)  # null reads as NaN
 _SCORES_JSON = {
-    "per_class_f1": _json_array(_json_float, np.float64),
+    "per_class_f1": JSON_FLOATS,
     "macro_f1": _json_float,
     "confusion": _json_array(_json_array(_json(int), np.int64), np.int64),
     "absent_classes": lambda value: tuple(_json(int)(v) for v in _json(list)(value)),
 }
-_CELL_JSON = {"model": _json(str), "masking_rate": _json_float,
+_CELL_JSON = {"model": _json(str), "masking_rate": _json_rate,
               "feature_mode": _json(str), "selected_hyper": _json(dict),
               "error": _json(str)}
 
@@ -206,10 +224,7 @@ def _from_json(cls, d, readers, where):
     for key, value in d.items():
         if key not in readers:
             raise InputError(f"unknown key {where}.{key}")
-        try:
-            values[key] = readers[key](value)
-        except (TypeError, ValueError):
-            raise InputError(f"malformed value at {where}.{key}: {value!r:.60}") from None
+        values[key] = read_json(readers[key], value, f"{where}.{key}")
     return cls(**values)
 
 

@@ -57,14 +57,18 @@ def quadrant_of(homophily: float, feature_f1: float, homophily_threshold: float,
     return HIGH_H_WEAK_F if high_h else LOW_H_WEAK_F
 
 
-def assign_quadrants(per_class_homophily, per_class_lr_f1, per_class_delta,
-                     homophily_threshold: float = HOMOPHILY_THRESHOLD,
-                     f1_threshold: float = F1_THRESHOLD) -> QuadrantAssignment:
-    """Place every class; classes with undefined homophily are flagged, not placed."""
+def check_thresholds(homophily_threshold: float, f1_threshold: float) -> None:
     check_settings("quadrant", (
         ("homophily_threshold", homophily_threshold, "in [0, 1]",
          0.0 <= homophily_threshold <= 1.0),
         ("f1_threshold", f1_threshold, "in [0, 1]", 0.0 <= f1_threshold <= 1.0)))
+
+
+def assign_quadrants(per_class_homophily, per_class_lr_f1, per_class_delta,
+                     homophily_threshold: float = HOMOPHILY_THRESHOLD,
+                     f1_threshold: float = F1_THRESHOLD) -> QuadrantAssignment:
+    """Place every class; classes with undefined homophily are flagged, not placed."""
+    check_thresholds(homophily_threshold, f1_threshold)
     h = np.asarray(per_class_homophily, dtype=np.float64)
     f1 = np.asarray(per_class_lr_f1, dtype=np.float64)
     delta = np.asarray(per_class_delta, dtype=np.float64)

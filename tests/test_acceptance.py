@@ -48,10 +48,8 @@ def protocol_cell(n, C, h, deg, d, signal, masking, seed):
     trained = gd.train_gcn(cfg, a, x, y, split, C)
     pred = gd.gcn_predict(trained.params, a, x)
     gcn_f1 = gd.score(pred[split.test_idx], y[split.test_idx], C).macro_f1
-    scaler = gd.fit_scaler(x, split.visible_idx)
-    xn = gd.apply_scaler(scaler, x)
-    lr = gd.train_logreg(xn, y, split.visible_idx,
-                         seed=derive_seed(seed, "lr", h, signal), num_classes=C)
+    lr, xn = gd.fit_baseline("logreg", x, y, split.visible_idx,
+                             derive_seed(seed, "lr", h, signal), C)
     lr_pred = gd.linear_predict(lr, xn)
     lr_f1 = gd.score(lr_pred[split.test_idx], y[split.test_idx], C).macro_f1
     return gcn_f1, lr_f1
@@ -216,10 +214,8 @@ def test_criterion_8_dataset_integration():
         pred = gd.gcn_predict(trained.params, a, ds.x)
         gcn_scores.append(
             gd.score(pred[split.test_idx], ds.y[split.test_idx], 10).macro_f1)
-        scaler = gd.fit_scaler(ds.x, split.visible_idx)
-        xn = gd.apply_scaler(scaler, ds.x)
-        lr = gd.train_logreg(xn, ds.y, split.visible_idx,
-                             seed=derive_seed(seed, "lr"), num_classes=10)
+        lr, xn = gd.fit_baseline("logreg", ds.x, ds.y, split.visible_idx,
+                                 derive_seed(seed, "lr"), 10)
         lr_pred = gd.linear_predict(lr, xn)
         lr_scores.append(
             gd.score(lr_pred[split.test_idx], ds.y[split.test_idx], 10).macro_f1)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gcndiag import baselines
-from gcndiag import (InputError, LinearModel, ShapeError, apply_scaler,
-                     fit_scaler, linear_predict, train_logreg, train_svm)
+from gcndiag import (InputError, LinearModel, ShapeError, fit_baseline,
+                     linear_predict, train_logreg, train_svm)
 from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID, _fit_svm_ovr,
                                fit_logreg, logreg_objective, stratified_kfold,
                                svm_objective)
@@ -22,31 +22,67 @@ def blobs(seed=0, n_per=40, gap=4.0, d=3, classes=2):
     return np.vstack(xs), np.concatenate(ys)
 
 
-def test_scaler_population_std():
-    x = np.array([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]])
-    s = fit_scaler(x, np.arange(3))
-    assert np.allclose(s.mean, [3.0, 5.0])
-    # population std of [1,3,5] is sqrt(8/3); constant column falls back to 1
-    assert s.std[0] == pytest.approx(np.sqrt(8.0 / 3.0))
-    assert s.std[1] == 1.0
-    z = apply_scaler(s, x)
-    assert np.allclose(z[:, 1], 0.0)
-    assert z[:, 0].mean() == pytest.approx(0.0)
-    assert z[:, 0].std() == pytest.approx(1.0)
+def standardized(x, visible_rows):
+    """``x`` standardized by hand on ``visible_rows``: population std, and a
+    constant column's std taken as 1."""
+    mean = x[visible_rows].mean(axis=0)
+    std = x[visible_rows].std(axis=0)
+    return (x - mean) / np.where(std == 0, 1.0, std)
 
 
-def test_scaler_uses_only_visible_rows():
-    x = np.array([[0.0], [2.0], [100.0]])
-    s = fit_scaler(x, np.array([0, 1]))
-    assert s.mean[0] == 1.0
+def test_fit_baseline_standardizes_on_the_visible_rows():
+    X, y = blobs(seed=11, gap=3.0)
+    x = np.column_stack([X, np.full(y.size, 5.0)])
+    x[-1] = [100.0, -100.0, 100.0, 5.0]  # a hidden row must not move the stats
+    visible = np.arange(y.size - 1)
+    _, x_norm = fit_baseline("logreg", x, y, visible, seed=0, num_classes=2)
+    assert np.array_equal(x_norm[:, 3], np.zeros(y.size))
+    # zero mean and unit population std over the visible rows only
+    assert np.allclose(x_norm[visible, :3].mean(axis=0), 0.0)
+    assert np.allclose(x_norm[visible, :3].std(axis=0), 1.0)
+    assert np.array_equal(x_norm, standardized(x, visible))
+    # visible [1, 3, 5, 7]: mean 4 and population std sqrt(5), not the
+    # sample std sqrt(20/3); the hidden 9 is scaled by the same numbers
+    x5 = np.array([[1.0], [3.0], [5.0], [7.0], [9.0]])
+    _, z = fit_baseline("logreg", x5, np.array([0, 0, 1, 1, 1]), [0, 1, 2, 3],
+                        seed=0, num_classes=2)
+    assert np.allclose(z[:, 0], np.array([-3.0, -1.0, 1.0, 3.0, 5.0]) / np.sqrt(5.0))
 
 
-def test_scaler_errors():
-    with pytest.raises(InputError):
-        fit_scaler(np.ones((3, 2)), np.array([], dtype=int))
-    s = fit_scaler(np.ones((3, 2)), np.arange(3))
-    with pytest.raises(ShapeError):
-        apply_scaler(s, np.ones((3, 5)))
+def test_fit_baseline_rejects_an_empty_visible_set():
+    X, y = blobs(seed=11)
+    with pytest.raises(InputError, match="cannot fit a scaler on an empty "
+                                         "visible set"):
+        fit_baseline("svm", X, y, np.array([], dtype=int), seed=0, num_classes=2)
+
+
+@pytest.mark.parametrize("model, trainer", [("logreg", train_logreg),
+                                            ("svm", train_svm)])
+def test_fit_baseline_trains_on_the_standardized_matrix(model, trainer):
+    X, y = blobs(seed=12, gap=2.0, classes=3, d=4)
+    X = 3.0 * X + 7.0
+    visible = np.arange(0, y.size, 2)
+    fitted, x_norm = fit_baseline(model, X, y, visible, seed=4, num_classes=3)
+    by_hand = trainer(standardized(X, visible), y, visible, seed=4,
+                      num_classes=3)
+    assert np.array_equal(fitted.weights, by_hand.weights)
+    assert np.array_equal(fitted.bias, by_hand.bias)
+    assert fitted.selected_reg == by_hand.selected_reg
+
+
+def test_fit_baseline_runs_the_trainer_patched_in(monkeypatch):
+    calls = []
+
+    def fake_svm(x_norm, y, visible_rows, seed, num_classes):
+        calls.append((x_norm, seed, num_classes))
+        return "patched"
+
+    monkeypatch.setattr(baselines, "train_svm", fake_svm)
+    X, y = blobs(seed=13)
+    fitted, x_norm = fit_baseline("svm", X, y, np.arange(y.size), seed=6,
+                                  num_classes=2)
+    assert fitted == "patched"
+    assert len(calls) == 1 and calls[0][0] is x_norm and calls[0][1:] == (6, 2)
 
 
 def test_balanced_weights_sum_to_n():
@@ -208,7 +244,6 @@ def test_stratified_kfold_partitions():
 def test_train_logreg_separable():
     X, y = blobs(seed=2, gap=5.0, classes=3, d=4)
     model = train_logreg(X, y, np.arange(y.size), seed=0, num_classes=3)
-    assert model.kind == "logreg"
     assert (linear_predict(model, X) == y).all()
     assert model.selected_reg in LOGREG_C_GRID
     assert len(model.grid_scores) == len(LOGREG_C_GRID)
@@ -283,7 +318,6 @@ def test_train_svm_improves_reference_objective():
 def test_train_svm_separable():
     X, y = blobs(seed=7, gap=6.0, classes=3, d=4)
     model = train_svm(X, y, np.arange(y.size), seed=0, num_classes=3)
-    assert model.kind == "svm"
     assert (linear_predict(model, X) == y).all()
     assert model.selected_reg in SVM_C_GRID
     assert len(model.grid_scores) == len(SVM_C_GRID)
@@ -314,14 +348,14 @@ def test_linear_trainers_reject_non_finite_features(trainer):
 
 
 def test_linear_predict_tie_breaks_low():
-    model = LinearModel(kind="logreg", weights=np.zeros((2, 3)),
+    model = LinearModel(weights=np.zeros((2, 3)),
                         bias=np.zeros(3), selected_reg=1.0)
     pred = linear_predict(model, np.ones((4, 2)))
     assert (pred == 0).all()
 
 
 def test_linear_predict_shape_check():
-    model = LinearModel(kind="svm", weights=np.zeros((2, 2)),
+    model = LinearModel(weights=np.zeros((2, 2)),
                         bias=np.zeros(2), selected_reg=1.0)
     with pytest.raises(ShapeError):
         linear_predict(model, np.ones((4, 5)))

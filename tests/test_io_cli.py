@@ -619,20 +619,48 @@ def test_cli_run_fails_a_diverging_gcn_cell(tmp_path, capsys, cli_inputs):
     ("text_f1", "malformed value at "
                 'grid.cells["logreg:0:original"].scores.macro_f1: \'x\''),
     ("extra_key", 'unknown key grid.cells["logreg:0:original"].extra'),
+    ("rate_null", "malformed value at "
+                  'grid.cells["logreg:0:original"].masking_rate: None'),
+    ("rate_nan", "malformed value at "
+                 'grid.cells["logreg:0:original"].masking_rate: nan'),
+    ("rate_huge", "malformed value at "
+                  'grid.cells["logreg:0:original"].masking_rate: inf'),
+    ("rate_above_one", "malformed value at "
+                       'grid.cells["logreg:0:original"].masking_rate: 1.5'),
+    ("per_class_text", "malformed value at homophily.per_class: 'abc'"),
+    ("per_class_object", "malformed value at homophily.per_class: {'a': 1}"),
+    ("per_class_short", "per-class arrays disagree on length: (1,), (2,), (2,)"),
+    ("class_counts", "score vectors have different class counts"),
 ])
 def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
                                                 case, message):
     report = load_report(cli_inputs[1])
+    cells = report["grid"]["cells"]
+    raw = {"rate_nan": "NaN", "rate_huge": "1e400"}  # save_report writes null
     if case == "no_scores":
-        del report["grid"]["cells"]["gcn:0:original"]["scores"]
+        del cells["gcn:0:original"]["scores"]
     elif case == "no_homophily":
         del report["homophily"]
     elif case == "text_f1":
-        report["grid"]["cells"]["logreg:0:original"]["scores"]["macro_f1"] = "x"
+        cells["logreg:0:original"]["scores"]["macro_f1"] = "x"
     elif case == "extra_key":
-        report["grid"]["cells"]["logreg:0:original"]["extra"] = 1
+        cells["logreg:0:original"]["extra"] = 1
+    elif case.startswith("rate_"):
+        cells["logreg:0:original"]["masking_rate"] = {
+            "rate_null": None, "rate_above_one": 1.5}.get(case, case)
+    elif case.startswith("per_class_"):
+        report["homophily"]["per_class"] = {
+            "per_class_text": "abc", "per_class_object": {"a": 1},
+            "per_class_short": [0.5]}[case]
+    elif case == "class_counts":
+        cells["gcn:0:original"]["scores"]["per_class_f1"].append(0.5)
     path = str(tmp_path / "bad.json")
     save_report({"empty": {}, "list": [report]}.get(case, report), path)
+    if case in raw:
+        with open(path) as fh:
+            text = fh.read().replace(f'"{case}"', raw[case])
+        with open(path, "w") as fh:
+            fh.write(text)
     capsys.readouterr()
     assert run_cli("quadrant", path) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
