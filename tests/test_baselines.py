@@ -30,7 +30,21 @@ def standardized(x, visible_rows):
     return (x - mean) / np.where(std == 0, 1.0, std)
 
 
-def test_fit_baseline_standardizes_on_the_visible_rows():
+def test_scaler_population_std():
+    # visible [1, 3, 5, 7]: mean 4 and population std sqrt(5), not the
+    # sample std sqrt(20/3); the hidden 9 is scaled by the same numbers, and
+    # the constant column's std falls back to 1
+    x = np.column_stack([[1.0, 3.0, 5.0, 7.0, 9.0], np.full(5, 5.0)])
+    visible = [0, 1, 2, 3]
+    _, z = fit_baseline("logreg", x, np.array([0, 0, 1, 1, 1]), visible,
+                        seed=0, num_classes=2)
+    assert np.allclose(z[:, 0], np.array([-3.0, -1.0, 1.0, 3.0, 5.0]) / np.sqrt(5.0))
+    assert np.array_equal(z[:, 1], np.zeros(5))
+    assert z[visible, 0].mean() == pytest.approx(0.0)
+    assert z[visible, 0].std() == pytest.approx(1.0)
+
+
+def test_scaler_uses_only_visible_rows():
     X, y = blobs(seed=11, gap=3.0)
     x = np.column_stack([X, np.full(y.size, 5.0)])
     x[-1] = [100.0, -100.0, 100.0, 5.0]  # a hidden row must not move the stats
@@ -41,12 +55,6 @@ def test_fit_baseline_standardizes_on_the_visible_rows():
     assert np.allclose(x_norm[visible, :3].mean(axis=0), 0.0)
     assert np.allclose(x_norm[visible, :3].std(axis=0), 1.0)
     assert np.array_equal(x_norm, standardized(x, visible))
-    # visible [1, 3, 5, 7]: mean 4 and population std sqrt(5), not the
-    # sample std sqrt(20/3); the hidden 9 is scaled by the same numbers
-    x5 = np.array([[1.0], [3.0], [5.0], [7.0], [9.0]])
-    _, z = fit_baseline("logreg", x5, np.array([0, 0, 1, 1, 1]), [0, 1, 2, 3],
-                        seed=0, num_classes=2)
-    assert np.allclose(z[:, 0], np.array([-3.0, -1.0, 1.0, 3.0, 5.0]) / np.sqrt(5.0))
 
 
 def test_fit_baseline_rejects_an_empty_visible_set():
