@@ -2,6 +2,11 @@
 
 Forward pass: Z = A_hat * ReLU(A_hat * X * W0) * W1, with inverted-scaling
 dropout on the input features and on the hidden activations during training.
+Each dropout mask reads 16-bit lanes of the generator's raw 64-bit words, four
+lanes per word in little-endian order: an entry is kept where its lane is
+below t = round((1 - p) * 2^16). So the keep probability is t / 2^16, within
+2^-17 of 1 - p, and a rate below 2^-17 keeps every entry; kept entries are
+scaled by exactly 1 / (1 - p).
 Layer 0 multiplies in the cheaper order. Evaluated as (A_hat * X) * W0 it
 propagates the d input columns in the forward pass and nothing in the
 backward pass: A_hat is symmetric, so the W0 gradient X_in^T (A_hat dH)
@@ -174,6 +179,16 @@ def _propagates_input_first(d: int, hidden: int) -> bool:
     return d < 2 * hidden
 
 
+def _keep_mask(rng: np.random.Generator, shape, keep: float) -> np.ndarray:
+    """Boolean dropout mask: entry i is kept where lane i is below
+    t = round(keep * 2^16), lane i being bits 16(i mod 4) to 16(i mod 4) + 15
+    of raw word i // 4. A mask of n entries takes ceil(n / 4) words."""
+    n = int(np.prod(shape))
+    words = rng.bit_generator.random_raw(-(-n // 4))
+    lanes = words.astype("<u8", copy=False).view("<u2")[:n]
+    return (lanes < round(keep * 65536)).reshape(shape)
+
+
 def _forward(params, a, x, dropout_rate, rng, ax=None):
     """Returns logits plus the intermediates needed for the backward pass:
     (z, x_in, ax_in, h_drop, live).
@@ -181,9 +196,12 @@ def _forward(params, a, x, dropout_rate, rng, ax=None):
     ``ax`` is A_hat * x, used in eval mode in place of propagating ``x``.
     The returned A_hat * x_in is None when layer 0 propagated x_in * W0.
     ``live`` marks the hidden units the gradient flows through: positive
-    pre-activation and, in training, kept by dropout. Each mask is drawn
-    into the buffer it scales, so a step holds no float mask and no copy of
-    the pre-activation.
+    pre-activation and, in training, kept by dropout. In training the input
+    mask and then the hidden mask come from ``_keep_mask``: each entry is
+    kept with probability t / 2^16, t = round((1 - p) * 2^16), within 2^-17
+    of 1 - p, and kept entries are scaled by exactly 1 / (1 - p). The masks
+    are boolean, so a step holds no float mask and no copy of the
+    pre-activation.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise InputError(f"dropout rate must be in [0, 1), got {dropout_rate}")
@@ -193,8 +211,7 @@ def _forward(params, a, x, dropout_rate, rng, ax=None):
     if training:
         keep = 1.0 - dropout_rate
         scale = 1.0 / keep
-        x_in = rng.random(x.shape)
-        np.multiply(x, x_in < keep, out=x_in)
+        x_in = x * _keep_mask(rng, x.shape, keep)
         x_in *= scale
     else:
         x_in = x
@@ -204,7 +221,7 @@ def _forward(params, a, x, dropout_rate, rng, ax=None):
     np.maximum(h, 0.0, out=h)
     live = h > 0
     if training:
-        kept = rng.random(h.shape) < keep
+        kept = _keep_mask(rng, h.shape, keep)
         live &= kept
         h *= kept
         h *= scale

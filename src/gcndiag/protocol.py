@@ -247,7 +247,9 @@ class ExperimentResult:
     def from_dict(cls, d: dict) -> "ExperimentResult":
         """Rebuild a result from its report form, ``jsonable(asdict(result))``,
         found under a report's "grid" key. Malformed input is an InputError
-        naming its path in the report, as in ``grid.cells["gcn:0:original"]``."""
+        naming its path in the report, as in ``grid.cells["gcn:0:original"]``.
+        So is a cell stored under another cell's key, and scores whose
+        per-class F1 or confusion matrix does not fit ``num_classes``."""
         def cell(key, c):
             where = f'grid.cells["{key}"]'
 
@@ -256,11 +258,28 @@ class ExperimentResult:
                     ModelScores, s, _SCORES_JSON, where + ".scores")
             return _from_json(CellResult, c, {**_CELL_JSON, "scores": scores}, where)
 
-        return _from_json(cls, d, {
+        result = _from_json(cls, d, {
             "base_seed": _json(int), "num_classes": _json(int),
             "cells": lambda cells: {key: cell(key, c)
                                     for key, c in _json(dict)(cells).items()},
         }, "grid")
+        k = result.num_classes
+        for key, c in result.cells.items():
+            where = f'grid.cells["{key}"]'
+            own = cell_key(c.model, c.masking_rate, c.feature_mode)
+            if key != own:
+                raise InputError(f"{where} describes the cell {own}")
+            if c.scores is None:
+                continue
+            if c.scores.per_class_f1.shape != (k,):
+                raise InputError(
+                    f"{where}.scores.per_class_f1 has "
+                    f"{c.scores.per_class_f1.size} entries, not grid.num_classes {k}")
+            if c.scores.confusion.shape != (k, k):
+                raise InputError(
+                    f"{where}.scores.confusion is {c.scores.confusion.shape}, "
+                    f"not {(k, k)}")
+        return result
 
 
 def run_grid(a, x, y, base_seed: int = 0, models=MODELS,

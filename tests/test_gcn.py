@@ -1,3 +1,4 @@
+import copy
 import re
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from gcndiag import (GcnConfig, GcnParams, InputError, ShapeError, build_graph,
                      gradient_check, normalized_adjacency, train_gcn)
 from gcndiag.gcn import (PATIENCE, Adam, class_weights,
                          finite_difference_grads, glorot_uniform, init_params,
-                         softmax_cross_entropy, _forward,
+                         softmax_cross_entropy, _forward, _keep_mask,
                          _propagates_input_first)
 from gcndiag.baselines import logreg_objective
 from gcndiag.graph import spmm
@@ -94,15 +95,28 @@ def _parent_logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
     return obj, np.concatenate([grad_w.ravel(), grad_b])
 
 
+def _mask_by_definition(rng, shape, keep):
+    """The dropout mask as the gcn module defines it, written out with
+    shifts: entry i is kept where bits 16k to 16k + 15 (k = i mod 4) of raw
+    word i // 4 are below round(keep * 2^16)."""
+    n = int(np.prod(shape))
+    words = rng.bit_generator.random_raw((n + 3) // 4)
+    shifts = np.array([0, 16, 32, 48], dtype=np.uint64)
+    lanes = (words[:, None] >> shifts) & np.uint64(0xFFFF)
+    return (lanes.ravel()[:n] < round(keep * 2**16)).reshape(shape)
+
+
 def _parent_forward(params, a, x, dropout_rate, rng):
     """The training forward pass as written before the in-place epoch:
     float dropout masks, and the pre-activation kept beside the output."""
     keep = 1.0 - dropout_rate
-    x_in = x * ((rng.random(x.shape) < keep) / keep) if dropout_rate else x
+    x_in = (x * (_mask_by_definition(rng, x.shape, keep) / keep)
+            if dropout_rate else x)
     ax_in = spmm(a, x_in) if _propagates_input_first(*params.w0.shape) else None
     h_pre = spmm(a, x_in @ params.w0) if ax_in is None else ax_in @ params.w0
     h = np.maximum(h_pre, 0.0)
-    mask1 = (rng.random(h.shape) < keep) / keep if dropout_rate else None
+    mask1 = (_mask_by_definition(rng, h.shape, keep) / keep
+             if dropout_rate else None)
     h_drop = h if mask1 is None else h * mask1
     z = spmm(a, h_drop @ params.w1)
     return z, x_in, ax_in, h_pre, mask1, h_drop
@@ -224,14 +238,18 @@ def test_gradients_match_finite_differences_with_dropout(wd, input_first):
                                w1=rng.standard_normal((hidden, C)) * 0.5)
             mask_seed = int(rng.integers(0, 2**32))
             # the pre-activation under the input mask the loss will draw
-            x_in = x * ((np.random.default_rng(mask_seed).random(x.shape)
-                         < 1.0 - rate) / (1.0 - rate))
+            x_in = x * (_mask_by_definition(np.random.default_rng(mask_seed),
+                                            x.shape, 1.0 - rate) / (1.0 - rate))
             h_pre = (spmm(a, x_in) @ params.w0 if input_first
                      else spmm(a, x_in @ params.w0))
             if np.abs(h_pre).min() > 100.0 * step:
                 break
         else:
             raise AssertionError("could not draw an instance clear of ReLU kinks")
+        # the prediction is the input the loss sees, not a lucky guess
+        assert np.array_equal(
+            _forward(params, a, x, rate, np.random.default_rng(mask_seed))[1],
+            x_in)
         labeled = rng.choice(n, size=max(2, n // 2), replace=False)
         weights = class_weights(y, labeled, C)
 
@@ -314,6 +332,80 @@ def test_dropout_mean_preserving():
         _, x_in, _, _, _ = _forward(params, a, big, 0.3, rng)
         total += x_in
     assert np.allclose(total / reps, 1.0, atol=0.05)
+
+
+class _RawWords:
+    """A stand-in Generator whose bit generator hands out fixed raw words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return out
+
+
+def _word(*lanes):
+    return sum(int(v) << (16 * k) for k, v in enumerate(lanes))
+
+
+def test_keep_mask_threshold_at_half_is_32768():
+    rng = _RawWords([_word(32767, 32768, 0, 65535), _word(32768, 1, 2, 3)])
+    got = _keep_mask(rng, (5,), 0.5)
+    assert got.tolist() == [True, False, True, False, False]
+
+
+def test_keep_mask_advances_generator_by_ceil_quarter_words():
+    for n in (1, 3, 4, 5, 7, 64, 6403):
+        rng = np.random.default_rng(n)
+        clone = copy.deepcopy(rng)
+        _keep_mask(rng, (n,), 0.5)
+        words = (n + 3) // 4
+        assert rng.bit_generator.random_raw() == clone.bit_generator.random_raw(
+            words + 1)[-1]
+    # a train-mode forward draws the input mask, then the hidden mask
+    _, g, a, x, params, _ = tiny_instance()
+    rng = np.random.default_rng(3)
+    clone = copy.deepcopy(rng)
+    _forward(params, a, x, 0.5, rng)
+    words = -(-x.size // 4) + -(-x.shape[0] * params.w0.shape[1] // 4)
+    assert rng.bit_generator.random_raw() == clone.bit_generator.random_raw(
+        words + 1)[-1]
+
+
+def test_keep_mask_matches_shifted_lanes():
+    for seed, shape, keep in [(0, (7,), 0.5), (1, (13, 5), 0.7),
+                              (2, (2000, 3), 0.3), (3, (1, 1), 0.9)]:
+        rng = np.random.default_rng(seed)
+        got = _keep_mask(rng, shape, keep)
+        want = _mask_by_definition(np.random.default_rng(seed), shape, keep)
+        assert got.shape == shape and got.dtype == bool
+        assert np.array_equal(got, want)
+
+
+def test_dropout_below_two_to_minus_17_keeps_every_unit():
+    _, g, a, x, params, _ = tiny_instance()
+    rate = 2.0 ** -18
+    _, x_in, ax_in, h_drop, live = _forward(
+        params, a, x, rate, np.random.default_rng(0))
+    scale = 1.0 / (1.0 - rate)
+    assert np.array_equal(x_in, x * scale)
+    h = np.maximum(ax_in @ params.w0, 0.0)
+    assert np.array_equal(live, h > 0)
+    assert np.array_equal(h_drop, h * scale)
+    # the top lane is kept below 2^-17 and dropped just above it
+    assert _keep_mask(_RawWords([_word(65535)]), (1,), 1.0 - rate)[0]
+    assert not _keep_mask(_RawWords([_word(65535)]), (1,), 1.0 - 1.1 * 2.0 ** -17)[0]
+
+
+def test_keep_mask_kept_fraction_within_four_sigma():
+    n, keep = 1 << 20, 0.3
+    t = round(keep * 2**16)
+    p = t / 2**16
+    assert abs(p - keep) <= 2.0 ** -17
+    kept = _keep_mask(np.random.default_rng(12), (n,), keep).mean()
+    assert abs(kept - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)
 
 
 def test_eval_forward_has_no_dropout():

@@ -1,3 +1,4 @@
+import copy
 import errno
 import json
 import os
@@ -630,13 +631,25 @@ def test_cli_run_fails_a_diverging_gcn_cell(tmp_path, capsys, cli_inputs):
     ("per_class_text", "malformed value at homophily.per_class: 'abc'"),
     ("per_class_object", "malformed value at homophily.per_class: {'a': 1}"),
     ("per_class_short", "per-class arrays disagree on length: (1,), (2,), (2,)"),
-    ("class_counts", "score vectors have different class counts"),
+    ("class_counts", 'grid.cells["gcn:0:original"].scores.per_class_f1 '
+                     "has 3 entries, not grid.num_classes 2"),
+    ("class_counts_two_rates", 'grid.cells["gcn:50:original"].scores.'
+                               "per_class_f1 has 3 entries, not grid.num_classes 2"),
+    ("confusion_rows", 'grid.cells["gcn:0:original"].scores.confusion is '
+                       "(1, 2), not (2, 2)"),
+    ("misfiled_cell", 'grid.cells["logreg:50:original"] describes the cell '
+                      "logreg:0:original"),
 ])
 def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
                                                 case, message):
     report = load_report(cli_inputs[1])
     cells = report["grid"]["cells"]
     raw = {"rate_nan": "NaN", "rate_huge": "1e400"}  # save_report writes null
+    if case in ("class_counts_two_rates", "misfiled_cell"):
+        for model in ("gcn", "logreg"):  # a second rate, so rows are averaged
+            cells[f"{model}:50:original"] = {
+                **copy.deepcopy(cells[f"{model}:0:original"]),
+                "masking_rate": 0.5}
     if case == "no_scores":
         del cells["gcn:0:original"]["scores"]
     elif case == "no_homophily":
@@ -654,6 +667,13 @@ def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
             "per_class_short": [0.5]}[case]
     elif case == "class_counts":
         cells["gcn:0:original"]["scores"]["per_class_f1"].append(0.5)
+    elif case == "class_counts_two_rates":
+        for model in ("gcn", "logreg"):
+            cells[f"{model}:50:original"]["scores"]["per_class_f1"].append(0.5)
+    elif case == "confusion_rows":
+        del cells["gcn:0:original"]["scores"]["confusion"][-1]
+    elif case == "misfiled_cell":
+        cells["logreg:50:original"]["masking_rate"] = 0.0
     path = str(tmp_path / "bad.json")
     save_report({"empty": {}, "list": [report]}.get(case, report), path)
     if case in raw:

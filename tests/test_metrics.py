@@ -77,6 +77,9 @@ def test_delta_f1():
     macro, per_class = delta_f1(a, b)
     assert macro == pytest.approx(a.macro_f1 - b.macro_f1)
     assert np.allclose(per_class, a.per_class_f1 - b.per_class_f1)
+    three = score(np.array([0, 2]), np.array([0, 1]), 3)
+    with pytest.raises(ShapeError, match="different class counts"):
+        delta_f1(a, three)
 
 
 def test_macro_f1_over_present_ignores_missing_truth_classes():
