@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InputError, ShapeError, check_finite
 from .gcn import class_weights, softmax_cross_entropy
 from .metrics import score
-from .protocol import carve_validation
+from .protocol import carve_validation, stratified_kfold
 
 LOGREG_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 LOGREG_FOLDS = 5
@@ -188,23 +188,6 @@ def fit_logreg(X, y, sample_w, reg_c, num_classes):
     return *_unpack(wb, d, num_classes), converged
 
 
-def stratified_kfold(y, indices, folds: int, rng: np.random.Generator):
-    """Deterministic stratified folds over ``indices``; returns (train, val) pairs."""
-    indices = np.asarray(indices)
-    y = np.asarray(y)
-    assignment = np.empty(indices.size, dtype=np.int64)
-    for c in np.unique(y[indices]):
-        members = np.flatnonzero(y[indices] == c)
-        perm = rng.permutation(members)
-        assignment[perm] = np.arange(perm.size) % folds
-    out = []
-    for f in range(folds):
-        val = indices[assignment == f]
-        train = indices[assignment != f]
-        out.append((train, val))
-    return out
-
-
 def _check_visible(x_norm, y, visible_rows):
     """The trainers' shared prelude; returns the checked (x_norm, y,
     visible_rows). An empty or single-class visible set is reported before a
@@ -322,7 +305,11 @@ def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
 
 def fit_baseline(model: str, x, y, visible_rows, seed: int, num_classes):
     """(fitted ``model``, x standardized on the visible rows) for "logreg" or
-    "svm"; the trainer is looked up at call time, so a patched one runs."""
+    "svm"; any other model is an InputError. The trainer is looked up at call
+    time, so a patched one runs."""
+    trainers = {"logreg": train_logreg, "svm": train_svm}
+    if model not in trainers:
+        raise InputError(f"unknown baseline {model!r}; choose from logreg, svm")
     visible_rows = np.asarray(visible_rows)
     if visible_rows.size == 0:
         raise InputError("cannot fit a scaler on an empty visible set")
@@ -332,6 +319,5 @@ def fit_baseline(model: str, x, y, visible_rows, seed: int, num_classes):
     std = sub.std(axis=0)  # population std
     del sub  # release the visible rows' copy before training
     x_norm = (x - mean) / np.where(std == 0, 1.0, std)
-    trainer = train_logreg if model == "logreg" else train_svm
-    return trainer(x_norm, y, visible_rows, seed=seed,
-                   num_classes=num_classes), x_norm
+    return trainers[model](x_norm, y, visible_rows, seed=seed,
+                           num_classes=num_classes), x_norm

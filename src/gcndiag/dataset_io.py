@@ -6,7 +6,8 @@ u < v, no edge listed twice), labels.tsv (line i = label of node i), and
 features.bin (little-endian float32, row-major, exactly n*d values). A
 features.tsv of n rows with d tab-separated reals is accepted in place of the
 binary file. Every feature must be finite. Features are widened to float64
-once loaded.
+once loaded. Every text file must be UTF-8. ``_rows`` reads the two tables of
+exactly n rows; edges.tsv keeps its own, faster loop.
 """
 
 import hashlib
@@ -46,6 +47,8 @@ def _read_meta(path: str) -> dict:
     with open(meta_path, "r", encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
+        except UnicodeDecodeError:
+            raise InputError("not valid UTF-8", path=meta_path) from None
         except json.JSONDecodeError as exc:
             raise InputError(f"not valid JSON: {exc}", path=meta_path)
     if not isinstance(meta, dict):
@@ -71,10 +74,51 @@ def _lines(path: str):
     if not os.path.isfile(path):
         raise InputError("not found", path=path)
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line:
-                yield lineno, line
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError:
+            raise InputError("not valid UTF-8", path=path,
+                             line=_first_non_utf8_line(path)) from None
+
+
+def _first_non_utf8_line(path: str):
+    """Number of the first line of ``path`` that is not UTF-8, counted as text
+    mode counts lines; read only after a decode error."""
+    with open(path, "rb") as fh:
+        lines = (raw for chunk in fh for raw in chunk.splitlines())
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return None
+
+
+def _rows(path: str, n: int, width: int, parse, what: str):
+    """Yield (line number, ``parse(fields)``) for exactly ``n`` non-blank lines
+    of ``width`` tab-separated fields; ``what`` names a row in errors."""
+    count = 0
+    for lineno, line in _lines(path):
+        if count >= n:
+            raise InputError(
+                f"more than the expected {n} {what}s", path=path, line=lineno)
+        parts = line.split("\t")
+        if len(parts) != width:
+            raise InputError(
+                f"expected {width} tab-separated values, got {len(parts)}",
+                path=path, line=lineno)
+        try:
+            values = parse(parts)
+        except ValueError:
+            raise InputError(
+                f"malformed {what} {line!r:.60}", path=path, line=lineno) from None
+        yield lineno, values
+        count += 1
+    if count != n:
+        raise InputError(f"expected {n} {what}s, found {count}", path=path)
 
 
 def _read_edges(path: str, n: int):
@@ -115,26 +159,12 @@ def _read_edges(path: str, n: int):
 def _read_labels(path: str, n: int, num_classes: int) -> np.ndarray:
     labels_path = os.path.join(path, "labels.tsv")
     y = np.empty(n, dtype=np.int64)
-    count = 0
-    for lineno, line in _lines(labels_path):
-        if count >= n:
-            raise InputError(
-                f"more than the expected {n} labels", path=labels_path, line=lineno)
-        try:
-            label = int(line)
-        except ValueError:
-            raise InputError(
-                f"non-integer label {line!r}", path=labels_path, line=lineno)
+    rows = _rows(labels_path, n, 1, lambda parts: int(parts[0]), "label")
+    for i, (lineno, label) in enumerate(rows):
         if not 0 <= label < num_classes:
-            raise InputError(
-                f"label {label} outside [0, {num_classes})",
-                path=labels_path, line=lineno,
-            )
-        y[count] = label
-        count += 1
-    if count != n:
-        raise InputError(
-            f"expected {n} labels, found {count}", path=labels_path)
+            raise InputError(f"label {label} outside [0, {num_classes})",
+                             path=labels_path, line=lineno)
+        y[i] = label
     return y
 
 
@@ -154,31 +184,13 @@ def _read_features(path: str, n: int, d: int) -> np.ndarray:
         return x.astype(np.float64)
     if os.path.isfile(tsv_path):
         x = np.empty((n, d), dtype=np.float64)
-        count = 0
-        for lineno, line in _lines(tsv_path):
-            if count >= n:
-                raise InputError(
-                    f"more than the expected {n} feature rows",
-                    path=tsv_path, line=lineno,
-                )
-            parts = line.split("\t")
-            if len(parts) != d:
-                raise InputError(
-                    f"expected {d} tab-separated values, got {len(parts)}",
-                    path=tsv_path, line=lineno,
-                )
-            try:
-                x[count] = [float(p) for p in parts]
-            except ValueError:
-                raise InputError(
-                    "non-numeric feature value", path=tsv_path, line=lineno)
-            if not np.isfinite(x[count]).all():
-                raise InputError(
-                    "non-finite feature value", path=tsv_path, line=lineno)
-            count += 1
-        if count != n:
-            raise InputError(
-                f"expected {n} feature rows, found {count}", path=tsv_path)
+        rows = _rows(tsv_path, n, d, lambda parts: [float(p) for p in parts],
+                     "feature row")
+        for i, (lineno, row) in enumerate(rows):
+            x[i] = row
+            if not np.isfinite(x[i]).all():
+                raise InputError("non-finite feature value", path=tsv_path,
+                                 line=lineno)
         return x
     raise InputError(
         "neither features.bin nor features.tsv found", path=os.path.join(path, ""))

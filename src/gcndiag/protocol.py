@@ -4,7 +4,8 @@ All randomness flows through named seeds derived from one base seed, so any
 cell of a grid can be reproduced in isolation. Masking is nested: the visible
 set at 90% masking is a subset of the visible set at 50%, which is a subset of
 the full training labels. That keeps scarcity comparisons about quantity, not
-about which particular nodes happened to be drawn.
+about which particular nodes happened to be drawn. Every stratified draw,
+from the split to the CV folds, permutes each class by ``_permuted_classes``.
 """
 
 import hashlib
@@ -44,6 +45,27 @@ class SplitSpec:
     seed: int
 
 
+def _permuted_classes(y, idx, rng):
+    """Yield (c, the members of ``idx`` in class c, ascending, then permuted)
+    for each class c of ``y[idx]`` in ascending order. ``rng`` is one
+    Generator for every class in turn, or a function class id -> Generator."""
+    y_idx = y[idx]
+    for c in np.unique(y_idx):
+        members = np.sort(idx[y_idx == c])
+        yield int(c), (rng(int(c)) if callable(rng) else rng).permutation(members)
+
+
+def _partition(y, idx, rng, count):
+    """(first, rest), both sorted: each class's permutation, cut after its
+    first ``count(c, size)`` entries."""
+    first, rest = [], []
+    for c, perm in _permuted_classes(y, idx, rng):
+        cut = count(c, perm.size)
+        first.append(perm[:cut])
+        rest.append(perm[cut:])
+    return np.sort(np.concatenate(first)), np.sort(np.concatenate(rest))
+
+
 def stratified_split(y, seed: int = 0):
     """Per-class split into (train_idx, test_idx), both sorted.
 
@@ -51,22 +73,14 @@ def stratified_split(y, seed: int = 0):
     clamped so both sides keep at least one node. Classes with fewer than 2
     members cannot satisfy that and are an input error.
     """
+    def n_train(c, size):
+        if size < 2:
+            raise InputError(f"class {c} has {size} node(s); need at least 2 "
+                             "to appear on both sides of the split")
+        return min(max(int(np.floor(size * TRAIN_FRACTION + 0.5)), 1), size - 1)
+
     y = np.asarray(y)
-    rng = np.random.default_rng(seed)
-    train_part, test_part = [], []
-    for c in np.unique(y):
-        members = np.flatnonzero(y == c)
-        if members.size < 2:
-            raise InputError(
-                f"class {int(c)} has {members.size} node(s); need at least 2 "
-                "to appear on both sides of the split"
-            )
-        n_train = int(np.floor(members.size * TRAIN_FRACTION + 0.5))
-        n_train = min(max(n_train, 1), members.size - 1)
-        perm = rng.permutation(members)
-        train_part.append(perm[:n_train])
-        test_part.append(perm[n_train:])
-    return np.sort(np.concatenate(train_part)), np.sort(np.concatenate(test_part))
+    return _partition(y, np.arange(y.size), np.random.default_rng(seed), n_train)
 
 
 def apply_masking(y, train_idx, masking_rate: float, seed: int) -> np.ndarray:
@@ -76,18 +90,13 @@ def apply_masking(y, train_idx, masking_rate: float, seed: int) -> np.ndarray:
     whose seed does not depend on the rate, so raising the rate only shrinks
     the kept prefix. Every class keeps at least one visible node.
     """
-    y = np.asarray(y)
-    train_idx = np.asarray(train_idx)
     if not 0.0 <= masking_rate < 1.0:
         raise InputError(f"masking rate must be in [0, 1), got {masking_rate}")
-    kept = []
-    for c in np.unique(y[train_idx]):
-        members = np.sort(train_idx[y[train_idx] == c])
-        rng = np.random.default_rng(derive_seed(seed, "mask-class", int(c)))
-        perm = rng.permutation(members)
-        n_keep = max(1, int(np.floor((1.0 - masking_rate) * members.size + 0.5)))
-        kept.append(perm[:n_keep])
-    return np.sort(np.concatenate(kept))
+    return _partition(
+        np.asarray(y), np.asarray(train_idx),
+        lambda c: np.random.default_rng(derive_seed(seed, "mask-class", c)),
+        lambda c, size: max(1, int(np.floor((1.0 - masking_rate) * size + 0.5))),
+    )[0]
 
 
 def carve_validation(y, visible_idx, seed: int = 0):
@@ -97,20 +106,27 @@ def carve_validation(y, visible_idx, seed: int = 0):
     A class with a single visible node keeps it for training and contributes
     nothing to validation.
     """
-    y = np.asarray(y)
     visible_idx = np.asarray(visible_idx)
     if visible_idx.size == 0:
         raise InputError("cannot carve a validation set from an empty visible set")
-    rng = np.random.default_rng(seed)
-    sub_part, val_part = [], []
-    for c in np.unique(y[visible_idx]):
-        members = np.sort(visible_idx[y[visible_idx] == c])
-        perm = rng.permutation(members)
-        n_val = min(members.size - 1,
-                    max(1, int(np.floor(members.size * VAL_FRACTION + 0.5))))
-        val_part.append(perm[:n_val])
-        sub_part.append(perm[n_val:])
-    return np.sort(np.concatenate(sub_part)), np.sort(np.concatenate(val_part))
+    val_idx, subtrain_idx = _partition(
+        np.asarray(y), visible_idx, np.random.default_rng(seed),
+        lambda c, size: min(size - 1,
+                            max(1, int(np.floor(size * VAL_FRACTION + 0.5)))))
+    return subtrain_idx, val_idx
+
+
+def stratified_kfold(y, indices, folds: int, rng: np.random.Generator):
+    """Deterministic stratified folds over ``indices``; returns (train, val)
+    pairs. Each class's positions in ``indices`` are permuted by ``rng``, and
+    the j-th of them goes to fold j mod ``folds``."""
+    indices = np.asarray(indices)
+    assignment = np.empty(indices.size, dtype=np.int64)
+    for _, perm in _permuted_classes(np.asarray(y)[indices],
+                                     np.arange(indices.size), rng):
+        assignment[perm] = np.arange(perm.size) % folds
+    return [(indices[assignment != f], indices[assignment == f])
+            for f in range(folds)]
 
 
 def make_split(y, masking_rate: float, seed: int, num_classes: int) -> SplitSpec:
@@ -298,6 +314,8 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
     error)`` hears of each cell as it finishes; ``seconds`` is NaN when the
     cell's worker died. A failing cell records its error instead of aborting
     its siblings; non-finite features fail the whole run before any cell.
+    An unknown model or feature mode, and a name or a masking percent given
+    twice, is an InputError before any split is drawn.
     """
     # deferred: baselines imports protocol, and tracers patch these names
     from .baselines import fit_baseline, linear_predict
@@ -305,6 +323,16 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
     from .graph import spmm
     from .parallel import fork_map
 
+    pcts = [masking_percent(r) for r in masking_rates]
+    for what, given, known in (("model", models, MODELS),
+                               ("feature mode", feature_modes, FEATURE_MODES),
+                               ("masking percent", pcts, pcts)):
+        for i, name in enumerate(given):
+            if name not in known:
+                raise InputError(
+                    f"unknown {what} {name!r}; choose from {', '.join(known)}")
+            if name in given[:i]:
+                raise InputError(f"{what} {name!r} given twice")
     y = np.asarray(y)
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)

@@ -118,10 +118,16 @@ def save_report(payload: dict, path=None) -> None:
 
 def check_report_dir(path) -> None:
     """Raise the InputError ``save_report`` would raise for a report ``path``
-    in a missing directory, so a long run fails before it starts."""
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    in a missing directory, or for one that is itself a directory, so a long
+    run fails before it starts."""
+    if path is None:
+        return
+    if not os.path.isdir(os.path.dirname(path) or "."):
         raise InputError(
             f"cannot write report: {os.strerror(errno.ENOENT)}", path=path)
+    if os.path.isdir(path):
+        raise InputError(
+            f"cannot write report: {os.strerror(errno.EISDIR)}", path=path)
 
 
 def load_report(path: str) -> dict:
@@ -130,6 +136,8 @@ def load_report(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read report: {exc.strerror or exc}", path=path)
+    except UnicodeDecodeError:
+        raise InputError("report is not valid UTF-8", path=path) from None
     except json.JSONDecodeError as exc:
         raise InputError(f"report is not valid JSON: {exc}", path=path)
 

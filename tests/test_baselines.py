@@ -64,6 +64,14 @@ def test_fit_baseline_rejects_an_empty_visible_set():
         fit_baseline("svm", X, y, np.array([], dtype=int), seed=0, num_classes=2)
 
 
+
+@pytest.mark.parametrize("model", ["lr", "SVM", "gcn"])
+def test_fit_baseline_rejects_an_unknown_model(model):
+    X, y = blobs(seed=11)
+    with pytest.raises(InputError, match=f"unknown baseline {model!r}; "
+                                         "choose from logreg, svm"):
+        fit_baseline(model, X, y, np.arange(y.size), seed=0, num_classes=2)
+
 @pytest.mark.parametrize("model, trainer", [("logreg", train_logreg),
                                             ("svm", train_svm)])
 def test_fit_baseline_trains_on_the_standardized_matrix(model, trainer):

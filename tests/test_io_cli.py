@@ -738,3 +738,53 @@ def test_cli_defaults_are_read_from_their_owners():
                                       "model") == MODELS
     assert gcndiag.cli._parse_masking(run.masking) == MASKING_RATES
     assert tuple(run.features.split(",")) == FEATURE_MODES
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("labels.tsv", b"0\n1\n\xff\n", 3),
+    ("labels.tsv", b"0\r\n\r\n1\r\x80\n", 4),  # lines counted as text mode does
+    ("edges.tsv", b"0\t1\n1\t2\xfe\n", 2),
+])
+def test_non_utf8_container_file_names_file_and_line(tmp_path, capsys, name,
+                                                     text, line):
+    write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, GOOD_LABELS,
+                    GOOD_FEATS)
+    path = str(tmp_path / "c" / name)
+    with open(path, "wb") as fh:
+        fh.write(text)
+    capsys.readouterr()
+    assert run_cli("analyze", str(tmp_path / "c")) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}: not valid UTF-8\n"
+
+
+def test_non_utf8_meta_json_names_the_file(tmp_path, capsys):
+    write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, GOOD_LABELS,
+                    GOOD_FEATS)
+    path = str(tmp_path / "c" / "meta.json")
+    with open(path, "wb") as fh:
+        fh.write(b'{"name": "\xff", "n": 3, "d": 2, "num_classes": 2}')
+    capsys.readouterr()
+    assert run_cli("analyze", str(tmp_path / "c")) == 1
+    assert capsys.readouterr().err == f"error: {path}: not valid UTF-8\n"
+
+
+def test_non_utf8_report_names_the_file(tmp_path, capsys):
+    path = str(tmp_path / "report.json")
+    with open(path, "wb") as fh:
+        fh.write(b'{"grid": "\xff"}')
+    capsys.readouterr()
+    assert run_cli("quadrant", path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: report is not valid UTF-8\n")
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_cli_out_naming_a_directory_fails_before_loading(
+        tmp_path, capsys, monkeypatch, cli_inputs, command):
+    monkeypatch.setattr(gcndiag.cli, "load_dataset", lambda *a, **k:
+                        pytest.fail("load_dataset ran before --out was checked"))
+    out = str(tmp_path)
+    capsys.readouterr()
+    assert run_cli(command, cli_inputs[0], "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out}: cannot write report: {os.strerror(errno.EISDIR)}\n")

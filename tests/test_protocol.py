@@ -6,6 +6,7 @@ import pytest
 
 import gcndiag.baselines
 import gcndiag.parallel
+import gcndiag.protocol
 from gcndiag import (ExperimentResult, GcnConfig, InputError, ablate_features,
                      apply_masking, build_graph, build_report,
                      carve_validation, derive_seed, generate_features,
@@ -294,3 +295,25 @@ def test_random_features_shared_across_cells():
                       masking_rates=(0.5,), feature_modes=("random",))
     assert (jsonable(asdict(result.cell("logreg", 0.5, "random").scores))
             == jsonable(asdict(manual.cell("logreg", 0.5, "random").scores)))
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"models": ("lr",)}, "unknown model 'lr'; choose from gcn, logreg, svm"),
+    ({"models": ("lr", "GCN")}, "unknown model 'lr'"),
+    ({"models": ("svm", "svm")}, "model 'svm' given twice"),
+    ({"feature_modes": ("noise",)},
+     "unknown feature mode 'noise'; choose from original, random"),
+    ({"masking_rates": (0.0, 0.0)}, "masking percent 0 given twice"),
+    ({"masking_rates": (0.5, 0.504)}, "masking percent 50 given twice"),
+])
+def test_run_grid_rejects_unknown_and_repeated_names_before_any_work(
+        monkeypatch, grid, message):
+    a, x, y = small_dataset()
+
+    def boom(*args, **kwargs):
+        raise AssertionError("run_grid split or forked before checking names")
+
+    monkeypatch.setattr(gcndiag.protocol, "make_split", boom)
+    monkeypatch.setattr(gcndiag.parallel, "fork_map", boom)
+    with pytest.raises(InputError, match=message):
+        run_grid(a, x, y, num_classes=3, base_seed=4, **grid)
