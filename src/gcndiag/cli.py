@@ -22,9 +22,8 @@ from . import parallel
 from .protocol import (FEATURE_MODES, JSON_FLOATS, MASKING_RATES, MODELS,
                        ExperimentResult, derive_seed, make_split,
                        masking_percent, read_json, run_grid)
-from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, assign_quadrants,
-                       averaged_class_metrics, check_thresholds,
-                       quadrant_summary)
+from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, check_thresholds,
+                       grid_quadrants)
 from .report import (build_report, check_report_dir, load_report,
                      save_report)
 from .synth import SyntheticSpec, generate_features, generate_graph
@@ -41,8 +40,7 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD_BYTES = 32 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
 
-MODEL_ALIASES = {"gcn": "gcn", "lr": "logreg", "logreg": "logreg", "svm": "svm"}
-FEATURE_NAMES = {mode: mode for mode in FEATURE_MODES}
+MODEL_ALIASES = {"lr": "logreg"}
 
 
 def _pin_malloc_thresholds() -> bool:
@@ -73,27 +71,18 @@ def _blas_threads():
     return None if parallel.openblas_thread_calls() is None else 1
 
 
-def _parse_choices(raw: str, names: dict, what: str):
-    """Comma list -> canonical names in first-seen order, without repeats.
-
-    ``names`` maps every accepted lowercase spelling to its canonical name.
-    """
-    chosen = []
-    for tok in raw.split(","):
-        tok = tok.strip().lower()
-        if tok not in names:
-            raise GcnDiagError(
-                f"unknown {what} {tok!r}; choose from {', '.join(names)}")
-        if names[tok] not in chosen:
-            chosen.append(names[tok])
-    return tuple(chosen)
+def _names(raw: str):
+    """Comma list -> lowercase names; ``run_grid`` refuses an unknown or
+    repeated one."""
+    return tuple(tok.strip().lower() for tok in raw.split(","))
 
 
 def _parse_masking(raw: str):
-    """Comma list of distinct whole percents in [0, 100) -> masking rates.
+    """Comma list of whole percents -> masking rates.
 
-    Cells and reports name a rate by its whole percent, so a fractional or
-    repeated percent would run one cell under two names.
+    Cells and reports name a rate by its whole percent, so a fractional
+    percent would run one cell under another's name. ``run_grid`` refuses a
+    repeated percent and ``apply_masking`` one outside [0, 100).
     """
     pcts = []
     for tok in raw.split(","):
@@ -102,12 +91,8 @@ def _parse_masking(raw: str):
             pct = float(tok)
         except ValueError:
             raise GcnDiagError(f"masking value {tok!r} is not a number")
-        if not 0 <= pct < 100:
-            raise GcnDiagError(f"masking percent {pct} outside [0, 100)")
         if not pct.is_integer():
             raise GcnDiagError(f"masking percent {tok!r} is not a whole number")
-        if pct in pcts:
-            raise GcnDiagError(f"masking percent {tok!r} given twice")
         pcts.append(pct)
     return tuple(pct / 100.0 for pct in pcts)
 
@@ -129,9 +114,9 @@ def cmd_run(args) -> int:
     check_report_dir(args.out)
     ds = load_dataset(args.dataset)
     a = normalized_adjacency(ds.graph)
-    models = _parse_choices(args.models, MODEL_ALIASES, "model")
+    models = tuple(MODEL_ALIASES.get(m, m) for m in _names(args.models))
     masking = _parse_masking(args.masking)
-    modes = _parse_choices(args.features, FEATURE_NAMES, "feature mode")
+    modes = _names(args.features)
     cfg = GcnConfig(hidden=args.hidden, dropout_rate=args.dropout,
                     learning_rate=args.learning_rate,
                     weight_decay=args.weight_decay, max_epochs=args.epochs,
@@ -151,9 +136,7 @@ def cmd_run(args) -> int:
     hom = homophily_report(ds.graph, ds.y, ds.num_classes)
     quad = None
     try:
-        lr_f1, delta = averaged_class_metrics(result, masking)
-        assignment = assign_quadrants(hom["per_class"], lr_f1, delta)
-        quad = quadrant_summary(assignment)
+        quad = grid_quadrants(result, hom["per_class"])
     except GcnDiagError:
         pass  # grid subset too small for the quadrant rule; section stays null
     config_echo = {
@@ -183,19 +166,10 @@ def cmd_quadrant(args) -> int:
         per_class = read_json(JSON_FLOATS, require_keys(
             report["homophily"], ("per_class",), "homophily")["per_class"],
             "homophily.per_class")
-        rates = sorted({cell.masking_rate for cell in result.cells.values()})
-        lr_f1, delta = averaged_class_metrics(result, tuple(rates))
-        assignment = assign_quadrants(
-            per_class, lr_f1, delta,
-            homophily_threshold=args.homophily_threshold,
-            f1_threshold=args.f1_threshold,
-        )
+        summary = grid_quadrants(result, per_class, args.homophily_threshold,
+                                 args.f1_threshold)
     except GcnDiagError as exc:  # the thresholds passed, so the report is at fault
         raise InputError(str(exc), path=args.results) from None
-    summary = quadrant_summary(assignment)
-    summary["thresholds"] = {"homophily": args.homophily_threshold,
-                             "feature_f1": args.f1_threshold}
-    summary["per_class"] = [asdict(a) for a in assignment.assignments]
     save_report(summary, args.out)
     return 0
 

@@ -7,7 +7,7 @@ is where it is expected to hurt.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,8 +94,9 @@ def assign_quadrants(per_class_homophily, per_class_lr_f1, per_class_delta,
 
 
 def quadrant_summary(assignment: QuadrantAssignment) -> dict:
-    """Per-quadrant membership and mean delta. Every quadrant key is present;
-    an empty quadrant reports mean_delta None."""
+    """Per-quadrant membership and mean delta, the thresholds applied, and
+    every placed class. Every quadrant key is present; an empty quadrant
+    reports mean_delta None."""
     out = {}
     for name in QUADRANT_NAMES:
         members = [a for a in assignment.assignments if a.quadrant == name]
@@ -105,6 +106,9 @@ def quadrant_summary(assignment: QuadrantAssignment) -> dict:
                               if members else None),
         }
     out["flagged_classes"] = list(assignment.flagged)
+    out["thresholds"] = {"homophily": assignment.homophily_threshold,
+                         "feature_f1": assignment.f1_threshold}
+    out["per_class"] = [asdict(a) for a in assignment.assignments]
     return out
 
 
@@ -114,13 +118,15 @@ def averaged_class_metrics(result: ExperimentResult, masking_rates=MASKING_RATES
     Uses the original-feature cells only. Any missing or failed cell makes the
     average meaningless, so that is an error rather than a silent skip.
     """
+    if not masking_rates:
+        raise InputError("no masking rates to average over")
     lr_rows, delta_rows = [], []
     for rate in masking_rates:
         try:
             lr = result.cell("logreg", rate, "original")
             gcn = result.cell("gcn", rate, "original")
-        except KeyError as exc:
-            raise InputError(str(exc))
+        except KeyError as exc:  # str() of a KeyError is its repr
+            raise InputError(exc.args[0]) from None
         if lr.scores is None or gcn.scores is None:
             bad = lr if lr.scores is None else gcn
             raise InputError(
@@ -130,3 +136,15 @@ def averaged_class_metrics(result: ExperimentResult, masking_rates=MASKING_RATES
         lr_rows.append(lr.scores.per_class_f1)
         delta_rows.append(delta_f1(gcn.scores, lr.scores)[1])
     return (np.mean(lr_rows, axis=0), np.mean(delta_rows, axis=0))
+
+
+def grid_quadrants(result: ExperimentResult, per_class_homophily,
+                   homophily_threshold: float = HOMOPHILY_THRESHOLD,
+                   f1_threshold: float = F1_THRESHOLD) -> dict:
+    """The quadrant summary of a grid, averaged over the masking rates its
+    cells hold, in ascending order."""
+    rates = sorted({cell.masking_rate for cell in result.cells.values()})
+    lr_f1, delta = averaged_class_metrics(result, tuple(rates))
+    return quadrant_summary(assign_quadrants(
+        per_class_homophily, lr_f1, delta,
+        homophily_threshold=homophily_threshold, f1_threshold=f1_threshold))

@@ -17,7 +17,7 @@ import pytest
 import gcndiag as gd
 from gcndiag.cli import main as cli_main
 from gcndiag.protocol import derive_seed
-from gcndiag.report import stable_form
+from gcndiag.report import load_report, stable_form
 
 from conftest import (brute_edge_homophily, brute_neighbor_distribution,
                       random_edge_list)
@@ -237,8 +237,8 @@ def test_criterion_9_run_determinism(tmp_path):
     flags = ["run", ds_dir, "--seed", "7", "--epochs", "60"]
     assert cli_main(flags + ["--out", out1]) == 0
     assert cli_main(flags + ["--out", out2]) == 0
-    r1 = stable_form(json.load(open(out1)))
-    r2 = stable_form(json.load(open(out2)))
+    r1 = stable_form(load_report(out1))
+    r2 = stable_form(load_report(out2))
     b1 = json.dumps(r1, sort_keys=True).encode()
     b2 = json.dumps(r2, sort_keys=True).encode()
     ok = b1 == b2

@@ -355,7 +355,7 @@ def test_cli_synth_then_analyze_full_homophily(tmp_path, capsys):
     ds_dir = make_container(tmp_path, homophily=1.0)
     out = str(tmp_path / "analysis.json")
     assert run_cli("analyze", ds_dir, "--out", out) == 0
-    payload = json.loads(open(out).read())
+    payload = load_report(out)
     assert payload["homophily"]["overall"] == 1.0
     assert payload["directed_edges"] == 2 * payload["undirected_edges"]
 
@@ -382,7 +382,7 @@ def test_cli_run_then_quadrant(tmp_path):
                    "--out", results) == 0
     quad_out = str(tmp_path / "quad.json")
     assert run_cli("quadrant", results, "--out", quad_out) == 0
-    payload = json.loads(open(quad_out).read())
+    payload = load_report(quad_out)
     for name in ("LowH-StrongF", "HighH-StrongF", "LowH-WeakF", "HighH-WeakF"):
         assert name in payload
     assert len(payload["per_class"]) + len(payload["flagged_classes"]) == 3
@@ -445,8 +445,9 @@ def cli_inputs(tmp_path_factory):
 @pytest.mark.parametrize("masking, message", [
     ("0,0.4", "'0.4' is not a whole number"),
     ("50.4", "'50.4' is not a whole number"),
-    ("50,50", "'50' given twice"),
-    ("0,90,90.0", "'90.0' given twice"),
+    ("50,50", "masking percent 50 given twice"),
+    ("0,90,90.0", "masking percent 90 given twice"),
+    ("120", "masking rate must be in [0, 1), got 1.2"),
 ])
 def test_cli_masking_rejects_fractional_and_repeated_percents(
         capsys, cli_inputs, masking, message):
@@ -454,7 +455,22 @@ def test_cli_masking_rejects_fractional_and_repeated_percents(
     assert run_cli("run", cli_inputs[0], "--masking", masking) == 1
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.err.count("error:") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("models, model", [("gcn,gcn", "gcn"),
+                                           ("lr,logreg", "logreg")])
+def test_cli_run_rejects_a_repeated_model(capsys, cli_inputs, models, model):
+    capsys.readouterr()
+    assert run_cli("run", cli_inputs[0], "--models", models) == 1
+    assert capsys.readouterr() == ("", f"error: model {model!r} given twice\n")
+
+
+def test_cli_run_quadrants_equal_quadrant_output(tmp_path, cli_inputs):
+    out = str(tmp_path / "quad.json")
+    assert run_cli("quadrant", cli_inputs[1], "--out", out) == 0
+    assert load_report(cli_inputs[1])["quadrants"] == load_report(out)
 
 
 @pytest.mark.parametrize("command", ["analyze", "run", "quadrant", "tune",
@@ -639,7 +655,10 @@ def test_cli_run_fails_a_diverging_gcn_cell(tmp_path, capsys, cli_inputs):
                        "(1, 2), not (2, 2)"),
     ("misfiled_cell", 'grid.cells["logreg:50:original"] describes the cell '
                       "logreg:0:original"),
+    ("no_logreg", "no cell 'logreg:0:original' in this run"),
+    ("no_cells", "no masking rates to average over"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
                                                 case, message):
     report = load_report(cli_inputs[1])
@@ -674,6 +693,10 @@ def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
         del cells["gcn:0:original"]["scores"]["confusion"][-1]
     elif case == "misfiled_cell":
         cells["logreg:50:original"]["masking_rate"] = 0.0
+    elif case == "no_logreg":
+        del cells["logreg:0:original"]
+    elif case == "no_cells":
+        cells.clear()
     path = str(tmp_path / "bad.json")
     save_report({"empty": {}, "list": [report]}.get(case, report), path)
     if case in raw:
@@ -698,7 +721,7 @@ def test_cli_tune_quick(tmp_path):
                             degree=4, signal=3.0)
     out = str(tmp_path / "tune.json")
     assert run_cli("tune", ds_dir, "--epochs", "2", "--out", out) == 0
-    payload = json.loads(open(out).read())
+    payload = load_report(out)
     assert payload["search_spaces"]["gcn"]["hidden"] == [32, 64, 128]
     assert len(payload["gcn_grid"]) == 3 * 3 * 2 * 4
     assert payload["best"]["gcn"]["hidden"] in (32, 64, 128)
@@ -719,7 +742,7 @@ def test_cli_tune_reports_unconverged_fits(tmp_path, monkeypatch):
     out = str(tmp_path / "tune.json")
     monkeypatch.setattr(baselines, "LBFGS_MAX_ITER", 2)
     assert run_cli("tune", ds_dir, "--epochs", "2", "--out", out) == 0
-    payload = json.loads(open(out).read())
+    payload = load_report(out)
     assert payload["unconverged"] == {"logreg": list(baselines.LOGREG_C_GRID),
                                       "svm": list(baselines.SVM_C_GRID)}
 
@@ -734,8 +757,7 @@ def test_cli_defaults_are_read_from_their_owners():
             run.epochs, tune.epochs) == (gcn.hidden, gcn.dropout_rate,
                                          gcn.learning_rate, gcn.weight_decay,
                                          gcn.max_epochs, gcn.max_epochs)
-    assert gcndiag.cli._parse_choices(run.models, gcndiag.cli.MODEL_ALIASES,
-                                      "model") == MODELS
+    assert gcndiag.cli._names(run.models) == MODELS
     assert gcndiag.cli._parse_masking(run.masking) == MASKING_RATES
     assert tuple(run.features.split(",")) == FEATURE_MODES
 
