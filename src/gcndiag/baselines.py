@@ -7,19 +7,39 @@ weights and select their regularization strength from the fixed grids below,
 the first on a tie, then refit it on every visible row.
 Logistic regression minimizes a weighted multinomial cross-entropy
 (``logreg_objective``). The SVM minimizes the L2-regularized one-vs-rest
-squared hinge, the default loss of LIBLINEAR and LinearSVC, with all classes
-in one problem (``svm_objective``). Both objectives are differentiable, with
-hand-written gradients, and both go through one deterministic L-BFGS
-(``_minimize_lbfgs``, numpy only). It keeps the last ``LBFGS_HISTORY``
-(s, y) pairs in a deque and turns the gradient into a search direction by
-the two-loop recursion. Its line search bisects or doubles the step until
-the weak Wolfe conditions hold (``WOLFE_C1``, ``WOLFE_C2``); the first step
-is scaled by 1/max(1, ||g||). A fit has converged when the gradient's
-largest entry is at most ``LBFGS_GTOL`` or an iteration lowers the objective
-by at most ``LBFGS_FTOL`` relative to the larger of 1 and the objective's
-magnitude before and after. It has not converged when it reaches
-``LBFGS_MAX_ITER`` iterations or when a line search finds no step in
-``LINE_SEARCH_TRIALS`` evaluations.
+squared hinge, the default loss of LIBLINEAR and LinearSVC
+(``svm_objective``). That loss is a sum of independent per-class problems,
+each with its own lambda_c, so every class is fitted as its own problem.
+Both objectives are differentiable, with hand-written gradients.
+
+Every fit goes through one deterministic L-BFGS (``_minimize_lbfgs``, numpy
+only) that solves a batch of independent problems in lockstep: a logreg
+cell's cross-validation fits, every fold at every C, are one batch; every
+SVM fit, at each C of its grid and in the refit, is one batch of its
+classes; logreg's refit is a batch of one. Each round evaluates every searching problem's trial point in one
+objective call, and a problem leaves the batch when it stops. The search
+direction is the compact form of Byrd, Nocedal & Schnabel ("Representations
+of quasi-Newton matrices and their use in limited memory methods", 1994),
+vectorised over the batch: each problem keeps the (s, y) pairs of its last
+``LBFGS_HISTORY`` iterations in ring slots beside the inverse of the upper
+triangle of S'Y, updated one column per new pair, so no linear system is
+solved; a pair with s'y <= 0 would make the inverse Hessian indefinite, so
+its slot stays empty. Each problem has its own line search, which bisects or
+doubles the step until the weak Wolfe conditions hold (``WOLFE_C1``,
+``WOLFE_C2``); the first step is scaled by 1/max(1, ||g||). A product's
+rounding depends on the batch's width, so a problem agrees with its fit
+alone to about 1e-8, not bit for bit, and near its optimum the rounding of f
+can outweigh any decrease left. The line search therefore also accepts a
+step by the approximate Wolfe test of Hager & Zhang ("A new conjugate
+gradient method with guaranteed descent and an efficient line search",
+2005): f rises by at most ``LBFGS_FTOL`` times max(|f|, 1), the slope is at
+most (2 ``WOLFE_C1`` - 1) times the first one, and the curvature condition
+holds. A fit has converged when the gradient's largest entry is at most
+``LBFGS_GTOL`` or an iteration lowers the objective by at most
+``LBFGS_FTOL`` relative to the larger of 1 and the objective's magnitude
+before and after. It has not converged when it reaches ``LBFGS_MAX_ITER``
+iterations or when a line search finds no step in ``LINE_SEARCH_TRIALS``
+evaluations.
 
 Logistic regression starts every fit at zero. The SVM objective is strictly
 convex, so its optimum does not depend on the start: its fits walk the
@@ -31,7 +51,6 @@ fit did not converge, so a capped fit or a failed line search is visible
 rather than silent.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,114 +97,221 @@ def linear_predict(model: LinearModel, x_norm: np.ndarray) -> np.ndarray:
     return _argmax_scores(x_norm, model.weights, model.bias)
 
 
-def _unpack(wb, d, num_classes):
-    """Split a flat parameter vector into W (d x C) and b (C)."""
-    return wb[: d * num_classes].reshape(d, num_classes), wb[d * num_classes:]
-
-
 def logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
     """Weighted multinomial cross-entropy plus 1/(2 C_reg) ||W||^2; bias free.
 
-    Returns (objective, flat gradient). ``wb`` packs W (d x C) then b (C).
+    One problem per row of ``wb`` (k x p), all on the rows of ``X``: row j
+    packs W (d x C) then b (C), and ``reg_c[j]`` is its C_reg. Returns
+    (objectives (k,), gradients k x p). The k problems share one product
+    pair, X [W_1 ... W_k] and X' P, and each objective sums over a
+    contiguous row, so a batch of one rounds as a lone problem always did.
     """
-    W, b = _unpack(wb, X.shape[1], num_classes)
-    ce, p = softmax_cross_entropy(X @ W + b, y)
-    obj = float((sample_w * ce).sum() + (W * W).sum() / (2.0 * reg_c))
-    p *= sample_w[:, None]
-    grad_w = X.T @ p + W / reg_c
-    grad_b = p.sum(axis=0)
-    return obj, np.concatenate([grad_w.ravel(), grad_b])
+    k, (n, d), C = wb.shape[0], X.shape, num_classes
+    W = wb[:, :d * C].reshape(k, d, C)
+    reg_c = np.asarray(reg_c, dtype=np.float64)
+    z = X @ W.transpose(1, 0, 2).reshape(d, k * C)
+    z += wb[:, d * C:].ravel()
+    ce, p = softmax_cross_entropy(z.reshape(n, k, C), y)
+    obj = ((sample_w * np.ascontiguousarray(ce.T)).sum(axis=1)
+           + (W * W).reshape(k, -1).sum(axis=1) / (2.0 * reg_c))
+    p *= sample_w[:, None, None]
+    grad = np.empty_like(wb)
+    grad[:, :d * C] = ((X.T @ p.reshape(n, k * C)).reshape(d, k, C).transpose(1, 0, 2)
+                       + W / reg_c[:, None, None]).reshape(k, d * C)
+    grad[:, d * C:] = p.sum(axis=0)
+    return obj, grad
 
 
-def svm_objective(wb, X, Y_signed, sample_w, reg_c):
-    """One-vs-rest squared hinge over every class at once; bias free.
-
-    Per class c: sum_i s_ic max(0, 1 - y_ic z_ic)^2 + (lambda_c / 2)||w_c||^2,
-    where z = X W + b, y is +1/-1 (``Y_signed``, n x C), s is ``sample_w``
-    (n x C) divided by its column sums and lambda_c = 1 / (C_reg * sum_i
-    sample_w_ic). Returns (objective, flat gradient). ``wb`` packs W (d x C)
-    then b (C).
-    """
+def _svm_terms(Y_signed, sample_w, reg_c):
+    """(Y_signed, s, lambda) of ``svm_objective`` from n x C targets and
+    weights: the first two class-major, s the weights over their column sum,
+    and lambda_c = 1 / (C_reg * that sum)."""
     col_tot = sample_w.sum(axis=0)
-    s_norm = sample_w / col_tot
-    lam = 1.0 / (reg_c * col_tot)
-    W, b = _unpack(wb, X.shape[1], Y_signed.shape[1])
-    slack = np.maximum(0.0, 1.0 - Y_signed * (X @ W + b))
-    obj = float((s_norm * slack * slack).sum() + 0.5 * (lam * W * W).sum())
+    return (Y_signed.T.copy(), (sample_w / col_tot).T.copy(),
+            1.0 / (reg_c * col_tot))
+
+
+def svm_objective(wb, X, Y_signed, s_norm, lam):
+    """One-vs-rest squared hinge, one class per problem; bias free.
+
+    Row j of ``wb`` (k x (d + 1)) packs class j's weights w_j then its bias
+    b_j; row j of ``Y_signed`` (+1/-1) and of ``s_norm`` (k x n, see
+    ``_svm_terms``) and ``lam[j]`` are its targets, weights and lambda.
+    Problem j is sum_i s_ji max(0, 1 - y_ji z_ji)^2 + (lambda_j / 2)||w_j||^2
+    with z_j = X w_j + b_j, and the one-vs-rest loss is their sum. Returns
+    (objectives (k,), gradients k x (d + 1)).
+    """
+    W = wb[:, :-1]
+    slack = np.maximum(0.0, 1.0 - Y_signed * (W @ X.T + wb[:, -1:]))
+    obj = (s_norm * slack * slack).sum(axis=1) + 0.5 * lam * (W * W).sum(axis=1)
     dz = -2.0 * s_norm * Y_signed * slack
-    grad_w = X.T @ dz + lam * W
-    grad_b = dz.sum(axis=0)
-    return obj, np.concatenate([grad_w.ravel(), grad_b])
+    grad = np.empty_like(wb)
+    grad[:, :-1] = dz @ X + lam[:, None] * W
+    grad[:, -1] = dz.sum(axis=1)
+    return obj, grad
 
 
-def _wolfe_step(objective, args, x, f, g, d, t):
-    """Find a step along the descent direction ``d`` that meets the weak Wolfe
-    conditions, bisecting or doubling from the trial step ``t``. Returns
-    (x_new, f_new, g_new), or None when ``d`` is not a descent direction or
-    no step is found in ``LINE_SEARCH_TRIALS`` evaluations."""
-    gd = g @ d
-    if not gd < 0.0:
-        return None
-    lo, hi = 0.0, np.inf
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _direction(g, pairs, r_inv, yy, sy, gamma):
+    """-H g for every problem, H the L-BFGS inverse Hessian in its compact
+    form H = gamma I + [S gamma Y] M [S gamma Y]' (Byrd, Nocedal & Schnabel
+    1994): H g = gamma g + S v - gamma Y u, where u = R^-1 S'g and
+    v = R^-T ((D + gamma Y'Y) u - gamma Y'g). Per problem, ``pairs`` holds
+    S then Y (2m x p), ``r_inv`` R^-1, ``yy`` Y'Y and ``sy`` D's diagonal,
+    all indexed by history slot; an empty slot is zero throughout."""
+    m = sy.shape[1]
+    sg_yg = (pairs @ g[:, :, None])[:, :, 0]
+    u = (r_inv @ sg_yg[:, :m, None])[:, :, 0]
+    gam = gamma[:, None]
+    w = sy * u + gam * ((yy @ u[:, :, None])[:, :, 0] - sg_yg[:, m:])
+    v = (w[:, None, :] @ r_inv)[:, 0]
+    coef = np.concatenate([v, -gam * u], axis=1)
+    return -(gam * g + (coef[:, None, :] @ pairs)[:, 0])
+
+
+def _store_pairs(q, s, y, sy_new, pairs, r_inv, yy, sy):
+    """Put every problem's new pair (s, y) in history slot ``q``, in place,
+    or empty the slot where s'y is too small: such a pair would make H
+    indefinite. With R upper triangular in history order, the slot's old
+    pair is the oldest, and zeroing its row and column of R^-1 leaves the
+    inverse for the pairs that remain; the new pair, the newest, adds one
+    column and D one entry."""
+    m = sy.shape[1]
+    keep = sy_new > _EPS * _rowdot(y, y)
+    rho = np.where(keep, sy_new, 1.0)
+    pairs[:, q], pairs[:, m + q] = s * keep[:, None], y * keep[:, None]
+    r_inv[:, q, :] = r_inv[:, :, q] = 0.0
+    prods = (pairs @ pairs[:, m + q, :, None])[:, :, 0]  # S'y then Y'y
+    r_inv[:, :, q] = -(r_inv @ prods[:, :m, None])[:, :, 0] / rho[:, None]
+    r_inv[:, q, q] = keep / rho
+    yy[:, q, :] = yy[:, :, q] = prods[:, m:]
+    sy[:, q] = keep * sy_new
+    return keep, prods[:, m + q]
+
+
+def _wolfe_steps(objective, ids, x, f, g, d, t):
+    """One line search per problem along its direction ``d`` from the trial
+    steps ``t``, in lockstep: each trial evaluates every problem still
+    searching in one objective call. A step that meets the weak Wolfe
+    conditions or the approximate Wolfe test (module docstring) is taken; a
+    rejected one is bisected when too long and doubled when too short.
+    Returns (x, f, g, found): each problem's accepted point, or its start
+    where ``d`` is not a descent direction or no step was found in
+    ``LINE_SEARCH_TRIALS`` evaluations."""
+    gd, t = _rowdot(g, d), t.copy()
+    floor = f + LBFGS_FTOL * np.maximum(np.abs(f), 1.0)
+    x_new, f_new, g_new = x.copy(), f.copy(), g.copy()
+    found = np.zeros(f.size, dtype=bool)
+    lo, hi = np.zeros(f.size), np.full(f.size, np.inf)
+    todo = np.flatnonzero(gd < 0.0)
     for _ in range(LINE_SEARCH_TRIALS):
-        x_new = x + t * d
-        f_new, g_new = objective(x_new, *args)
-        if not f_new <= f + WOLFE_C1 * t * gd:  # also rejects a non-finite value
-            hi = t
-        elif g_new @ d < WOLFE_C2 * gd:
-            lo = t
-        else:
-            return x_new, f_new, g_new
-        t = 0.5 * (lo + hi) if hi < np.inf else 2.0 * t
-    return None
+        if todo.size == 0:
+            break
+        everyone = todo.size == f.size
+        at = slice(None) if everyone else todo  # views while all search
+        xt = x[at] + t[at, None] * d[at]
+        ft, gt = objective(xt, ids[at])
+        slope, slope0 = _rowdot(gt, d[at]), gd[at]
+        decrease = ((ft <= f[at] + WOLFE_C1 * t[at] * slope0)  # False if NaN
+                    | ((ft <= floor[at])
+                       & (slope <= (2.0 * WOLFE_C1 - 1.0) * slope0)))
+        short = decrease & (slope < WOLFE_C2 * slope0)
+        ok = decrease & ~short
+        if everyone and ok.all():
+            return xt, ft, gt, ok
+        done = todo[ok]
+        x_new[done], f_new[done], g_new[done] = xt[ok], ft[ok], gt[ok]
+        found[done] = True
+        hi[todo[~decrease]] = t[todo[~decrease]]
+        lo[todo[short]] = t[todo[short]]
+        todo = todo[~ok]
+        t[todo] = np.where(hi[todo] < np.inf, 0.5 * (lo[todo] + hi[todo]),
+                           2.0 * t[todo])
+    return x_new, f_new, g_new, found
 
 
-def _minimize_lbfgs(objective, x0, args):
-    """Minimize ``objective(x, *args) -> (value, gradient)`` by L-BFGS from
-    ``x0``. Returns (x, iterations, converged); see the module docstring for
-    the stopping rules."""
-    x = np.array(x0, dtype=np.float64)
-    f, g = objective(x, *args)
-    if np.abs(g).max() <= LBFGS_GTOL:
-        return x, 0, True
-    pairs = deque(maxlen=LBFGS_HISTORY)  # (s, y, 1/s'y), oldest first
-    gamma = 1.0
-    t = 1.0 / max(1.0, float(np.sqrt(g @ g)))
+def _minimize_lbfgs(objective, x0):
+    """Minimize G independent problems in lockstep by L-BFGS.
+
+    Row j of ``x0`` (G x p) is problem j's start, and ``objective(x, ids)``
+    returns the values (k,) and gradients (k x p) of the problems ``ids``
+    (ascending) at the rows of ``x``. Returns (x, iterations, converged),
+    one row or entry per problem; see the module docstring for the stopping
+    rules. Iteration i stores its pair in history slot (i - 1) mod
+    ``LBFGS_HISTORY`` of every problem, and the batch is compacted only on
+    rounds where a problem leaves.
+    """
+    x_out = np.array(x0, dtype=np.float64)
+    G, p = x_out.shape
+    m = LBFGS_HISTORY
+    iterations = np.zeros(G, dtype=np.int64)
+    converged = np.zeros(G, dtype=bool)
+    ids, x = np.arange(G), x_out.copy()
+    f, g = objective(x, ids)
+    pairs = np.zeros((G, 2 * m, p))  # each slot's s, then each slot's y
+    r_inv, yy, sy = np.zeros((G, m, m)), np.zeros((G, m, m)), np.zeros((G, m))
+    gamma = np.ones(G)
+    t = 1.0 / np.maximum(1.0, np.sqrt(_rowdot(g, g)))
+    leave = np.abs(g).max(axis=1) <= LBFGS_GTOL
+    converged[leave] = True
     for it in range(1, LBFGS_MAX_ITER + 1):
-        # two-loop recursion: d = -H g with H0 = gamma I
-        d = -g
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            a = rho * s.dot(d)
-            d -= a * y
-            alphas.append(a)
-        d *= gamma
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            d += (a - rho * y.dot(d)) * s
-
-        step = _wolfe_step(objective, args, x, f, g, d, t)
-        if step is None:
-            return x, it - 1, False
-        x_new, f_new, g_new = step
+        if leave.any():
+            x_out[ids[leave]] = x[leave]
+            stay = np.flatnonzero(~leave)
+            for row, j in enumerate(stay):  # in place: no second history
+                pairs[row] = pairs[j]
+            pairs = pairs[:stay.size]
+            ids, x, f, g, t, r_inv, yy, sy, gamma = (
+                a[stay] for a in (ids, x, f, g, t, r_inv, yy, sy, gamma))
+        if ids.size == 0:
+            break
+        d = _direction(g, pairs, r_inv, yy, sy, gamma)
+        x_new, f_new, g_new, found = _wolfe_steps(objective, ids, x, f, g, d, t)
         s, y = x_new - x, g_new - g
-        sy, yy = s.dot(y), y.dot(y)
-        if sy > _EPS * yy:  # a pair with s'y <= 0 would make H indefinite
-            pairs.append((s, y, 1.0 / sy))
-            gamma = sy / yy
-        f_old, x, f, g, t = f, x_new, f_new, g_new, 1.0
-        if (np.abs(g).max() <= LBFGS_GTOL
-                or f_old - f <= LBFGS_FTOL * max(abs(f_old), abs(f), 1.0)):
-            return x, it, True
-    return x, LBFGS_MAX_ITER, False
+        sy_new = _rowdot(s, y)
+        keep, yy_new = _store_pairs((it - 1) % m, s, y, sy_new, pairs, r_inv,
+                                    yy, sy)
+        gamma[keep] = sy_new[keep] / yy_new[keep]
+        f_old, x, f, g, t = f, x_new, f_new, g_new, np.ones(ids.size)
+        stopped = found & ((np.abs(g).max(axis=1) <= LBFGS_GTOL)
+                           | (f_old - f <= LBFGS_FTOL * np.maximum(
+                               np.maximum(np.abs(f_old), np.abs(f)), 1.0)))
+        leave = stopped | ~found
+        iterations[ids[leave]] = np.where(found[leave], it, it - 1)
+        converged[ids[stopped]] = True
+    else:
+        x_out[ids] = x  # the last round's leavers and the capped problems
+        iterations[ids[~leave]] = LBFGS_MAX_ITER
+    return x_out, iterations, converged
 
 
-def fit_logreg(X, y, sample_w, reg_c, num_classes):
-    """Minimize ``logreg_objective``; returns (W, b, converged)."""
-    d = X.shape[1]
-    wb, _, converged = _minimize_lbfgs(
-        logreg_objective, np.zeros(d * num_classes + num_classes),
-        (X, y, sample_w, reg_c, num_classes))
-    return *_unpack(wb, d, num_classes), converged
+def fit_logreg(data, reg_c, num_classes):
+    """Minimize ``logreg_objective`` from zero for every (X, y, sample_w) of
+    ``data`` at every C_reg of ``reg_c``, all in one batch. Each objective
+    call evaluates one product pair per (X, y, sample_w) with a problem
+    still active. Returns (W, b, converged), data-major: W is G x d x C,
+    b is G x C."""
+    reg_c = np.asarray(reg_c, dtype=np.float64)
+    d = data[0][0].shape[1]
+    p = d * num_classes + num_classes
+
+    def objective(wb, ids):
+        f, g = np.empty(ids.size), np.empty((ids.size, p))
+        cuts = np.searchsorted(ids, np.arange(len(data) + 1) * reg_c.size)
+        for (X, y, sample_w), lo, hi in zip(data, cuts, cuts[1:]):
+            if lo < hi:
+                f[lo:hi], g[lo:hi] = logreg_objective(
+                    wb[lo:hi], X, y, sample_w, reg_c[ids[lo:hi] % reg_c.size],
+                    num_classes)
+        return f, g
+
+    wb, _, converged = _minimize_lbfgs(objective,
+                                       np.zeros((len(data) * reg_c.size, p)))
+    return (wb[:, :d * num_classes].reshape(-1, d, num_classes),
+            wb[:, d * num_classes:], converged)
 
 
 def _check_visible(x_norm, y, visible_rows):
@@ -234,35 +360,49 @@ def train_logreg(x_norm, y, visible_rows, seed: int = 0, *,
             f"examples; smallest has {int(counts[counts > 0].min())}"
         )
 
-    rng = np.random.default_rng(seed)
-    # fold-major, so each fold's rows are sliced once and only one fold is held
-    fold_f1 = [[] for _ in LOGREG_C_GRID]
-    failed = set()
-    for train_idx, val_idx in stratified_kfold(y, visible_rows, folds_eff, rng):
-        X_tr, y_tr = x_norm[train_idx], y[train_idx]
-        X_val, y_val = x_norm[val_idx], y[val_idx]
-        sw = class_weights(y, train_idx, num_classes)[y_tr]
-        for reg_c, scores in zip(LOGREG_C_GRID, fold_f1):
-            W, b, converged = fit_logreg(X_tr, y_tr, sw, reg_c, num_classes)
-            if not converged:
-                failed.add(reg_c)
-            pred = _argmax_scores(X_val, W, b)
-            scores.append(score(pred, y_val, num_classes).macro_f1)
-    grid_scores = [(reg_c, float(np.mean(scores)))
-                   for reg_c, scores in zip(LOGREG_C_GRID, fold_f1)]
+    folds = stratified_kfold(y, visible_rows, folds_eff,
+                             np.random.default_rng(seed))
+    # The held-out rows of folds 1, ..., F - 1, 0, then blocks 0 to F - 3 of
+    # that list again: fold f's training rows are the rows from block f on,
+    # a view, and its held-out rows are block f - 1.
+    blocks = [val_idx for _, val_idx in folds[1:] + folds[:1]]
+    X_rows, y_rows = (a[np.concatenate(blocks + blocks[:-2])] for a in (x_norm, y))
+    start = np.cumsum([0] + [rows.size for rows in blocks])
+    data, val_rows = [], []
+    for f, (train_idx, val_idx) in enumerate(folds):
+        held = start[(f - 1) % len(folds)]
+        val_rows.append(slice(held, held + val_idx.size))
+        tr = slice(start[f], start[f] + train_idx.size)
+        data.append((X_rows[tr], y_rows[tr],
+                     class_weights(y, train_idx, num_classes)[y_rows[tr]]))
+    W, b, converged = fit_logreg(data, LOGREG_C_GRID, num_classes)
+    n_c = len(LOGREG_C_GRID)
+    failed = {LOGREG_C_GRID[i % n_c] for i in np.flatnonzero(~converged)}
+    grid_scores = [(reg_c, float(np.mean([
+        score(_argmax_scores(X_rows[rows], W[f * n_c + j], b[f * n_c + j]),
+              y_rows[rows], num_classes).macro_f1
+        for f, rows in enumerate(val_rows)])))
+        for j, reg_c in enumerate(LOGREG_C_GRID)]
 
-    sw = class_weights(y, visible_rows, num_classes)[y[visible_rows]]
-    return _select_and_refit(grid_scores, failed, lambda i: fit_logreg(
-        x_norm[visible_rows], y[visible_rows], sw, LOGREG_C_GRID[i], num_classes))
+    visible = slice(0, visible_rows.size)  # every fold's held-out rows
+    sw = class_weights(y, visible_rows, num_classes)[y_rows[visible]]
+
+    def refit(i):
+        W, b, converged = fit_logreg([(X_rows[visible], y_rows[visible], sw)],
+                                     LOGREG_C_GRID[i:i + 1], num_classes)
+        return W[0], b[0], converged[0]
+    return _select_and_refit(grid_scores, failed, refit)
 
 
 def _fit_svm_ovr(X, Y_signed, sample_w, reg_c, W0, b0):
-    """Minimize ``svm_objective`` for one C_reg from (W0, b0); returns
-    (W, b, converged)."""
+    """Minimize ``svm_objective`` for one C_reg from (W0, b0), each class one
+    problem of a batch; returns (W, b, converged), converged when every
+    class has."""
+    Y, s, lam = _svm_terms(Y_signed, sample_w, reg_c)
     wb, _, converged = _minimize_lbfgs(
-        svm_objective, np.concatenate([W0.ravel(), b0]),
-        (X, Y_signed, sample_w, reg_c))
-    return *_unpack(wb, *W0.shape), converged
+        lambda wb, ids: svm_objective(wb, X, Y[ids], s[ids], lam[ids]),
+        np.column_stack([W0.T, b0]))
+    return wb[:, :-1].T.copy(), wb[:, -1].copy(), bool(converged.all())
 
 
 def train_svm(x_norm, y, visible_rows, seed: int = 0, *,

@@ -134,11 +134,12 @@ def cmd_run(args) -> int:
                       gcn_config=cfg, num_classes=ds.num_classes,
                       on_cell=finished)
     hom = homophily_report(ds.graph, ds.y, ds.num_classes)
-    quad = None
+    quad = skipped = None
     try:
         quad = grid_quadrants(result, hom["per_class"])
-    except GcnDiagError:
-        pass  # grid subset too small for the quadrant rule; section stays null
+    except GcnDiagError as exc:  # a grid subset or a failed cell
+        skipped = str(exc)
+        print(f"quadrants skipped: {skipped}", file=sys.stderr)
     config_echo = {
         "models": list(models),
         "masking_percent": [masking_percent(m) for m in masking],
@@ -150,7 +151,7 @@ def cmd_run(args) -> int:
         "blas_threads": _blas_threads(),
     }
     save_report(build_report(ds.fingerprint(), config_echo, hom, result, quad,
-                             cell_seconds), args.out)
+                             cell_seconds, skipped), args.out)
     failures = {k: c for k, c in result.cells.items() if c.error}
     for key, cell in failures.items():
         print(f"cell {key} failed: {cell.error}", file=sys.stderr)

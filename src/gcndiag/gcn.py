@@ -136,19 +136,22 @@ def softmax_cross_entropy(z: np.ndarray, y) -> tuple:
     """Per-row cross-entropy -log softmax(z)[y] and its gradient
     softmax(z) - onehot(y) with respect to z, both unweighted.
 
-    The max and the sum over classes run on a class-major copy of ``z`` as
-    elementwise operations across its C rows, which is faster than
-    reducing many short rows. ``_class_sum`` keeps the row-wise sum's
-    rounding, so the results equal the row-wise formulas bit for bit.
+    ``z`` is n x C, or n x k x C for k problems that share the rows and
+    labels; the cross-entropy is then n x k. The max and the sum over
+    classes run on a class-major copy of ``z`` as elementwise operations
+    across its C rows, which is faster than reducing many short rows.
+    ``_class_sum`` keeps the row-wise sum's rounding, so the results equal
+    the row-wise formulas bit for bit.
     """
-    shifted = z.T.copy()  # class-major, updated in place
+    last = z.ndim - 1
+    shifted = z.transpose(last, *range(last)).copy()  # class-major, in place
     shifted -= shifted.max(axis=0)
     logsum = np.log(_class_sum(np.exp(shifted)))
     rows = np.arange(shifted.shape[1])
     ce = logsum - shifted[y, rows]
     shifted -= logsum
-    grad = np.exp(shifted, out=shifted).T.copy()  # back to row-major
-    grad[rows, y] -= 1.0
+    grad = np.exp(shifted, out=shifted).transpose(*range(1, last + 1), 0).copy()
+    grad[rows, ..., y] -= 1.0
     return ce, grad
 
 

@@ -308,11 +308,11 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
     model sees identical visible sets at a given rate. The GCN cells of a
     feature mode share one propagation A_hat * x. All of that, and every
     cell's seed, is worked out here before any cell runs. The cells then run
-    through ``fork_map``, one per usable core, and only each cell's scores
-    and hyperparameters, or its error, and its wall time come back; the
-    CellResults are built here, in task order. ``on_cell(key, seconds,
-    error)`` hears of each cell as it finishes; ``seconds`` is NaN when the
-    cell's worker died. A failing cell records its error instead of aborting
+    through ``fork_map``, one per usable core, queued longest first: logreg,
+    then SVM, then GCN cells. Only each cell's scores and hyperparameters,
+    or its error, and its wall time come back; the CellResults are built
+    here, in task order. ``on_cell(key, seconds, error)`` hears of each cell
+    as it finishes; ``seconds`` is NaN when the cell's worker died. A failing cell records its error instead of aborting
     its siblings; non-finite features fail the whole run before any cell.
     An unknown model or feature mode, and a name or a masking percent given
     twice, is an InputError before any split is drawn.
@@ -369,8 +369,12 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
         scores = score(pred[split.test_idx], y[split.test_idx], num_classes)
         return scores, hyper
 
+    queue = sorted(range(len(tasks)),  # longest first
+                   key=lambda i: ("logreg", "svm", "gcn").index(tasks[i][0]))
     outcomes = [None] * len(tasks)
-    for i, result, error, seconds in fork_map(fit_and_score, tasks):
+    for j, result, error, seconds in fork_map(fit_and_score,
+                                              [tasks[i] for i in queue]):
+        i = queue[j]
         outcomes[i] = result or (None, {}), error
         if on_cell is not None:
             on_cell(cell_key(*tasks[i][:3]), seconds, error)

@@ -59,12 +59,13 @@ def jsonable(obj):
 
 def build_report(fingerprint: str, config: dict, homophily: dict,
                  result: ExperimentResult, quadrants=None,
-                 cell_seconds=None) -> dict:
+                 cell_seconds=None, quadrants_skipped=None) -> dict:
     """Assemble the full report dict; every number traces to an input section.
 
     The delta and retention tables derive from each cell's macro-F1, NaN for
     a missing or failed cell, so an entry that lacks an input is null. Each
     cell's wall time, ``cell_seconds`` by cell key, goes under "volatile".
+    ``quadrants_skipped`` says why a null quadrant section was not built.
     """
     macro = {(c.model, masking_percent(c.masking_rate), c.feature_mode):
              math.nan if c.scores is None else c.scores.macro_f1
@@ -90,6 +91,7 @@ def build_report(fingerprint: str, config: dict, homophily: dict,
         "delta_f1": deltas,
         "retention": retentions,
         "quadrants": quadrants,
+        "quadrants_skipped": quadrants_skipped,
         "decisions": DECISIONS,
         "volatile": {
             "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -5,8 +5,8 @@ from gcndiag import baselines
 from gcndiag import (InputError, LinearModel, ShapeError, fit_baseline,
                      linear_predict, train_logreg, train_svm)
 from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID, _fit_svm_ovr,
-                               fit_logreg, logreg_objective, stratified_kfold,
-                               svm_objective)
+                               _svm_terms, fit_logreg, logreg_objective,
+                               stratified_kfold, svm_objective)
 from gcndiag.gcn import class_weights
 
 
@@ -112,7 +112,8 @@ def test_logreg_objective_hand_value():
     # zero weights: every class equally likely, CE = log C per unit weight
     X = np.array([[1.0, 2.0]])
     wb = np.zeros(2 * 3 + 3)
-    obj, grad = logreg_objective(wb, X, np.array([0]), np.ones(1), 1.0, 3)
+    (obj,), (grad,) = logreg_objective(wb[None], X, np.array([0]), np.ones(1),
+                                       [1.0], 3)
     assert obj == pytest.approx(np.log(3.0))
     assert grad.shape == (9,)
 
@@ -123,24 +124,24 @@ def test_logreg_gradient_matches_finite_differences():
     y = rng.integers(0, 3, size=12)
     sw = class_weights(y, np.arange(12), 3)[y]
     wb = rng.standard_normal(4 * 3 + 3) * 0.3
-    _, grad = logreg_objective(wb, X, y, sw, 0.5, 3)
+    (_,), (grad,) = logreg_objective(wb[None], X, y, sw, [0.5], 3)
     fd = np.zeros_like(wb)
     eps = 1e-6
     for i in range(wb.size):
         up, down = wb.copy(), wb.copy()
         up[i] += eps
         down[i] -= eps
-        fd[i] = (logreg_objective(up, X, y, sw, 0.5, 3)[0]
-                 - logreg_objective(down, X, y, sw, 0.5, 3)[0]) / (2 * eps)
+        fd[i] = (logreg_objective(up[None], X, y, sw, [0.5], 3)[0][0]
+                 - logreg_objective(down[None], X, y, sw, [0.5], 3)[0][0]) / (2 * eps)
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_fit_logreg_reaches_stationary_point():
     X, y = blobs(seed=1, gap=2.0)
     sw = class_weights(y, np.arange(y.size), 2)[y]
-    W, b, converged = fit_logreg(X, y, sw, 1.0, 2)
+    (W,), (b,), (converged,) = fit_logreg([(X, y, sw)], [1.0], 2)
     wb = np.concatenate([W.ravel(), b])
-    _, grad = logreg_objective(wb, X, y, sw, 1.0, 2)
+    (_,), (grad,) = logreg_objective(wb[None], X, y, sw, [1.0], 2)
     assert converged
     assert np.abs(grad).max() < 1e-4
 
@@ -161,20 +162,21 @@ def test_svm_gradient_matches_finite_differences():
     # redraw until every margin sits clear of the hinge kink at 1, where the
     # second derivative jumps; both sides of the kink must still occur
     while True:
-        wb = rng.standard_normal(4 * 3 + 3) * 0.5
-        margins = Y * (X @ wb[:12].reshape(4, 3) + wb[12:])
+        wb = rng.standard_normal((3, 4 + 1)) * 0.5  # class c's w_c, then b_c
+        margins = Y * (X @ wb[:, :4].T + wb[:, 4])
         if (np.abs(1.0 - margins).min() > 1e-3 and (margins < 1).any()
                 and (margins > 1).any()):
             break
-    _, grad = svm_objective(wb, X, Y, s, 0.5)
+    terms = _svm_terms(Y, s, 0.5)
+    _, grad = svm_objective(wb, X, *terms)
     fd = np.zeros_like(wb)
     eps = 1e-6
-    for i in range(wb.size):
+    for i in np.ndindex(wb.shape):
         up, down = wb.copy(), wb.copy()
         up[i] += eps
         down[i] -= eps
-        fd[i] = (svm_objective(up, X, Y, s, 0.5)[0]
-                 - svm_objective(down, X, Y, s, 0.5)[0]) / (2 * eps)
+        fd[i] = (svm_objective(up, X, *terms)[0].sum()
+                 - svm_objective(down, X, *terms)[0].sum()) / (2 * eps)
     assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -182,7 +184,7 @@ def test_fit_svm_reaches_stationary_point():
     X, y = blobs(seed=1, gap=2.0)
     Y, s = signed_targets(y, 2)
     W, b, converged = _fit_svm_ovr(X, Y, s, 1.0, np.zeros((3, 2)), np.zeros(2))
-    _, grad = svm_objective(np.concatenate([W.ravel(), b]), X, Y, s, 1.0)
+    _, grad = svm_objective(np.column_stack([W.T, b]), X, *_svm_terms(Y, s, 1.0))
     assert converged
     assert np.abs(grad).max() < 1e-4
     # strictly convex: a warm start far from the optimum ends at the same point
@@ -193,12 +195,12 @@ def test_fit_svm_reaches_stationary_point():
     assert np.allclose(W2, W, atol=1e-5) and np.allclose(b2, b, atol=1e-5)
 
 
-def test_lbfgs_matches_scipy_lbfgsb_on_random_problems():
-    """The in-package L-BFGS reaches the optimum scipy's L-BFGS-B reaches
-    with the same tolerances, on weighted logreg and SVM problems."""
-    from scipy.optimize import minimize  # oracle only; the package avoids it
-
+def oracle_problems():
+    """The 40 random weighted logreg and SVM problems of the L-BFGS-B oracle,
+    as (objective of a flat vector -> (value, gradient), start); an SVM
+    problem is every class at once."""
     rng = np.random.default_rng(31)
+    problems = []
     for case in range(40):
         n, d, C = (int(v) for v in rng.integers([20, 1, 2], [120, 41, 11]))
         X = rng.standard_normal((n, d))
@@ -207,25 +209,173 @@ def test_lbfgs_matches_scipy_lbfgsb_on_random_problems():
         if case % 2:
             Y, s = signed_targets(y, C)
             s = s * rng.uniform(0.2, 3.0, size=(n, C))
-            objective, args = svm_objective, (X, Y, s, reg_c)
+
+            def objective(v, X=X, terms=_svm_terms(Y, s, reg_c), shape=(C, d + 1)):
+                values, grads = svm_objective(v.reshape(shape), X, *terms)
+                return float(values.sum()), grads.ravel()
         else:
             sw = rng.uniform(0.2, 3.0, size=n)
-            objective, args = logreg_objective, (X, y, sw, reg_c, C)
-        x0 = np.zeros(d * C + C)
-        x, _, converged = baselines._minimize_lbfgs(objective, x0, args)
-        ref = minimize(objective, x0, args=args, jac=True, method="L-BFGS-B",
-                       options={"maxiter": baselines.LBFGS_MAX_ITER,
-                                "gtol": baselines.LBFGS_GTOL, "ftol": 1e-14})
-        assert converged and ref.success
-        assert objective(x, *args)[0] == pytest.approx(ref.fun, rel=1e-8)
+
+            def objective(v, X=X, y=y, sw=sw, reg_c=reg_c, C=C):
+                values, grads = logreg_objective(v[None], X, y, sw, [reg_c], C)
+                return float(values[0]), grads[0]
+        problems.append((objective, np.zeros(d * C + C)))
+    return problems
+
+
+def batched(problems):
+    """One batch objective over ``problems``, (flat objective, start) pairs,
+    and its G x p start: each problem fills the front of a row zero-padded to
+    the widest start, and its padding keeps a zero gradient."""
+    width = max(x0.size for _, x0 in problems)
+
+    def objective(x, ids):
+        values, grads = np.empty(ids.size), np.zeros((ids.size, width))
+        for row, i in enumerate(ids):
+            fn, x0 = problems[i]
+            values[row], grads[row, :x0.size] = fn(x[row, :x0.size])
+        return values, grads
+
+    return objective, np.array([np.pad(x0, (0, width - x0.size))
+                                for _, x0 in problems])
+
+
+def lbfgsb_optimum(fn, x0):
+    """scipy's L-BFGS-B optimum of ``fn`` with the package's tolerances."""
+    from scipy.optimize import minimize  # oracle only; the package avoids it
+    ref = minimize(fn, x0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": baselines.LBFGS_MAX_ITER,
+                            "gtol": baselines.LBFGS_GTOL, "ftol": 1e-14})
+    assert ref.success
+    return ref.fun
+
+
+def test_lbfgs_matches_scipy_lbfgsb_on_random_problems():
+    """The in-package L-BFGS reaches the optimum scipy's L-BFGS-B reaches
+    with the same tolerances, on weighted logreg and SVM problems."""
+    for fn, x0 in oracle_problems():
+        (x,), _, (converged,) = baselines._minimize_lbfgs(*batched([(fn, x0)]))
+        assert converged
+        assert fn(x)[0] == pytest.approx(lbfgsb_optimum(fn, x0), rel=1e-8)
+
+
+def test_lbfgs_matches_scipy_lbfgsb_as_one_batch():
+    """The 40 oracle problems solved in one batch of different widths each
+    reach scipy's optimum, to the same bound as one at a time."""
+    problems = oracle_problems()
+    x, iterations, converged = baselines._minimize_lbfgs(*batched(problems))
+    assert converged.all()
+    assert len(set(iterations.tolist())) > 1  # they left on different rounds
+    for (fn, x0), row in zip(problems, x):
+        assert fn(row[:x0.size])[0] == pytest.approx(lbfgsb_optimum(fn, x0),
+                                                     rel=1e-8)
+        assert not row[x0.size:].any()
+
+
+def test_batched_logreg_fit_matches_its_batch_of_one():
+    """Every (data, C_reg) problem of one ``fit_logreg`` batch reaches the
+    objective its fit alone reaches, to 1e-8 relative, though the batch's
+    wide products round differently."""
+    data = []
+    for seed, n in ((20, 70), (21, 90)):
+        X, y = blobs(seed=seed, n_per=n // 3, gap=1.5, d=5, classes=3)
+        data.append((X, y, class_weights(y, np.arange(y.size), 3)[y]))
+    W, b, converged = fit_logreg(data, LOGREG_C_GRID, 3)
+    assert converged.all()
+    for i, (reg_c, (X, y, sw)) in enumerate(
+            (c, dat) for dat in data for c in LOGREG_C_GRID):
+        (W1,), (b1,), (alone,) = fit_logreg([(X, y, sw)], [reg_c], 3)
+        assert alone
+
+        def value(W, b):
+            wb = np.concatenate([W.ravel(), b])[None]
+            return logreg_objective(wb, X, y, sw, [reg_c], 3)[0][0]
+        assert value(W[i], b[i]) == pytest.approx(value(W1, b1), rel=1e-8)
+
+
+def test_lbfgs_compaction_leaves_each_problem_its_own_fit():
+    """Problems that stop on different rounds, one with a wrong-sign
+    gradient, each end as they end alone: the batch compacts around those
+    that leave without disturbing the rest."""
+    rng = np.random.default_rng(40)
+    quadratics = []
+    for cond in (1.0, 10.0, 100.0, 1e3):
+        q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        quadratics.append(((q * np.geomspace(1.0, cond, 6)) @ q.T,
+                           rng.standard_normal(6)))
+
+    def objective(x, ids):
+        values, grads = np.empty(ids.size), np.empty_like(x)
+        for row, i in enumerate(ids):
+            if i == len(quadratics):  # a wrong-sign gradient: no descent
+                values[row], grads[row] = x[row] @ x[row], -2.0 * x[row]
+                continue
+            A, c = quadratics[i]
+            grads[row] = A @ x[row] - c
+            values[row] = 0.5 * x[row] @ (A @ x[row]) - c @ x[row]
+        return values, grads
+
+    x0 = rng.standard_normal((len(quadratics) + 1, 6))
+    x, iterations, converged = baselines._minimize_lbfgs(objective, x0)
+    assert len(set(iterations[:-1].tolist())) == len(quadratics)
+    assert converged[:-1].all() and not converged[-1]
+    assert iterations[-1] == 0 and np.array_equal(x[-1], x0[-1])
+    for i in range(len(quadratics)):
+        def alone(x, ids, i=i):
+            return objective(x, np.array([i]))
+        (xi,), (iters,), (conv,) = baselines._minimize_lbfgs(alone, x0[i:i + 1])
+        assert np.array_equal(x[i], xi)
+        assert (iterations[i], converged[i]) == (iters, conv)
+
+
+def test_per_class_svm_fit_reaches_the_joint_optimum():
+    """``_fit_svm_ovr`` fits each class as its own problem; the sum of their
+    objectives reaches the optimum L-BFGS-B finds for all classes at once."""
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        n, d, C = (int(v) for v in rng.integers([30, 2, 2], [150, 20, 8]))
+        X = rng.standard_normal((n, d)) + rng.uniform(0.0, 2.0)
+        y = rng.integers(0, C, size=n)
+        Y, s = signed_targets(y, C)
+        reg_c = float(rng.choice([0.01, 1.0, 100.0]))
+        terms = _svm_terms(Y, s, reg_c)
+
+        def joint(v):
+            values, grads = svm_objective(v.reshape(C, d + 1), X, *terms)
+            return float(values.sum()), grads.ravel()
+
+        W, b, converged = _fit_svm_ovr(X, Y, s, reg_c, np.zeros((d, C)),
+                                       np.zeros(C))
+        assert converged
+        at_fit = joint(np.column_stack([W.T, b]).ravel())[0]
+        assert at_fit == pytest.approx(
+            lbfgsb_optimum(joint, np.zeros(C * (d + 1))), rel=1e-8)
+
+
+def test_lbfgs_start_at_the_rounding_floor_converges():
+    """A problem within rounding of its optimum converges by the approximate
+    Wolfe test. Its gradient (1e-5) is above LBFGS_GTOL, but every value
+    after the start rounds 3e-15 above the start's, more than the 5e-16
+    decrease left: no step meets the sufficient-decrease condition, as when
+    a batch's wider product rounds f differently from the start's."""
+    calls = []
+
+    def floor(x, ids):
+        calls.append(1)
+        values = 1.0 + 0.5e5 * (x * x).sum(axis=1)
+        return values + (3e-15 if len(calls) > 1 else 0.0), 1e5 * x
+
+    (x,), _, (converged,) = baselines._minimize_lbfgs(floor, np.full((1, 1), 1e-10))
+    assert converged
+    assert baselines.LBFGS_GTOL < 1e5 * abs(x[0]) < 1e-5
 
 
 def test_lbfgs_line_search_failure_is_not_converged():
-    def wrong_sign_gradient(x):
-        return float(x @ x), -2.0 * x
+    def wrong_sign_gradient(x, ids):
+        return (x * x).sum(axis=1), -2.0 * x
 
-    x, iterations, converged = baselines._minimize_lbfgs(
-        wrong_sign_gradient, np.ones(3), ())
+    (x,), (iterations,), (converged,) = baselines._minimize_lbfgs(
+        wrong_sign_gradient, np.ones((1, 3)))
     assert not converged
     assert iterations == 0 and np.array_equal(x, np.ones(3))
 
@@ -326,9 +476,9 @@ def test_train_svm_improves_reference_objective():
                                      model.selected_reg, 2)
     assert at_fit < at_zero
     Y, s = signed_targets(y, 2)
-    wb = np.concatenate([model.weights.ravel(), model.bias])
-    assert svm_objective(wb, X, Y, s, model.selected_reg)[0] == pytest.approx(
-        at_fit, rel=1e-12)
+    wb = np.column_stack([model.weights.T, model.bias])
+    assert svm_objective(wb, X, *_svm_terms(Y, s, model.selected_reg))[0].sum() \
+        == pytest.approx(at_fit, rel=1e-12)
 
 
 def test_train_svm_separable():

@@ -162,7 +162,8 @@ def test_shared_loss_bit_identical_to_inline_formulas():
         sw = rng.uniform(0.1, 3.0, size=n)
         wb = rng.standard_normal(d * C + C) * rng.uniform(0.01, 3.0)
         reg_c = float(rng.choice([1e-3, 1.0, 1e3]))
-        got = logreg_objective(wb, X, y, sw, reg_c, C)
+        values, grads = logreg_objective(wb[None], X, y, sw, [reg_c], C)
+        got = values[0], grads[0]
         want = _parent_logreg_objective(wb, X, y, sw, reg_c, C)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])

@@ -102,6 +102,27 @@ def test_an_item_alone_gets_the_bits_it_gets_beside_another(blas_before):
     assert BLAS[1]() == blas_before
 
 
+def test_run_grid_queues_baseline_cells_first_and_reports_in_grid_order(
+        monkeypatch):
+    # logreg cells are the longest, then SVM cells, so they start first; the
+    # cells still come back in model, rate, feature order
+    queued = []
+
+    def recording(fn, items):
+        queued.extend(items)
+        for i, item in reversed(list(enumerate(items))):  # any finishing order
+            yield i, fn(item), "", 0.0
+
+    monkeypatch.setattr(parallel, "fork_map", recording)
+    a, x, y = small_dataset()
+    result = run_grid(a, x, y, num_classes=3, base_seed=4,
+                      masking_rates=(0.0, 0.9), feature_modes=("original",))
+    assert [task[0] for task in queued] == ["logreg"] * 2 + ["svm"] * 2 + ["gcn"] * 2
+    assert list(result.cells) == [f"{m}:{p}:original" for m in ("gcn", "logreg", "svm")
+                                  for p in (0, 90)]
+    assert all(not c.error for c in result.cells.values())
+
+
 @forks
 def test_local_cell_result_subclass_is_built_here(monkeypatch):
     # a tracer may swap CellResult for a class no worker could pickle back

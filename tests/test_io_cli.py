@@ -473,6 +473,20 @@ def test_cli_run_quadrants_equal_quadrant_output(tmp_path, cli_inputs):
     assert load_report(cli_inputs[1])["quadrants"] == load_report(out)
 
 
+def test_cli_run_says_why_its_quadrant_section_is_null(tmp_path, capsys,
+                                                      cli_inputs):
+    out = str(tmp_path / "random.json")
+    capsys.readouterr()
+    assert run_cli("run", cli_inputs[0], "--models", "gcn,lr", "--masking", "0",
+                   "--features", "random", "--epochs", "2", "--out", out) == 0
+    why = "no cell 'logreg:0:original' in this run"
+    assert f"quadrants skipped: {why}\n" in capsys.readouterr().err
+    report = load_report(out)
+    assert report["quadrants"] is None and report["quadrants_skipped"] == why
+    built = load_report(cli_inputs[1])
+    assert built["quadrants"] is not None and built["quadrants_skipped"] is None
+
+
 @pytest.mark.parametrize("command", ["analyze", "run", "quadrant", "tune",
                                      "synth"])
 def test_cli_out_under_missing_directory_is_an_error(
