@@ -15,9 +15,7 @@ from .baselines import (LinearModel, fit_baseline, linear_predict, train_logreg,
 from .protocol import (CellResult, ExperimentResult, SplitSpec,
                        ablate_features, apply_masking, carve_validation,
                        derive_seed, make_split, run_grid, stratified_split)
-from .quadrant import (QUADRANT_NAMES, ClassQuadrant, QuadrantAssignment,
-                       assign_quadrants, averaged_class_metrics,
-                       quadrant_summary)
+from .quadrant import QUADRANT_NAMES, assign_quadrants, averaged_class_metrics
 from .report import build_report, load_report, save_report
 from .synth import SyntheticSpec, generate_features, generate_graph
 

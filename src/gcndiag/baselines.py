@@ -454,6 +454,7 @@ def fit_baseline(model: str, x, y, visible_rows, seed: int, num_classes):
     if visible_rows.size == 0:
         raise InputError("cannot fit a scaler on an empty visible set")
     x = np.asarray(x, dtype=np.float64)
+    check_finite(x)  # before a bad entry spreads to its column's scaling
     sub = x[visible_rows]
     mean = sub.mean(axis=0)
     std = sub.std(axis=0)  # population std

@@ -108,9 +108,6 @@ class NormAdj:
         for arr in (self.matrix.indptr, self.matrix.indices, self.matrix.data):
             arr.setflags(write=False)
 
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 def normalized_adjacency(g: Graph) -> NormAdj:
     """Compute D^{-1/2} (A + I) D^{-1/2} where D counts degrees plus the self-loop."""

@@ -7,7 +7,6 @@ is where it is expected to hurt.
 """
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,28 +22,6 @@ QUADRANT_NAMES = (LOW_H_STRONG_F, HIGH_H_STRONG_F, LOW_H_WEAK_F, HIGH_H_WEAK_F)
 
 HOMOPHILY_THRESHOLD = 0.70
 F1_THRESHOLD = 0.85
-
-
-@dataclass(frozen=True)
-class ClassQuadrant:
-    class_id: int
-    quadrant: str
-    homophily: float
-    feature_f1: float
-    delta_f1: float
-
-
-@dataclass(frozen=True)
-class QuadrantAssignment:
-    assignments: tuple  # ClassQuadrant per usable class, ascending class id
-    flagged: tuple  # class ids excluded for undefined inputs
-    homophily_threshold: float
-    f1_threshold: float
-
-    def classes_in(self, quadrant: str) -> tuple:
-        if quadrant not in QUADRANT_NAMES:
-            raise InputError(f"unknown quadrant {quadrant!r}")
-        return tuple(a.class_id for a in self.assignments if a.quadrant == quadrant)
 
 
 def quadrant_of(homophily: float, feature_f1: float, homophily_threshold: float,
@@ -66,8 +43,11 @@ def check_thresholds(homophily_threshold: float, f1_threshold: float) -> None:
 
 def assign_quadrants(per_class_homophily, per_class_lr_f1, per_class_delta,
                      homophily_threshold: float = HOMOPHILY_THRESHOLD,
-                     f1_threshold: float = F1_THRESHOLD) -> QuadrantAssignment:
-    """Place every class; classes with undefined homophily are flagged, not placed."""
+                     f1_threshold: float = F1_THRESHOLD) -> dict:
+    """The quadrant section: each quadrant's classes and mean delta F1, the
+    classes flagged for an undefined input rather than placed, the thresholds
+    applied, and one row per placed class in ascending class id. Every
+    quadrant key is present; an empty quadrant reports mean_delta_f1 None."""
     check_thresholds(homophily_threshold, f1_threshold)
     h = np.asarray(per_class_homophily, dtype=np.float64)
     f1 = np.asarray(per_class_lr_f1, dtype=np.float64)
@@ -76,39 +56,30 @@ def assign_quadrants(per_class_homophily, per_class_lr_f1, per_class_delta,
         raise InputError(
             f"per-class arrays disagree on length: {h.shape}, {f1.shape}, {delta.shape}"
         )
-    assignments = []
+    per_class = []
     flagged = []
     for c in range(h.size):
         if math.isnan(h[c]) or math.isnan(f1[c]) or math.isnan(delta[c]):
             flagged.append(c)
             continue
-        assignments.append(ClassQuadrant(
-            class_id=c,
-            quadrant=quadrant_of(h[c], f1[c], homophily_threshold, f1_threshold),
-            homophily=float(h[c]), feature_f1=float(f1[c]), delta_f1=float(delta[c]),
-        ))
-    return QuadrantAssignment(
-        assignments=tuple(assignments), flagged=tuple(flagged),
-        homophily_threshold=homophily_threshold, f1_threshold=f1_threshold,
-    )
-
-
-def quadrant_summary(assignment: QuadrantAssignment) -> dict:
-    """Per-quadrant membership and mean delta, the thresholds applied, and
-    every placed class. Every quadrant key is present; an empty quadrant
-    reports mean_delta None."""
+        per_class.append({
+            "class_id": c,
+            "quadrant": quadrant_of(h[c], f1[c], homophily_threshold, f1_threshold),
+            "homophily": float(h[c]), "feature_f1": float(f1[c]),
+            "delta_f1": float(delta[c]),
+        })
     out = {}
     for name in QUADRANT_NAMES:
-        members = [a for a in assignment.assignments if a.quadrant == name]
+        members = [row for row in per_class if row["quadrant"] == name]
         out[name] = {
-            "classes": [a.class_id for a in members],
-            "mean_delta_f1": (float(np.mean([a.delta_f1 for a in members]))
+            "classes": [row["class_id"] for row in members],
+            "mean_delta_f1": (float(np.mean([row["delta_f1"] for row in members]))
                               if members else None),
         }
-    out["flagged_classes"] = list(assignment.flagged)
-    out["thresholds"] = {"homophily": assignment.homophily_threshold,
-                         "feature_f1": assignment.f1_threshold}
-    out["per_class"] = [asdict(a) for a in assignment.assignments]
+    out["flagged_classes"] = flagged
+    out["thresholds"] = {"homophily": homophily_threshold,
+                         "feature_f1": f1_threshold}
+    out["per_class"] = per_class
     return out
 
 
@@ -141,10 +112,10 @@ def averaged_class_metrics(result: ExperimentResult, masking_rates=MASKING_RATES
 def grid_quadrants(result: ExperimentResult, per_class_homophily,
                    homophily_threshold: float = HOMOPHILY_THRESHOLD,
                    f1_threshold: float = F1_THRESHOLD) -> dict:
-    """The quadrant summary of a grid, averaged over the masking rates its
+    """The quadrant section of a grid, averaged over the masking rates its
     cells hold, in ascending order."""
     rates = sorted({cell.masking_rate for cell in result.cells.values()})
-    lr_f1, delta = averaged_class_metrics(result, tuple(rates))
-    return quadrant_summary(assign_quadrants(
-        per_class_homophily, lr_f1, delta,
-        homophily_threshold=homophily_threshold, f1_threshold=f1_threshold))
+    return assign_quadrants(per_class_homophily,
+                            *averaged_class_metrics(result, tuple(rates)),
+                            homophily_threshold=homophily_threshold,
+                            f1_threshold=f1_threshold)

@@ -121,9 +121,12 @@ def save_report(payload: dict, path=None) -> None:
 def check_report_dir(path) -> None:
     """Raise the InputError ``save_report`` would raise for a report ``path``
     in a missing directory, or for one that is itself a directory, so a long
-    run fails before it starts."""
+    run fails before it starts. An empty path names no file, so it is
+    refused too."""
     if path is None:
         return
+    if not path:
+        raise InputError("cannot write report: the output path is empty")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise InputError(
             f"cannot write report: {os.strerror(errno.ENOENT)}", path=path)

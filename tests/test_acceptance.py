@@ -178,12 +178,12 @@ def test_criterion_6_quadrant_pattern():
 
 def test_criterion_7_quadrant_assignment_exactness():
     h, f1, d = (np.array(col) for col in zip(*REFERENCE_CLASSES))
-    assignment = gd.assign_quadrants(h, f1, d)
+    section = gd.assign_quadrants(h, f1, d)
     wrong = []
     for name, members in REFERENCE_MEMBERSHIP.items():
-        if list(assignment.classes_in(name)) != members:
+        if section[name]["classes"] != members:
             wrong.append(name)
-    ok = not wrong and assignment.flagged == ()
+    ok = not wrong and section["flagged_classes"] == []
     _report(7, ok, "all 10 classes placed as published"
             if ok else f"mismatched quadrants: {wrong}")
 

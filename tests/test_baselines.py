@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -511,6 +513,20 @@ def test_linear_trainers_reject_non_finite_features(trainer):
     with pytest.raises(InputError, match="row 5, column 2") as exc:
         trainer(X, y, np.arange(y.size), seed=0, num_classes=2)
     assert exc.value.index == (5, 2)
+
+
+@pytest.mark.parametrize("model", ["logreg", "svm"])
+def test_fit_baseline_names_the_non_finite_entry_it_was_given(model):
+    # a visible inf would make its column's mean and std non-finite, and
+    # the standardized matrix would then be non-finite from row 0 on
+    X, y = blobs(seed=9, gap=3.0)
+    X[16, 2] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="row 16, column 2") as exc:
+            fit_baseline(model, X, y, np.arange(0, y.size, 2), seed=0,
+                         num_classes=2)
+    assert exc.value.index == (16, 2)
 
 
 def test_linear_predict_tie_breaks_low():

@@ -76,6 +76,24 @@ def test_softmax_cross_entropy_shift_invariant():
     assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("C", [8, 17, 128, 129, 200, 257])
+def test_softmax_cross_entropy_matches_row_wise_formulas(C):
+    """Bit for bit, through each branch of the class-major sum: eight
+    partial sums, a leftover tail, and the halving above 128 classes."""
+    rng = np.random.default_rng(C)
+    y = rng.integers(0, C, size=30)
+    rows = np.arange(30)
+    for shape in ((30, C), (30, 3, C)):
+        z = rng.standard_normal(shape) * 4.0
+        ce, grad = softmax_cross_entropy(z, y)
+        shifted = z - z.max(axis=-1, keepdims=True)
+        logsum = np.log(np.exp(shifted).sum(axis=-1))
+        want = np.exp(shifted - logsum[..., None])
+        want[rows, ..., y] -= 1.0
+        assert np.array_equal(ce, logsum - shifted[rows, ..., y])
+        assert np.array_equal(grad, want)
+
+
 def _parent_logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
     """The logistic objective as written inline before the shared loss."""
     d = X.shape[1]

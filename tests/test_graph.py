@@ -70,7 +70,7 @@ def test_normalized_adjacency_matches_dense_oracle():
         n = int(rng.integers(2, 51))
         edges = random_edge_list(rng, n, 0.15)
         g = build_graph(edges, n)
-        dense = normalized_adjacency(g).to_dense()
+        dense = normalized_adjacency(g).matrix.toarray()
         oracle = dense_normalized_adjacency(edges, n)
         assert np.allclose(dense, oracle, rtol=1e-12, atol=1e-15)
 
@@ -78,7 +78,7 @@ def test_normalized_adjacency_matches_dense_oracle():
 def test_normalized_adjacency_hand_values():
     # path 0-1-2: deg+1 = [2, 3, 2]
     g = build_graph([(0, 1), (1, 2)], 3)
-    dense = normalized_adjacency(g).to_dense()
+    dense = normalized_adjacency(g).matrix.toarray()
     assert dense[0, 0] == pytest.approx(1 / 2)
     assert dense[1, 1] == pytest.approx(1 / 3)
     assert dense[0, 1] == pytest.approx(1 / np.sqrt(6))
@@ -87,7 +87,7 @@ def test_normalized_adjacency_hand_values():
 
 def test_isolated_node_self_weight_is_one():
     g = build_graph([(0, 1)], 3)  # node 2 isolated
-    dense = normalized_adjacency(g).to_dense()
+    dense = normalized_adjacency(g).matrix.toarray()
     assert dense[2, 2] == 1.0
     assert dense[2, :2].sum() == 0.0
 

@@ -473,6 +473,25 @@ def test_cli_run_quadrants_equal_quadrant_output(tmp_path, cli_inputs):
     assert load_report(cli_inputs[1])["quadrants"] == load_report(out)
 
 
+def test_readme_python_api_block_runs(tmp_path):
+    """The README's Python API block runs as written, with its demo paths
+    pointed at a small container, and its quadrant section is the one `run`
+    writes for the same seed."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", text,
+                      re.DOTALL).group(1)
+    demo = make_container(tmp_path, n=150, classes=3, homophily=0.8,
+                          degree=6, dim=6, signal=1.5)
+    exec(compile(block.replace("/tmp/demo", demo), readme, "exec"), {})
+    run_out = str(tmp_path / "run.json")
+    assert run_cli("run", demo, "--seed", "7", "--out", run_out) == 0
+    assert (load_report(demo + "-report.json")["quadrants"]
+            == load_report(run_out)["quadrants"])
+
+
 def test_cli_run_says_why_its_quadrant_section_is_null(tmp_path, capsys,
                                                       cli_inputs):
     out = str(tmp_path / "random.json")
@@ -511,6 +530,17 @@ def test_cli_out_under_missing_directory_is_an_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and out in err
     assert not os.path.exists(tmp_path / "missing")
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_cli_empty_out_fails_before_the_run(capsys, cli_inputs, command):
+    argv = {"run": ["run", cli_inputs[0], "--models", "lr", "--masking", "0",
+                    "--features", "original"],
+            "tune": ["tune", cli_inputs[0], "--epochs", "1"]}[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", "") == 1
+    assert capsys.readouterr().err == (
+        "error: cannot write report: the output path is empty\n")
 
 
 @pytest.mark.parametrize("name, line, text", [

@@ -68,7 +68,7 @@ def test_masking_nested_and_keeps_every_class(case, seed):
 @given(case=edge_lists())
 def test_normalized_adjacency_rows_match_dense_oracle(case):
     n, edges = case
-    got = normalized_adjacency(build_graph(edges, n)).to_dense()
+    got = normalized_adjacency(build_graph(edges, n)).matrix.toarray()
     want = dense_normalized_adjacency([(u, v) for u, v in edges if u != v], n)
     for u in range(n):
         np.testing.assert_allclose(got[u], want[u], rtol=1e-12, atol=0.0)

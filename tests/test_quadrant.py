@@ -5,7 +5,7 @@ import pytest
 
 from gcndiag import (InputError, assign_quadrants, averaged_class_metrics,
                      generate_features, generate_graph, normalized_adjacency,
-                     quadrant_summary, run_grid)
+                     run_grid)
 from gcndiag.quadrant import (F1_THRESHOLD, HIGH_H_STRONG_F, HIGH_H_WEAK_F,
                               HOMOPHILY_THRESHOLD, LOW_H_STRONG_F,
                               LOW_H_WEAK_F, QUADRANT_NAMES, quadrant_of)
@@ -34,15 +34,15 @@ REFERENCE_MEMBERSHIP = {
 
 def test_reference_classes_assigned_exactly():
     h, f1, d = (np.array(col) for col in zip(*REFERENCE_CLASSES))
-    assignment = assign_quadrants(h, f1, d)
-    assert assignment.flagged == ()
+    section = assign_quadrants(h, f1, d)
+    assert section["flagged_classes"] == []
     for name, members in REFERENCE_MEMBERSHIP.items():
-        assert list(assignment.classes_in(name)) == members
+        assert section[name]["classes"] == members
 
 
 def test_reference_mean_deltas():
     h, f1, d = (np.array(col) for col in zip(*REFERENCE_CLASSES))
-    summary = quadrant_summary(assign_quadrants(h, f1, d))
+    summary = assign_quadrants(h, f1, d)
     assert summary[LOW_H_STRONG_F]["mean_delta_f1"] == pytest.approx(-0.023)
     assert summary[HIGH_H_STRONG_F]["mean_delta_f1"] == pytest.approx(0.03175)
     assert summary[LOW_H_WEAK_F]["mean_delta_f1"] == pytest.approx(0.075)
@@ -59,23 +59,21 @@ def test_boundary_values_fall_to_low_side():
 
 
 def test_custom_thresholds():
-    assignment = assign_quadrants([0.5], [0.5], [0.1],
-                                  homophily_threshold=0.4, f1_threshold=0.6)
-    assert assignment.assignments[0].quadrant == HIGH_H_WEAK_F
+    section = assign_quadrants([0.5], [0.5], [0.1],
+                               homophily_threshold=0.4, f1_threshold=0.6)
+    assert section["per_class"][0]["quadrant"] == HIGH_H_WEAK_F
 
 
 def test_nan_inputs_are_flagged_not_assigned():
-    assignment = assign_quadrants([0.9, np.nan, 0.5],
-                                  [0.9, 0.9, np.nan],
-                                  [0.1, 0.1, 0.1])
-    assert assignment.flagged == (1, 2)
-    assert [a.class_id for a in assignment.assignments] == [0]
-    summary = quadrant_summary(assignment)
+    summary = assign_quadrants([0.9, np.nan, 0.5],
+                               [0.9, 0.9, np.nan],
+                               [0.1, 0.1, 0.1])
+    assert [row["class_id"] for row in summary["per_class"]] == [0]
     assert summary["flagged_classes"] == [1, 2]
 
 
 def test_summary_has_all_quadrants():
-    summary = quadrant_summary(assign_quadrants([0.9], [0.9], [0.05]))
+    summary = assign_quadrants([0.9], [0.9], [0.05])
     for name in QUADRANT_NAMES:
         assert name in summary
     assert summary[HIGH_H_STRONG_F]["classes"] == [0]
@@ -86,12 +84,6 @@ def test_summary_has_all_quadrants():
 def test_mismatched_lengths_rejected():
     with pytest.raises(InputError):
         assign_quadrants([0.5, 0.6], [0.5], [0.1, 0.2])
-
-
-def test_classes_in_unknown_quadrant():
-    assignment = assign_quadrants([0.9], [0.9], [0.05])
-    with pytest.raises(InputError):
-        assignment.classes_in("SidewaysH")
 
 
 def test_averaged_class_metrics_from_grid():
