@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: analyze (homophily report), run (model x masking x feature grid),
-quadrant (classify per-class results), synth (generate a dataset container),
-gradcheck (finite-difference gradient audit), tune (hyperparameter search).
+quadrant (re-threshold the quadrant section of a run report), synth (generate
+a dataset container), gradcheck (finite-difference gradient audit), tune
+(hyperparameter search).
 Exit codes: 0 success, 1 structured failure, 2 usage error.
 """
 
@@ -14,16 +15,15 @@ from itertools import product
 
 from .baselines import LOGREG_C_GRID, SVM_C_GRID, fit_baseline
 from .dataset_io import Dataset, load_dataset, save_dataset
-from .errors import GcnDiagError, InputError, require_keys
+from .errors import GcnDiagError, InputError
 from .gcn import GcnConfig, gradient_check, train_gcn
 from .graph import normalized_adjacency, spmm
 from .homophily import homophily_report
 from . import parallel
-from .protocol import (FEATURE_MODES, JSON_FLOATS, MASKING_RATES, MODELS,
-                       ExperimentResult, derive_seed, make_split,
-                       masking_percent, read_json, run_grid)
-from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, check_thresholds,
-                       grid_quadrants)
+from .protocol import (FEATURE_MODES, MASKING_RATES, MODELS, derive_seed,
+                       make_split, masking_percent, run_grid)
+from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, _section_arrays,
+                       assign_quadrants, check_thresholds, grid_quadrants)
 from .report import (build_report, check_report_dir, load_report,
                      save_report)
 from .synth import SyntheticSpec, generate_features, generate_graph
@@ -97,7 +97,21 @@ def _parse_masking(raw: str):
     return tuple(pct / 100.0 for pct in pcts)
 
 
+def _progress(what, total):
+    """(finished, seconds): ``finished(key, seconds, error)`` records each
+    item's wall time in ``seconds`` by key and prints on stderr that it is
+    done, as in ``cell svm:0:original done in 0.12 s (2/18)``."""
+    seconds = {}
+
+    def finished(key, took, error):
+        seconds[key] = took
+        print(f"{what} {key} {'failed' if error else 'done'} in {took:.2f} s "
+              f"({len(seconds)}/{total})", file=sys.stderr)
+    return finished, seconds
+
+
 def cmd_analyze(args) -> int:
+    check_report_dir(args.out)
     ds = load_dataset(args.dataset)
     save_report({
         "dataset": ds.name,
@@ -121,14 +135,8 @@ def cmd_run(args) -> int:
                     learning_rate=args.learning_rate,
                     weight_decay=args.weight_decay, max_epochs=args.epochs,
                     seed=args.seed)
-    total = len(models) * len(masking) * len(modes)
-    cell_seconds = {}
-
-    def finished(key, seconds, error):
-        cell_seconds[key] = seconds
-        print(f"cell {key} {'failed' if error else 'done'} in {seconds:.2f} s "
-              f"({len(cell_seconds)}/{total})", file=sys.stderr)
-
+    finished, cell_seconds = _progress(
+        "cell", len(models) * len(masking) * len(modes))
     result = run_grid(a, ds.x, ds.y, base_seed=args.seed, models=models,
                       masking_rates=masking, feature_modes=modes,
                       gcn_config=cfg, num_classes=ds.num_classes,
@@ -160,15 +168,11 @@ def cmd_run(args) -> int:
 
 def cmd_quadrant(args) -> int:
     check_thresholds(args.homophily_threshold, args.f1_threshold)
+    check_report_dir(args.out)
     report = load_report(args.results)
     try:
-        require_keys(report, ("grid", "homophily"))
-        result = ExperimentResult.from_dict(report["grid"])
-        per_class = read_json(JSON_FLOATS, require_keys(
-            report["homophily"], ("per_class",), "homophily")["per_class"],
-            "homophily.per_class")
-        summary = grid_quadrants(result, per_class, args.homophily_threshold,
-                                 args.f1_threshold)
+        summary = assign_quadrants(*_section_arrays(report),
+                                   args.homophily_threshold, args.f1_threshold)
     except GcnDiagError as exc:  # the thresholds passed, so the report is at fault
         raise InputError(str(exc), path=args.results) from None
     save_report(summary, args.out)
@@ -237,9 +241,11 @@ def cmd_tune(args) -> int:
     # start first. Each result goes to its item's place, keeping grid order.
     items = ["logreg", "svm", *points]
     results = [None] * len(items)
+    finished, _ = _progress("item", len(items))
     for i, result, error, seconds in parallel.fork_map(train_item, items):
-        if math.isnan(seconds):
+        if math.isnan(seconds):  # the item need not be the one that died
             raise GcnDiagError(f"a tune worker died: {error}")
+        finished(items[i], seconds, error)
         if error:
             what = items[i] if isinstance(items[i], str) else f"point {items[i]}"
             raise GcnDiagError(f"tune {what} failed: {error}")
@@ -299,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=GcnConfig.max_epochs)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("quadrant", help="quadrant assignment from results JSON")
+    p = sub.add_parser("quadrant",
+                       help="re-threshold the quadrant section of a run report")
     p.add_argument("results")
     p.add_argument("--homophily-threshold", type=float,
                    default=HOMOPHILY_THRESHOLD)

@@ -9,12 +9,11 @@ from the split to the CV folds, permutes each class by ``_permuted_classes``.
 """
 
 import hashlib
-import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, check_finite, require_keys
+from .errors import InputError, check_finite
 from .metrics import ModelScores, score
 
 MODELS = ("gcn", "logreg", "svm")
@@ -177,73 +176,6 @@ def cell_key(model: str, masking_rate: float, feature_mode: str) -> str:
     return f"{model}:{masking_percent(masking_rate)}:{feature_mode}"
 
 
-def _required(cls):
-    """Names of the fields of dataclass ``cls`` that have no default."""
-    return [f.name for f in fields(cls)
-            if f.default is MISSING and f.default_factory is MISSING]
-
-
-def _json(kind):
-    """Reader of a JSON value that must hold Python type ``kind``; true and
-    false are not numbers."""
-    def read(value):
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise TypeError
-        return value
-    return read
-
-
-def _json_float(value):
-    """A JSON number as a float; null reads back as the NaN it was written from."""
-    return math.nan if value is None else float(_json((int, float))(value))
-
-
-def _json_rate(value):
-    """A masking rate: a finite JSON number in [0, 1)."""
-    rate = float(_json((int, float))(value))
-    if not 0.0 <= rate < 1.0:
-        raise ValueError
-    return rate
-
-
-def _json_array(read, dtype):
-    return lambda value: np.array([read(v) for v in _json(list)(value)], dtype=dtype)
-
-
-def read_json(read, value, where):
-    """``read(value)``; a value of the wrong JSON type or range is an
-    InputError naming its path ``where`` in the report."""
-    try:
-        return read(value)
-    except (TypeError, ValueError):
-        raise InputError(f"malformed value at {where}: {value!r:.60}") from None
-
-
-JSON_FLOATS = _json_array(_json_float, np.float64)  # null reads as NaN
-_SCORES_JSON = {
-    "per_class_f1": JSON_FLOATS,
-    "macro_f1": _json_float,
-    "confusion": _json_array(_json_array(_json(int), np.int64), np.int64),
-    "absent_classes": lambda value: tuple(_json(int)(v) for v in _json(list)(value)),
-}
-_CELL_JSON = {"model": _json(str), "masking_rate": _json_rate,
-              "feature_mode": _json(str), "selected_hyper": _json(dict),
-              "error": _json(str)}
-
-
-def _from_json(cls, d, readers, where):
-    """Dataclass ``cls`` from its report form ``d``, each key read by
-    ``readers``. A missing field without a default, an unknown key or a value
-    of the wrong JSON type is an InputError naming its path in the report."""
-    require_keys(d, _required(cls), where)
-    values = {}
-    for key, value in d.items():
-        if key not in readers:
-            raise InputError(f"unknown key {where}.{key}")
-        values[key] = read_json(readers[key], value, f"{where}.{key}")
-    return cls(**values)
-
-
 @dataclass
 class ExperimentResult:
     """All cells of one grid run plus the ingredients to interpret them."""
@@ -258,44 +190,6 @@ class ExperimentResult:
         if key not in self.cells:
             raise KeyError(f"no cell {key!r} in this run")
         return self.cells[key]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentResult":
-        """Rebuild a result from its report form, ``jsonable(asdict(result))``,
-        found under a report's "grid" key. Malformed input is an InputError
-        naming its path in the report, as in ``grid.cells["gcn:0:original"]``.
-        So is a cell stored under another cell's key, and scores whose
-        per-class F1 or confusion matrix does not fit ``num_classes``."""
-        def cell(key, c):
-            where = f'grid.cells["{key}"]'
-
-            def scores(s):
-                return None if s is None else _from_json(
-                    ModelScores, s, _SCORES_JSON, where + ".scores")
-            return _from_json(CellResult, c, {**_CELL_JSON, "scores": scores}, where)
-
-        result = _from_json(cls, d, {
-            "base_seed": _json(int), "num_classes": _json(int),
-            "cells": lambda cells: {key: cell(key, c)
-                                    for key, c in _json(dict)(cells).items()},
-        }, "grid")
-        k = result.num_classes
-        for key, c in result.cells.items():
-            where = f'grid.cells["{key}"]'
-            own = cell_key(c.model, c.masking_rate, c.feature_mode)
-            if key != own:
-                raise InputError(f"{where} describes the cell {own}")
-            if c.scores is None:
-                continue
-            if c.scores.per_class_f1.shape != (k,):
-                raise InputError(
-                    f"{where}.scores.per_class_f1 has "
-                    f"{c.scores.per_class_f1.size} entries, not grid.num_classes {k}")
-            if c.scores.confusion.shape != (k, k):
-                raise InputError(
-                    f"{where}.scores.confusion is {c.scores.confusion.shape}, "
-                    f"not {(k, k)}")
-        return result
 
 
 def run_grid(a, x, y, base_seed: int = 0, models=MODELS,

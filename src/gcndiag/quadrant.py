@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, check_settings
+from .errors import InputError, check_settings, require_keys
 from .metrics import delta_f1
 from .protocol import MASKING_RATES, ExperimentResult, cell_key
 
@@ -80,6 +80,48 @@ def assign_quadrants(per_class_homophily, per_class_lr_f1, per_class_delta,
     out["thresholds"] = {"homophily": homophily_threshold,
                          "feature_f1": f1_threshold}
     out["per_class"] = per_class
+    return out
+
+
+def _section_arrays(report):
+    """(homophily, feature F1, delta F1) per class from the quadrant section
+    of a ``run`` report, NaN at each flagged class, for ``assign_quadrants``
+    to threshold again. The rows and flagged ids must name the classes
+    0..k-1 once each. A missing or malformed value is an InputError naming
+    its path in the report, as in ``quadrants.per_class[2].feature_f1``."""
+    def read(value, where, kind=(int, float)):
+        try:  # true and false are not numbers, and placed rows hold no NaN
+            if (isinstance(value, kind) and not isinstance(value, bool)
+                    and (kind is list or math.isfinite(value))):
+                return value
+        except OverflowError:  # an integer too large for a float
+            pass
+        raise InputError(f"malformed value at {where}: {value!r:.60}")
+
+    section = require_keys(report, ("quadrants",))["quadrants"]
+    if section is None:
+        raise InputError("quadrants is null, quadrants_skipped: "
+                         f"{report.get('quadrants_skipped')}")
+    require_keys(section, ("per_class", "flagged_classes"), "quadrants")
+    rows = read(section["per_class"], "quadrants.per_class", list)
+    flagged = read(section["flagged_classes"], "quadrants.flagged_classes", list)
+    keys = ("class_id", "homophily", "feature_f1", "delta_f1")
+    placed = []
+    for i, row in enumerate(rows):
+        where = f"quadrants.per_class[{i}]"
+        require_keys(row, keys, where)
+        placed.append([read(row[key], f"{where}.{key}",
+                            int if key == "class_id" else (int, float))
+                       for key in keys])
+    ids = [row[0] for row in placed] + [
+        read(c, f"quadrants.flagged_classes[{i}]", int)
+        for i, c in enumerate(flagged)]
+    if sorted(ids) != list(range(len(ids))):
+        raise InputError(f"the quadrants section names the classes "
+                         f"{sorted(ids)}, not 0..{len(ids) - 1} once each")
+    out = np.full((3, len(ids)), math.nan)
+    for c, *values in placed:
+        out[:, c] = values
     return out
 
 

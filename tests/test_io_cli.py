@@ -1,4 +1,3 @@
-import copy
 import errno
 import json
 import os
@@ -10,12 +9,14 @@ import numpy as np
 import pytest
 
 import gcndiag.cli
-from gcndiag import (CellResult, Dataset, ExperimentResult, InputError,
-                     ModelScores, build_graph, build_report, generate_features,
-                     generate_graph, load_dataset, load_report,
-                     normalized_adjacency, run_grid, save_dataset, save_report)
+from gcndiag import (CellResult, Dataset, ExperimentResult, GcnConfig,
+                     InputError, ModelScores, build_graph, build_report,
+                     generate_features, generate_graph, homophily_report,
+                     load_dataset, load_report, normalized_adjacency, run_grid,
+                     save_dataset, save_report)
 from gcndiag.cli import (GCN_DROPOUT_GRID, GCN_HIDDEN_GRID, GCN_LR_GRID,
                          GCN_WD_GRID, main)
+from gcndiag.quadrant import QUADRANT_NAMES, grid_quadrants
 from gcndiag.report import jsonable, stable_form
 from gcndiag.synth import SyntheticSpec
 
@@ -473,6 +474,53 @@ def test_cli_run_quadrants_equal_quadrant_output(tmp_path, cli_inputs):
     assert load_report(cli_inputs[1])["quadrants"] == load_report(out)
 
 
+def test_cli_quadrant_thresholds_the_run_section_as_the_grid_would(tmp_path):
+    """`quadrant` at other thresholds prints what ``grid_quadrants`` builds
+    from the run's grid in memory, classes moved between quadrants too."""
+    ds_dir = make_container(tmp_path, n=200, classes=5, homophily=0.8,
+                            degree=6, dim=8, signal=1.0)
+    results = str(tmp_path / "results.json")
+    assert run_cli("run", ds_dir, "--seed", "3", "--masking", "0,90",
+                   "--features", "original", "--epochs", "20",
+                   "--out", results) == 0
+    ds = load_dataset(ds_dir)
+    result = run_grid(normalized_adjacency(ds.graph), ds.x, ds.y, base_seed=3,
+                      masking_rates=(0.0, 0.9), feature_modes=("original",),
+                      gcn_config=GcnConfig(max_epochs=20),
+                      num_classes=ds.num_classes)
+    h = homophily_report(ds.graph, ds.y, ds.num_classes)["per_class"]
+    default = load_report(results)["quadrants"]
+    moved = 0
+    for h_cut, f1_cut in ((0.95, 0.5), (0.8, 0.3)):
+        out = str(tmp_path / f"{h_cut}-{f1_cut}.json")
+        assert run_cli("quadrant", results, "--homophily-threshold", str(h_cut),
+                       "--f1-threshold", str(f1_cut), "--out", out) == 0
+        with open(out) as fh:
+            printed = fh.read()
+        expected = grid_quadrants(result, h, h_cut, f1_cut)
+        assert printed == json.dumps(jsonable(expected), indent=2,
+                                     sort_keys=True) + "\n"
+        moved += sum(row["quadrant"] != old["quadrant"] for row, old
+                     in zip(expected["per_class"], default["per_class"]))
+    assert moved > 0
+
+
+def test_cli_quadrant_keeps_flagged_classes_flagged(tmp_path, cli_inputs):
+    report = load_report(cli_inputs[1])
+    section = report["quadrants"]
+    del section["per_class"][1]
+    section["flagged_classes"] = [1]
+    path, out = str(tmp_path / "flagged.json"), str(tmp_path / "quad.json")
+    save_report(report, path)
+    assert run_cli("quadrant", path, "--homophily-threshold", "0",
+                   "--f1-threshold", "0", "--out", out) == 0
+    quad = load_report(out)
+    assert quad["flagged_classes"] == [1]
+    assert [row["class_id"] for row in quad["per_class"]] == [0]
+    assert sorted(c for name in QUADRANT_NAMES
+                  for c in quad[name]["classes"]) == [0]
+
+
 def test_readme_python_api_block_runs(tmp_path):
     """The README's Python API block runs as written, with its demo paths
     pointed at a small container, and its quadrant section is the one `run`
@@ -532,10 +580,12 @@ def test_cli_out_under_missing_directory_is_an_error(
     assert not os.path.exists(tmp_path / "missing")
 
 
-@pytest.mark.parametrize("command", ["run", "tune"])
+@pytest.mark.parametrize("command", ["analyze", "run", "quadrant", "tune"])
 def test_cli_empty_out_fails_before_the_run(capsys, cli_inputs, command):
-    argv = {"run": ["run", cli_inputs[0], "--models", "lr", "--masking", "0",
+    argv = {"analyze": ["analyze", cli_inputs[0]],
+            "run": ["run", cli_inputs[0], "--models", "lr", "--masking", "0",
                     "--features", "original"],
+            "quadrant": ["quadrant", cli_inputs[1]],
             "tune": ["tune", cli_inputs[0], "--epochs", "1"]}[command]
     capsys.readouterr()
     assert run_cli(*argv, "--out", "") == 1
@@ -673,74 +723,65 @@ def test_cli_run_fails_a_diverging_gcn_cell(tmp_path, capsys, cli_inputs):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("empty", "missing key grid"),
+    ("empty", "missing key quadrants"),
     ("list", "report must be a JSON object, got list"),
-    ("no_scores", 'missing key grid.cells["gcn:0:original"].scores'),
-    ("no_homophily", "missing key homophily"),
-    ("text_f1", "malformed value at "
-                'grid.cells["logreg:0:original"].scores.macro_f1: \'x\''),
-    ("extra_key", 'unknown key grid.cells["logreg:0:original"].extra'),
-    ("rate_null", "malformed value at "
-                  'grid.cells["logreg:0:original"].masking_rate: None'),
-    ("rate_nan", "malformed value at "
-                 'grid.cells["logreg:0:original"].masking_rate: nan'),
-    ("rate_huge", "malformed value at "
-                  'grid.cells["logreg:0:original"].masking_rate: inf'),
-    ("rate_above_one", "malformed value at "
-                       'grid.cells["logreg:0:original"].masking_rate: 1.5'),
-    ("per_class_text", "malformed value at homophily.per_class: 'abc'"),
-    ("per_class_object", "malformed value at homophily.per_class: {'a': 1}"),
-    ("per_class_short", "per-class arrays disagree on length: (1,), (2,), (2,)"),
-    ("class_counts", 'grid.cells["gcn:0:original"].scores.per_class_f1 '
-                     "has 3 entries, not grid.num_classes 2"),
-    ("class_counts_two_rates", 'grid.cells["gcn:50:original"].scores.'
-                               "per_class_f1 has 3 entries, not grid.num_classes 2"),
-    ("confusion_rows", 'grid.cells["gcn:0:original"].scores.confusion is '
-                       "(1, 2), not (2, 2)"),
-    ("misfiled_cell", 'grid.cells["logreg:50:original"] describes the cell '
-                      "logreg:0:original"),
-    ("no_logreg", "no cell 'logreg:0:original' in this run"),
-    ("no_cells", "no masking rates to average over"),
+    ("null_section", "quadrants is null, quadrants_skipped: "
+                     "no cell 'logreg:0:original' in this run"),
+    ("no_per_class", "missing key quadrants.per_class"),
+    ("per_class_object", "malformed value at quadrants.per_class: {'a': 1}"),
+    ("row_text", "quadrants.per_class[1] must be a JSON object, got str"),
+    ("no_f1", "missing key quadrants.per_class[1].feature_f1"),
+    ("text_f1", "malformed value at quadrants.per_class[1].feature_f1: 'x'"),
+    ("bool_h", "malformed value at quadrants.per_class[0].homophily: True"),
+    ("null_delta", "malformed value at quadrants.per_class[1].delta_f1: None"),
+    ("nan_delta", "malformed value at quadrants.per_class[1].delta_f1: nan"),
+    ("huge_h", "malformed value at quadrants.per_class[1].homophily: inf"),
+    ("huge_int_h", "malformed value at quadrants.per_class[1].homophily: 1"
+                   + "0" * 59),
+    ("float_id", "malformed value at quadrants.per_class[0].class_id: 0.0"),
+    ("duplicate_id", "the quadrants section names the classes [0, 0], "
+                     "not 0..1 once each"),
+    ("missing_id", "the quadrants section names the classes [0, 2], "
+                   "not 0..1 once each"),
+    ("flagged_text", "malformed value at quadrants.flagged_classes[0]: '1'"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
                                                 case, message):
     report = load_report(cli_inputs[1])
-    cells = report["grid"]["cells"]
-    raw = {"rate_nan": "NaN", "rate_huge": "1e400"}  # save_report writes null
-    if case in ("class_counts_two_rates", "misfiled_cell"):
-        for model in ("gcn", "logreg"):  # a second rate, so rows are averaged
-            cells[f"{model}:50:original"] = {
-                **copy.deepcopy(cells[f"{model}:0:original"]),
-                "masking_rate": 0.5}
-    if case == "no_scores":
-        del cells["gcn:0:original"]["scores"]
-    elif case == "no_homophily":
-        del report["homophily"]
+    section = report["quadrants"]
+    rows = section["per_class"]
+    assert [row["class_id"] for row in rows] == [0, 1]
+    # save_report writes null for NaN and inf, and 10**400 is no float
+    raw = {"nan_delta": "NaN", "huge_h": "1e400", "huge_int_h": "1" + "0" * 400}
+    if case == "null_section":
+        report["quadrants"] = None
+        report["quadrants_skipped"] = "no cell 'logreg:0:original' in this run"
+    elif case == "no_per_class":  # a report written before the rows existed
+        del section["per_class"]
+    elif case == "per_class_object":
+        section["per_class"] = {"a": 1}
+    elif case == "row_text":
+        rows[1] = "row"
+    elif case == "no_f1":
+        del rows[1]["feature_f1"]
     elif case == "text_f1":
-        cells["logreg:0:original"]["scores"]["macro_f1"] = "x"
-    elif case == "extra_key":
-        cells["logreg:0:original"]["extra"] = 1
-    elif case.startswith("rate_"):
-        cells["logreg:0:original"]["masking_rate"] = {
-            "rate_null": None, "rate_above_one": 1.5}.get(case, case)
-    elif case.startswith("per_class_"):
-        report["homophily"]["per_class"] = {
-            "per_class_text": "abc", "per_class_object": {"a": 1},
-            "per_class_short": [0.5]}[case]
-    elif case == "class_counts":
-        cells["gcn:0:original"]["scores"]["per_class_f1"].append(0.5)
-    elif case == "class_counts_two_rates":
-        for model in ("gcn", "logreg"):
-            cells[f"{model}:50:original"]["scores"]["per_class_f1"].append(0.5)
-    elif case == "confusion_rows":
-        del cells["gcn:0:original"]["scores"]["confusion"][-1]
-    elif case == "misfiled_cell":
-        cells["logreg:50:original"]["masking_rate"] = 0.0
-    elif case == "no_logreg":
-        del cells["logreg:0:original"]
-    elif case == "no_cells":
-        cells.clear()
+        rows[1]["feature_f1"] = "x"
+    elif case == "bool_h":
+        rows[0]["homophily"] = True
+    elif case in ("null_delta", "nan_delta"):
+        rows[1]["delta_f1"] = None if case == "null_delta" else case
+    elif case.startswith("huge_"):
+        rows[1]["homophily"] = case
+    elif case == "float_id":
+        rows[0]["class_id"] = 0.0
+    elif case == "duplicate_id":
+        rows[1]["class_id"] = 0
+    elif case == "missing_id":  # two classes, named 0 and 2
+        rows[1]["class_id"] = 2
+    elif case == "flagged_text":
+        section["flagged_classes"] = ["1"]
+        del rows[1]
     path = str(tmp_path / "bad.json")
     save_report({"empty": {}, "list": [report]}.get(case, report), path)
     if case in raw:
@@ -779,6 +820,23 @@ def test_cli_tune_quick(tmp_path):
     assert payload["best"]["gcn"] in payload["gcn_grid"]
 
 
+def test_cli_tune_prints_each_finished_item(tmp_path, capsys, cli_inputs):
+    out = str(tmp_path / "tune.json")
+    capsys.readouterr()
+    assert run_cli("tune", cli_inputs[0], "--epochs", "1", "--out", out) == 0
+    lines = capsys.readouterr().err.splitlines()
+    total = 2 + len(GCN_HIDDEN_GRID) * len(GCN_DROPOUT_GRID) * len(
+        GCN_LR_GRID) * len(GCN_WD_GRID)
+    assert total == 74 and len(lines) == total
+    items = set()
+    for n, line in enumerate(lines, 1):
+        found = re.fullmatch(rf"item (.+) done in \d+\.\d\d s \({n}/74\)", line)
+        assert found, line
+        items.add(found.group(1))
+    assert {"logreg", "svm", "(64, 0.5, 0.01, 0.0)"} <= items
+    assert len(items) == 74
+
+
 def test_cli_tune_reports_unconverged_fits(tmp_path, monkeypatch):
     import gcndiag.baselines as baselines
     ds_dir = make_container(tmp_path, n=60, classes=2, homophily=0.9,
@@ -792,7 +850,6 @@ def test_cli_tune_reports_unconverged_fits(tmp_path, monkeypatch):
 
 
 def test_cli_defaults_are_read_from_their_owners():
-    from gcndiag import GcnConfig
     from gcndiag.protocol import FEATURE_MODES, MASKING_RATES, MODELS
     run = gcndiag.cli.build_parser().parse_args(["run", "ds"])
     tune = gcndiag.cli.build_parser().parse_args(["tune", "ds"])

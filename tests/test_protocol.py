@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 from dataclasses import asdict
 
@@ -7,11 +8,10 @@ import pytest
 import gcndiag.baselines
 import gcndiag.parallel
 import gcndiag.protocol
-from gcndiag import (ExperimentResult, GcnConfig, InputError, ablate_features,
-                     apply_masking, build_graph, build_report,
-                     carve_validation, derive_seed, generate_features,
-                     generate_graph, make_split, normalized_adjacency,
-                     run_grid, stratified_split)
+from gcndiag import (GcnConfig, InputError, ablate_features, apply_masking,
+                     build_graph, build_report, carve_validation, derive_seed,
+                     generate_features, generate_graph, make_split,
+                     normalized_adjacency, run_grid, stratified_split)
 from gcndiag.report import jsonable
 from gcndiag.synth import SyntheticSpec
 
@@ -276,12 +276,14 @@ def test_experiment_result_round_trip():
     a, x, y = small_dataset()
     result = run_grid(a, x, y, num_classes=3, base_seed=6, models=("gcn", "logreg"),
                       feature_modes=("original",))
-    stored = jsonable(asdict(result))
-    again = ExperimentResult.from_dict(stored)
-    assert jsonable(asdict(again)) == stored
-    deltas = build_report("fp", {}, {}, result)["delta_f1"]
+    report = json.loads(json.dumps(build_report("fp", {}, {}, result)))
+    cells, deltas = report["grid"]["cells"], report["delta_f1"]
+    assert report["grid"] == jsonable(asdict(result))
     assert deltas["original"]["90"] is not None
-    assert build_report("fp", {}, {}, again)["delta_f1"] == deltas
+    for pct in ("0", "50", "90"):  # each delta reads back from the grid
+        assert deltas["original"][pct] == (
+            cells[f"gcn:{pct}:original"]["scores"]["macro_f1"]
+            - cells[f"logreg:{pct}:original"]["scores"]["macro_f1"])
 
 
 def test_random_features_shared_across_cells():

@@ -6,6 +6,7 @@ and a failed item fails the whole search loudly, naming that item."""
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -24,6 +25,14 @@ from gcndiag.report import load_report
 
 def blas_threads():
     return BLAS[1]() if BLAS is not None else None
+
+
+def progress_and_rest(err):
+    """(the lines `tune` prints as each item finishes, the rest of ``err``)."""
+    lines = err.splitlines(keepends=True)
+    done = [line for line in lines if re.fullmatch(
+        r"item .+ (done|failed) in \d+\.\d\d s \(\d+/74\)\n", line)]
+    return done, "".join(line for line in lines if line not in done)
 
 
 @pytest.fixture
@@ -107,14 +116,16 @@ def test_tune_restores_blas_threads_and_joins_workers(container, tmp_path,
     out = tmp_path / "t.json"
     capsys.readouterr()
     code, seen, _ = tune(container, str(out), monkeypatch, tmp_path, fail_at)
-    err = capsys.readouterr().err
+    progress, err = progress_and_rest(capsys.readouterr().err)
     if fail_at is None:
         assert code == 0 and len(seen) == 72 and err == ""
+        assert len(progress) == 74 and progress[-1].endswith(" (74/74)\n")
     else:
         # the first point fails; the search stops without training the rest
         assert code == 1 and len(seen) < 72 and not out.exists()
         assert err == (f"error: tune point {fail_at} failed: "
                        "InputError: injected failure\n")
+        assert progress[-1].startswith(f"item {fail_at} failed in ")
     assert multiprocessing.active_children() == []
     if BLAS is not None:  # every point trained on one thread, forked or not
         assert {blas for _, blas in seen} == {"1"}
@@ -127,8 +138,9 @@ def test_dead_worker_fails_tune_loudly(container, tmp_path, monkeypatch, capsys)
     out = tmp_path / "t.json"
     capsys.readouterr()
     code, *_ = tune(container, str(out), monkeypatch, tmp_path, point, die=True)
-    err = capsys.readouterr().err
+    progress, err = progress_and_rest(capsys.readouterr().err)
     assert code == 1 and not out.exists()
+    assert all(" done in " in line for line in progress)
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     # the first item left without a result need not be the one that killed
     # its worker, so the line names no point
@@ -147,9 +159,10 @@ def test_failing_baseline_fails_tune_naming_it(container, tmp_path,
     out = tmp_path / "t.json"
     capsys.readouterr()
     code, *_ = tune(container, str(out), monkeypatch, tmp_path, cores=cores)
-    err = capsys.readouterr().err
+    progress, err = progress_and_rest(capsys.readouterr().err)
     assert code == 1 and not out.exists()
     assert err == "error: tune svm failed: InputError: injected svm failure\n"
+    assert progress[-1].startswith("item svm failed in ")
     assert multiprocessing.active_children() == []
 
 
