@@ -7,8 +7,7 @@ from .gcn import (GcnConfig, GcnParams, TrainedGcn, gcn_forward,
                   gcn_loss_and_grad, gcn_predict, gradient_check, train_gcn)
 from .graph import Graph, NormAdj, build_graph, normalized_adjacency, spmm
 from .homophily import (edge_homophily, homophily_report,
-                        neighbor_distribution, per_class_homophily,
-                        top_foreign_neighbor)
+                        neighbor_distribution, top_foreign_neighbor)
 from .metrics import ModelScores, confusion_matrix, delta_f1, retention, score
 from .baselines import (LinearModel, fit_baseline, linear_predict, train_logreg,
                         train_svm)

@@ -122,21 +122,12 @@ def logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
     return obj, grad
 
 
-def _svm_terms(Y_signed, sample_w, reg_c):
-    """(Y_signed, s, lambda) of ``svm_objective`` from n x C targets and
-    weights: the first two class-major, s the weights over their column sum,
-    and lambda_c = 1 / (C_reg * that sum)."""
-    col_tot = sample_w.sum(axis=0)
-    return (Y_signed.T.copy(), (sample_w / col_tot).T.copy(),
-            1.0 / (reg_c * col_tot))
-
-
 def svm_objective(wb, X, Y_signed, s_norm, lam):
     """One-vs-rest squared hinge, one class per problem; bias free.
 
     Row j of ``wb`` (k x (d + 1)) packs class j's weights w_j then its bias
-    b_j; row j of ``Y_signed`` (+1/-1) and of ``s_norm`` (k x n, see
-    ``_svm_terms``) and ``lam[j]`` are its targets, weights and lambda.
+    b_j; row j of ``Y_signed`` (+1/-1) and of ``s_norm`` (k x n, each row
+    summing to 1) and ``lam[j]`` are its targets, weights and lambda.
     Problem j is sum_i s_ji max(0, 1 - y_ji z_ji)^2 + (lambda_j / 2)||w_j||^2
     with z_j = X w_j + b_j, and the one-vs-rest loss is their sum. Returns
     (objectives (k,), gradients k x (d + 1)).
@@ -394,15 +385,14 @@ def train_logreg(x_norm, y, visible_rows, seed: int = 0, *,
     return _select_and_refit(grid_scores, failed, refit)
 
 
-def _fit_svm_ovr(X, Y_signed, sample_w, reg_c, W0, b0):
-    """Minimize ``svm_objective`` for one C_reg from (W0, b0), each class one
-    problem of a batch; returns (W, b, converged), converged when every
-    class has."""
-    Y, s, lam = _svm_terms(Y_signed, sample_w, reg_c)
+def _fit_svm_ovr(X, Y_signed, s_norm, lam, wb0):
+    """Minimize ``svm_objective`` from ``wb0`` (classes x (d + 1)), each
+    class one problem of a batch; returns (wb, converged), converged when
+    every class has."""
     wb, _, converged = _minimize_lbfgs(
-        lambda wb, ids: svm_objective(wb, X, Y[ids], s[ids], lam[ids]),
-        np.column_stack([W0.T, b0]))
-    return wb[:, :-1].T.copy(), wb[:, -1].copy(), bool(converged.all())
+        lambda wb, ids: svm_objective(wb, X, Y_signed[ids], s_norm[ids],
+                                      lam[ids]), wb0)
+    return wb, bool(converged.all())
 
 
 def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
@@ -414,7 +404,10 @@ def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
     if val_idx.size == 0:
         raise InputError("too few visible examples to carve an SVM validation split")
 
-    def signed_and_weights(idx):
+    def problem(idx):
+        """(targets, weights, sums) of the rows ``idx``: class-major +1/-1
+        targets, balanced weights over each class's sum, and those sums,
+        from which lambda_c = 1 / (C_reg * sum_c)."""
         Y = -np.ones((idx.size, num_classes))
         Y[np.arange(idx.size), y[idx]] = 1.0
         pos = Y > 0
@@ -422,25 +415,31 @@ def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
         n_neg = idx.size - n_pos
         s = np.where(pos, idx.size / (2.0 * np.maximum(n_pos, 1)),
                      idx.size / (2.0 * np.maximum(n_neg, 1)))
-        return Y, s
+        col_tot = s.sum(axis=0)
+        return Y.T.copy(), (s / col_tot).T.copy(), col_tot
 
-    Y_fit, s_fit = signed_and_weights(fit_idx)
+    Y_fit, s_fit, tot_fit = problem(fit_idx)
     X_fit, X_val, y_val = x_norm[fit_idx], x_norm[val_idx], y[val_idx]
-    W, b = np.zeros((x_norm.shape[1], num_classes)), np.zeros(num_classes)
+    wb = np.zeros((num_classes, x_norm.shape[1] + 1))
     fits, grid_scores, failed = [], [], set()
     # SVM_C_GRID ascends; each fit starts at the previous C's optimum
     for reg_c in SVM_C_GRID:
-        W, b, converged = _fit_svm_ovr(X_fit, Y_fit, s_fit, reg_c, W, b)
+        wb, converged = _fit_svm_ovr(X_fit, Y_fit, s_fit,
+                                     1.0 / (reg_c * tot_fit), wb)
         if not converged:
             failed.add(reg_c)
-        fits.append((W, b))
-        pred = _argmax_scores(X_val, W, b)
+        fits.append(wb)
+        pred = _argmax_scores(X_val, wb[:, :-1].T, wb[:, -1])
         grid_scores.append((reg_c, score(pred, y_val, num_classes).macro_f1))
 
     del X_fit, X_val  # release the split's copies before the refit's own
-    Y_all, s_all = signed_and_weights(visible_rows)
-    return _select_and_refit(grid_scores, failed, lambda i: _fit_svm_ovr(
-        x_norm[visible_rows], Y_all, s_all, SVM_C_GRID[i], *fits[i]))
+    Y_all, s_all, tot_all = problem(visible_rows)
+
+    def refit(i):
+        wb, converged = _fit_svm_ovr(x_norm[visible_rows], Y_all, s_all,
+                                     1.0 / (SVM_C_GRID[i] * tot_all), fits[i])
+        return wb[:, :-1].T.copy(), wb[:, -1].copy(), converged
+    return _select_and_refit(grid_scores, failed, refit)
 
 
 def fit_baseline(model: str, x, y, visible_rows, seed: int, num_classes):

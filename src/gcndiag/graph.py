@@ -8,7 +8,6 @@ propagation product scales with the number of edges.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, ShapeError
 
@@ -102,7 +101,7 @@ class NormAdj:
     """
 
     n: int
-    matrix: sp.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
 
     def __post_init__(self):
         for arr in (self.matrix.indptr, self.matrix.indices, self.matrix.data):
@@ -110,7 +109,13 @@ class NormAdj:
 
 
 def normalized_adjacency(g: Graph) -> NormAdj:
-    """Compute D^{-1/2} (A + I) D^{-1/2} where D counts degrees plus the self-loop."""
+    """Compute D^{-1/2} (A + I) D^{-1/2} where D counts degrees plus the self-loop.
+
+    scipy is imported here, so a command that builds no operator never
+    loads it.
+    """
+    import scipy.sparse as sp
+
     deg = g.degrees().astype(np.float64)
     inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
     weights = inv_sqrt[g.half_edge_sources()] * inv_sqrt[g.col_indices]

@@ -55,15 +55,10 @@ def neighbor_distribution(g: Graph, y, num_classes: int) -> np.ndarray:
     return out
 
 
-def per_class_homophily(g: Graph, y, num_classes: int) -> np.ndarray:
-    """Diagonal of the neighbor distribution; NaN marks edge-free classes."""
-    return np.diagonal(neighbor_distribution(g, y, num_classes)).copy()
-
-
 def top_foreign_neighbor(matrix: np.ndarray):
     """Per class, the dominant off-diagonal neighbor class and its fraction.
 
-    Returns a list with one entry per class: (class_id, fraction), or None
+    Returns a list with one entry per class: {"class", "fraction"}, or None
     when undefined (single class, edge-free class, or no foreign neighbors at
     all). Ties break toward the lowest class id.
     """
@@ -72,20 +67,18 @@ def top_foreign_neighbor(matrix: np.ndarray):
     foreign = np.where(np.isnan(matrix) | np.eye(C, dtype=bool), -np.inf, matrix)
     best = np.argmax(foreign, axis=1)  # the first maximum: lowest class id
     value = foreign[np.arange(C), best]
-    return [(int(b), float(v)) if v > 0 else None for b, v in zip(best, value)]
+    return [{"class": int(b), "fraction": float(v)} if v > 0 else None
+            for b, v in zip(best, value)]
 
 
 def homophily_report(g: Graph, y, num_classes: int) -> dict:
-    """Overall and per-class homophily, the neighbor matrix and each class's
-    top foreign neighbor. Undefined values stay NaN; ``report.jsonable``
-    writes them as null."""
+    """Overall and per-class homophily (the neighbor matrix's diagonal), the
+    neighbor matrix and each class's top foreign neighbor. Undefined values
+    stay NaN; ``report.jsonable`` writes them as null."""
     matrix = neighbor_distribution(g, y, num_classes)
     return {
         "overall": edge_homophily(g, y),
         "per_class": np.diagonal(matrix).copy(),
         "neighbor_matrix": matrix,
-        "top_foreign": [
-            None if t is None else {"class": t[0], "fraction": t[1]}
-            for t in top_foreign_neighbor(matrix)
-        ],
+        "top_foreign": top_foreign_neighbor(matrix),
     }

@@ -182,14 +182,7 @@ class ExperimentResult:
 
     base_seed: int
     num_classes: int
-    cells: dict  # key "model:pct:mode" -> CellResult
-
-    def cell(self, model: str, masking_rate: float,
-             feature_mode: str = "original") -> CellResult:
-        key = cell_key(model, masking_rate, feature_mode)
-        if key not in self.cells:
-            raise KeyError(f"no cell {key!r} in this run")
-        return self.cells[key]
+    cells: dict  # key "model:pct:mode" (``cell_key``) -> CellResult
 
 
 def run_grid(a, x, y, base_seed: int = 0, models=MODELS,

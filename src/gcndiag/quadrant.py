@@ -135,29 +135,23 @@ def averaged_class_metrics(result: ExperimentResult, masking_rates=MASKING_RATES
         raise InputError("no masking rates to average over")
     lr_rows, delta_rows = [], []
     for rate in masking_rates:
-        try:
-            lr = result.cell("logreg", rate, "original")
-            gcn = result.cell("gcn", rate, "original")
-        except KeyError as exc:  # str() of a KeyError is its repr
-            raise InputError(exc.args[0]) from None
-        if lr.scores is None or gcn.scores is None:
-            bad = lr if lr.scores is None else gcn
-            raise InputError(
-                f"cell {cell_key(bad.model, rate, 'original')} failed "
-                f"({bad.error}); cannot average"
-            )
-        lr_rows.append(lr.scores.per_class_f1)
-        delta_rows.append(delta_f1(gcn.scores, lr.scores)[1])
+        keys = [cell_key(model, rate, "original") for model in ("logreg", "gcn")]
+        missing = [key for key in keys if key not in result.cells]
+        if missing:
+            raise InputError(f"no cell {missing[0]!r} in this run")
+        cells = [result.cells[key] for key in keys]
+        for key, cell in zip(keys, cells):
+            if cell.scores is None:
+                raise InputError(f"cell {key} failed ({cell.error}); cannot average")
+        lr, gcn = (cell.scores for cell in cells)
+        lr_rows.append(lr.per_class_f1)
+        delta_rows.append(delta_f1(gcn, lr)[1])
     return (np.mean(lr_rows, axis=0), np.mean(delta_rows, axis=0))
 
 
-def grid_quadrants(result: ExperimentResult, per_class_homophily,
-                   homophily_threshold: float = HOMOPHILY_THRESHOLD,
-                   f1_threshold: float = F1_THRESHOLD) -> dict:
-    """The quadrant section of a grid, averaged over the masking rates its
-    cells hold, in ascending order."""
+def grid_quadrants(result: ExperimentResult, per_class_homophily) -> dict:
+    """The quadrant section of a grid at the default thresholds, averaged
+    over the masking rates its cells hold, in ascending order."""
     rates = sorted({cell.masking_rate for cell in result.cells.values()})
     return assign_quadrants(per_class_homophily,
-                            *averaged_class_metrics(result, tuple(rates)),
-                            homophily_threshold=homophily_threshold,
-                            f1_threshold=f1_threshold)
+                            *averaged_class_metrics(result, tuple(rates)))

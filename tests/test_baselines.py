@@ -7,8 +7,8 @@ from gcndiag import baselines
 from gcndiag import (InputError, LinearModel, ShapeError, fit_baseline,
                      linear_predict, train_logreg, train_svm)
 from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID, _fit_svm_ovr,
-                               _svm_terms, fit_logreg, logreg_objective,
-                               stratified_kfold, svm_objective)
+                               fit_logreg, logreg_objective, stratified_kfold,
+                               svm_objective)
 from gcndiag.gcn import class_weights
 
 
@@ -156,6 +156,14 @@ def signed_targets(y, num_classes):
     return Y, s
 
 
+def svm_terms(Y, s, reg_c):
+    """The class-major (targets, weights, lambda) of ``svm_objective`` from
+    n x C targets and weights, as ``train_svm`` builds them: the weights
+    over their column sums, and lambda_c = 1 / (C_reg * that sum)."""
+    col_tot = s.sum(axis=0)
+    return Y.T.copy(), (s / col_tot).T.copy(), 1.0 / (reg_c * col_tot)
+
+
 def test_svm_gradient_matches_finite_differences():
     rng = np.random.default_rng(16)
     X = rng.standard_normal((12, 4))
@@ -169,7 +177,7 @@ def test_svm_gradient_matches_finite_differences():
         if (np.abs(1.0 - margins).min() > 1e-3 and (margins < 1).any()
                 and (margins > 1).any()):
             break
-    terms = _svm_terms(Y, s, 0.5)
+    terms = svm_terms(Y, s, 0.5)
     _, grad = svm_objective(wb, X, *terms)
     fd = np.zeros_like(wb)
     eps = 1e-6
@@ -184,17 +192,18 @@ def test_svm_gradient_matches_finite_differences():
 
 def test_fit_svm_reaches_stationary_point():
     X, y = blobs(seed=1, gap=2.0)
-    Y, s = signed_targets(y, 2)
-    W, b, converged = _fit_svm_ovr(X, Y, s, 1.0, np.zeros((3, 2)), np.zeros(2))
-    _, grad = svm_objective(np.column_stack([W.T, b]), X, *_svm_terms(Y, s, 1.0))
+    terms = svm_terms(*signed_targets(y, 2), 1.0)
+    wb, converged = _fit_svm_ovr(X, *terms, np.zeros((2, 4)))
+    _, grad = svm_objective(wb, X, *terms)
     assert converged
     assert np.abs(grad).max() < 1e-4
     # strictly convex: a warm start far from the optimum ends at the same point
     rng = np.random.default_rng(17)
-    W2, b2, converged = _fit_svm_ovr(X, Y, s, 1.0, 3.0 * rng.standard_normal((3, 2)),
-                                     3.0 * rng.standard_normal(2))
+    start = np.column_stack([3.0 * rng.standard_normal((3, 2)).T,
+                             3.0 * rng.standard_normal(2)])
+    wb2, converged = _fit_svm_ovr(X, *terms, start)
     assert converged
-    assert np.allclose(W2, W, atol=1e-5) and np.allclose(b2, b, atol=1e-5)
+    assert np.allclose(wb2, wb, atol=1e-5)
 
 
 def oracle_problems():
@@ -212,7 +221,7 @@ def oracle_problems():
             Y, s = signed_targets(y, C)
             s = s * rng.uniform(0.2, 3.0, size=(n, C))
 
-            def objective(v, X=X, terms=_svm_terms(Y, s, reg_c), shape=(C, d + 1)):
+            def objective(v, X=X, terms=svm_terms(Y, s, reg_c), shape=(C, d + 1)):
                 values, grads = svm_objective(v.reshape(shape), X, *terms)
                 return float(values.sum()), grads.ravel()
         else:
@@ -340,16 +349,15 @@ def test_per_class_svm_fit_reaches_the_joint_optimum():
         y = rng.integers(0, C, size=n)
         Y, s = signed_targets(y, C)
         reg_c = float(rng.choice([0.01, 1.0, 100.0]))
-        terms = _svm_terms(Y, s, reg_c)
+        terms = svm_terms(Y, s, reg_c)
 
         def joint(v):
             values, grads = svm_objective(v.reshape(C, d + 1), X, *terms)
             return float(values.sum()), grads.ravel()
 
-        W, b, converged = _fit_svm_ovr(X, Y, s, reg_c, np.zeros((d, C)),
-                                       np.zeros(C))
+        wb, converged = _fit_svm_ovr(X, *terms, np.zeros((C, d + 1)))
         assert converged
-        at_fit = joint(np.column_stack([W.T, b]).ravel())[0]
+        at_fit = joint(wb.ravel())[0]
         assert at_fit == pytest.approx(
             lbfgsb_optimum(joint, np.zeros(C * (d + 1))), rel=1e-8)
 
@@ -479,7 +487,7 @@ def test_train_svm_improves_reference_objective():
     assert at_fit < at_zero
     Y, s = signed_targets(y, 2)
     wb = np.column_stack([model.weights.T, model.bias])
-    assert svm_objective(wb, X, *_svm_terms(Y, s, model.selected_reg))[0].sum() \
+    assert svm_objective(wb, X, *svm_terms(Y, s, model.selected_reg))[0].sum() \
         == pytest.approx(at_fit, rel=1e-12)
 
 

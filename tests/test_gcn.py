@@ -8,10 +8,10 @@ import pytest
 from gcndiag import (GcnConfig, GcnParams, InputError, ShapeError, build_graph,
                      gcn_forward, gcn_loss_and_grad, gcn_predict,
                      gradient_check, normalized_adjacency, train_gcn)
-from gcndiag.gcn import (PATIENCE, Adam, class_weights,
-                         finite_difference_grads, glorot_uniform, init_params,
-                         softmax_cross_entropy, _forward, _keep_mask,
-                         _propagates_input_first)
+from gcndiag.gcn import (GRADCHECK_MIN_MAGNITUDE, PATIENCE, Adam,
+                         class_weights, finite_difference_grads,
+                         glorot_uniform, init_params, softmax_cross_entropy,
+                         _forward, _keep_mask, _propagates_input_first)
 from gcndiag.baselines import logreg_objective
 from gcndiag.graph import spmm
 from gcndiag.protocol import make_split
@@ -223,9 +223,10 @@ def test_class_weights_hand_case():
 
 
 def test_gradients_match_finite_differences():
-    worst, count = gradient_check(num_instances=10, seed=1)
+    worst, count, largest = gradient_check(num_instances=10, seed=1)
     assert count == 10
     assert worst <= 1e-5
+    assert largest < GRADCHECK_MIN_MAGNITUDE  # the floor forgives nothing here
 
 
 @pytest.mark.parametrize("input_first", [True, False])
@@ -299,6 +300,46 @@ def test_finite_difference_on_known_function():
         params, lambda p: 0.5 * sum(float((m * m).sum()) for m in p.arrays()))
     assert np.allclose(fd.w0, params.w0, atol=1e-9)
     assert np.allclose(fd.w1, params.w1, atol=1e-9)
+
+
+def test_gradient_check_fails_on_a_wrong_gradient(monkeypatch):
+    """The audit fails when the analytic gradient of W1 is 0.1% off."""
+    import gcndiag.gcn as gcn_module
+    exact = gcn_module.gcn_loss_and_grad
+
+    def skewed(*args, **kwargs):
+        loss, grads = exact(*args, **kwargs)
+        return loss, GcnParams(grads.w0, grads.w1 * (1 + 1e-3))
+
+    monkeypatch.setattr(gcn_module, "gcn_loss_and_grad", skewed)
+    with pytest.raises(AssertionError, match=r"^gradient check failed: max "
+                       r"relative error \d\.\d{3}e-0[34] > 1e-05$"):
+        gradient_check(num_instances=5, seed=0)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("x_rows", ShapeError, r"features must be 4 x d, got (3, 3)"),
+    ("x_flat", ShapeError, r"features must be 4 x d, got (12,)"),
+    ("w0_rows", ShapeError, "W0 expects 2 input features, x has 3"),
+    ("w1_rows", ShapeError, "W1 rows (4) != W0 cols (5)"),
+    ("no_labels", InputError, "labeled set is empty"),
+])
+def test_loss_and_grad_rejects_bad_input(case, error, message):
+    _, g, a, x, params, y = tiny_instance()
+    labeled = np.arange(4)
+    if case == "x_rows":
+        x = x[:3]
+    elif case == "x_flat":
+        x = x.ravel()
+    elif case == "w0_rows":
+        params = GcnParams(params.w0[:2], params.w1)
+    elif case == "w1_rows":
+        params = GcnParams(params.w0, params.w1[:4])
+    else:
+        labeled = labeled[:0]
+    with pytest.raises(error) as exc:
+        gcn_loss_and_grad(params, a, x, y, labeled, np.ones(2))
+    assert str(exc.value) == message
 
 
 def test_corrupted_gradient_detected():
@@ -655,6 +696,20 @@ def test_train_rejects_overlapping_split():
     )
     with pytest.raises(InputError):
         train_gcn(GcnConfig(hidden=4, max_epochs=5), a, x, y, bad, 2)
+
+
+@pytest.mark.parametrize("side, message", [
+    ("subtrain_idx", "sub-train set is empty"),
+    ("val_idx", "validation set is empty"),
+])
+def test_train_rejects_an_empty_split_side(side, message):
+    g, x, y = yin_yang_data()
+    a = normalized_adjacency(g)
+    split = make_split(y, 0.0, seed=3, num_classes=2)
+    bad = replace(split, **{side: getattr(split, side)[:0]})
+    with pytest.raises(InputError) as exc:
+        train_gcn(GcnConfig(hidden=4, max_epochs=5), a, x, y, bad, 2)
+    assert str(exc.value) == message
 
 
 def test_validation_warning_when_class_missing():

@@ -117,3 +117,25 @@ def test_graph_rejects_inconsistent_offsets():
     with pytest.raises(InputError):
         Graph(n=2, row_offsets=np.array([0, 1]),  # should have n+1 entries
               col_indices=np.array([1]), num_edges=1)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Graph(n=2, row_offsets=np.array([0, 1, 2]),
+                   col_indices=np.array([1]), num_edges=1),
+     InputError, "row_offsets do not cover col_indices"),
+    (lambda: build_graph([(0, 1)], 0), InputError,
+     "node count must be positive, got 0"),
+    (lambda: build_graph([(0, 1)], -3), InputError,
+     "node count must be positive, got -3"),
+    (lambda: build_graph([(0, 1, 2)], 3), InputError,
+     "edge list must be a sequence of (u, v) pairs"),
+    (lambda: build_graph([0, 1], 3), InputError,
+     "edge list must be a sequence of (u, v) pairs"),
+    (lambda: spmm(normalized_adjacency(build_graph([(0, 1)], 2)), np.zeros(2)),
+     ShapeError, "right operand must be 2-D, got ndim=1"),
+], ids=["offsets_vs_indices", "zero_nodes", "negative_nodes", "triples",
+        "flat_list", "flat_operand"])
+def test_graph_input_errors(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message

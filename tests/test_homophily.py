@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gcndiag import (InputError, build_graph, edge_homophily, homophily_report,
-                     neighbor_distribution, per_class_homophily,
-                     top_foreign_neighbor)
+                     neighbor_distribution, top_foreign_neighbor)
 from gcndiag.report import jsonable
 
 from conftest import (brute_edge_homophily, brute_neighbor_distribution,
@@ -18,11 +17,12 @@ def test_six_node_hand_case(six_node_case):
     assert edge_homophily(g, y) == pytest.approx(expected["overall"])
     mat = neighbor_distribution(g, y, 3)
     assert np.allclose(mat, expected["matrix"])
-    assert np.allclose(per_class_homophily(g, y, 3), expected["per_class"])
-    top = top_foreign_neighbor(mat)
-    for got, want in zip(top, expected["top_foreign"]):
-        assert got[0] == want[0]
-        assert got[1] == pytest.approx(want[1])
+    report = homophily_report(g, y, 3)
+    assert np.allclose(report["per_class"], expected["per_class"])
+    assert report["top_foreign"] == top_foreign_neighbor(mat)
+    for got, want in zip(report["top_foreign"], expected["top_foreign"]):
+        assert got["class"] == want[0]
+        assert got["fraction"] == pytest.approx(want[1])
 
 
 def test_matches_brute_force_on_random_graphs():
@@ -44,7 +44,7 @@ def test_matches_brute_force_on_random_graphs():
         got_m = neighbor_distribution(g, y, num_classes)
         want_m = brute_neighbor_distribution(edges, y, num_classes)
         assert np.allclose(got_m, want_m, equal_nan=True)
-        assert np.allclose(per_class_homophily(g, y, num_classes),
+        assert np.allclose(homophily_report(g, y, num_classes)["per_class"],
                            np.diag(want_m), equal_nan=True)
 
 
@@ -67,14 +67,14 @@ def test_edge_free_graph_is_undefined():
     g = build_graph([], 4)
     y = np.zeros(4, dtype=int)
     assert math.isnan(edge_homophily(g, y))
-    assert np.isnan(per_class_homophily(g, y, 1)).all()
+    assert np.isnan(homophily_report(g, y, 1)["per_class"]).all()
 
 
 def test_single_class_graph_fully_homophilous():
     g = build_graph([(0, 1), (1, 2), (2, 3)], 4)
     y = np.zeros(4, dtype=int)
     assert edge_homophily(g, y) == 1.0
-    assert per_class_homophily(g, y, 1)[0] == 1.0
+    assert homophily_report(g, y, 1)["per_class"][0] == 1.0
     # no foreign class exists at all
     assert top_foreign_neighbor(neighbor_distribution(g, y, 1)) == [None]
 
@@ -87,7 +87,7 @@ def test_top_foreign_tie_prefers_lowest_class():
         [0.0, 1.0, 0.0],
     ])
     top = top_foreign_neighbor(mat)
-    assert top[1] == (0, pytest.approx(0.4))
+    assert top[1] == {"class": 0, "fraction": pytest.approx(0.4)}
 
 
 def test_top_foreign_none_when_isolated_class():
@@ -112,3 +112,5 @@ def test_label_validation():
         edge_homophily(g, np.array([0]))  # wrong length
     with pytest.raises(InputError):
         neighbor_distribution(g, np.array([0, 3]), 2)  # label out of range
+    with pytest.raises(InputError, match=r"^negative label at node 1$"):
+        edge_homophily(g, np.array([0, -2]))

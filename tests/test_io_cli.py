@@ -16,7 +16,8 @@ from gcndiag import (CellResult, Dataset, ExperimentResult, GcnConfig,
                      save_dataset, save_report)
 from gcndiag.cli import (GCN_DROPOUT_GRID, GCN_HIDDEN_GRID, GCN_LR_GRID,
                          GCN_WD_GRID, main)
-from gcndiag.quadrant import QUADRANT_NAMES, grid_quadrants
+from gcndiag.quadrant import (QUADRANT_NAMES, assign_quadrants,
+                              averaged_class_metrics)
 from gcndiag.report import jsonable, stable_form
 from gcndiag.synth import SyntheticSpec
 
@@ -113,6 +114,28 @@ def test_cli_run_and_tune_never_import_scipy_optimize(tmp_path):
     ])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=300)
+    assert done.returncode == 0
+
+
+def test_import_analyze_quadrant_and_synth_never_import_scipy(tmp_path,
+                                                              cli_inputs):
+    """Only the propagation operator needs scipy: importing the package and
+    the commands that build no operator leave it unloaded."""
+    ds_dir, results = cli_inputs
+    out = str(tmp_path / "out")
+    code = "\n".join([
+        "import sys",
+        "import gcndiag",
+        "assert 'scipy' not in sys.modules",
+        "from gcndiag.cli import main",
+        f"assert main(['analyze', {ds_dir!r}, '--out', {out + '.a'!r}]) == 0",
+        f"assert main(['quadrant', {results!r}, '--out', {out + '.q'!r}]) == 0",
+        f"assert main(['synth', *{SYNTH_FLAGS!r}, '--out', {out + '.s'!r}]) == 0",
+        "sys.exit(3 if 'scipy' in sys.modules else 0)",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=300,
+                          stdout=subprocess.DEVNULL)
     assert done.returncode == 0
 
 
@@ -475,7 +498,7 @@ def test_cli_run_quadrants_equal_quadrant_output(tmp_path, cli_inputs):
 
 
 def test_cli_quadrant_thresholds_the_run_section_as_the_grid_would(tmp_path):
-    """`quadrant` at other thresholds prints what ``grid_quadrants`` builds
+    """`quadrant` at other thresholds prints what ``assign_quadrants`` builds
     from the run's grid in memory, classes moved between quadrants too."""
     ds_dir = make_container(tmp_path, n=200, classes=5, homophily=0.8,
                             degree=6, dim=8, signal=1.0)
@@ -497,7 +520,8 @@ def test_cli_quadrant_thresholds_the_run_section_as_the_grid_would(tmp_path):
                        "--f1-threshold", str(f1_cut), "--out", out) == 0
         with open(out) as fh:
             printed = fh.read()
-        expected = grid_quadrants(result, h, h_cut, f1_cut)
+        expected = assign_quadrants(
+            h, *averaged_class_metrics(result, (0.0, 0.9)), h_cut, f1_cut)
         assert printed == json.dumps(jsonable(expected), indent=2,
                                      sort_keys=True) + "\n"
         moved += sum(row["quadrant"] != old["quadrant"] for row, old
@@ -683,8 +707,8 @@ GCN_CELL = ["--models", "gcn", "--masking", "0", "--features", "original"]
      "gradient check num_instances must be >= 1, got 0"),
     ("gradcheck", ["--instances", "-3"],
      "gradient check num_instances must be >= 1, got -3"),
-    ("gradcheck", ["--tolerance", "nan"],
-     "gradient check tolerance must be finite and > 0, got nan"),
+    ("gradcheck", ["--instances", "0", "--seed", "-1"],
+     "gradient check num_instances must be >= 1, got 0"),
     ("gradcheck", ["--seed", "-1"], "gradient check seed must be >= 0, got -1"),
     ("quadrant", ["--homophily-threshold", "nan"],
      "quadrant homophily_threshold must be in [0, 1], got nan"),

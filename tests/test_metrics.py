@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gcndiag import confusion_matrix, delta_f1, retention, score
-from gcndiag.errors import ShapeError
+from gcndiag.errors import InputError, ShapeError
 from gcndiag.metrics import macro_f1_over_present
 from gcndiag.report import jsonable
 
@@ -68,6 +68,17 @@ def test_confusion_rows_are_true_classes():
 def test_score_length_mismatch():
     with pytest.raises(ShapeError):
         score(np.array([0, 1]), np.array([0]), 2)
+
+
+@pytest.mark.parametrize("pred, truth, message", [
+    ([], [], "cannot score an empty evaluation set"),
+    ([0, 2], [0, 1], "pred labels must lie in [0, 2), got range [0, 2]"),
+    ([0, 1], [-1, 1], "truth labels must lie in [0, 2), got range [-1, 1]"),
+])
+def test_score_rejects_bad_labels(pred, truth, message):
+    with pytest.raises(InputError) as exc:
+        score(np.array(pred), np.array(truth), 2)
+    assert str(exc.value) == message
 
 
 def test_delta_f1():

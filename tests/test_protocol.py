@@ -9,9 +9,10 @@ import gcndiag.baselines
 import gcndiag.parallel
 import gcndiag.protocol
 from gcndiag import (GcnConfig, InputError, ablate_features, apply_masking,
-                     build_graph, build_report, carve_validation, derive_seed,
-                     generate_features, generate_graph, make_split,
-                     normalized_adjacency, run_grid, stratified_split)
+                     averaged_class_metrics, build_graph, build_report,
+                     carve_validation, derive_seed, generate_features,
+                     generate_graph, make_split, normalized_adjacency,
+                     run_grid, stratified_split)
 from gcndiag.report import jsonable
 from gcndiag.synth import SyntheticSpec
 
@@ -188,10 +189,10 @@ def test_run_grid_reports_unconverged_baseline_fits(monkeypatch):
     monkeypatch.setattr(gcndiag.baselines, "LBFGS_MAX_ITER", 2)
     result = run_grid(a, x, y, num_classes=3, base_seed=4, models=("logreg", "svm"),
                       masking_rates=(0.0,), feature_modes=("original",))
-    assert result.cell("logreg", 0.0).selected_hyper["unconverged_reg"] == list(
-        gcndiag.baselines.LOGREG_C_GRID)
-    assert result.cell("svm", 0.0).selected_hyper["unconverged_reg"] == list(
-        gcndiag.baselines.SVM_C_GRID)
+    assert result.cells["logreg:0:original"].selected_hyper["unconverged_reg"] \
+        == list(gcndiag.baselines.LOGREG_C_GRID)
+    assert result.cells["svm:0:original"].selected_hyper["unconverged_reg"] \
+        == list(gcndiag.baselines.SVM_C_GRID)
 
 
 def test_run_grid_propagates_features_once_per_mode(monkeypatch):
@@ -246,8 +247,8 @@ def test_run_grid_reports_gcn_warnings():
     result = run_grid(a, x, y, num_classes=3, base_seed=3, models=("gcn",),
                       masking_rates=(0.0, 0.9), feature_modes=("original",),
                       gcn_config=GcnConfig(hidden=8, max_epochs=5))
-    assert result.cell("gcn", 0.0).selected_hyper["warnings"] == []
-    warned = result.cell("gcn", 0.9).selected_hyper["warnings"]
+    assert result.cells["gcn:0:original"].selected_hyper["warnings"] == []
+    warned = result.cells["gcn:90:original"].selected_hyper["warnings"]
     assert len(warned) == 1 and "missing classes [2]" in warned[0]
 
 
@@ -268,8 +269,8 @@ def test_run_grid_subset():
     result = run_grid(a, x, y, num_classes=3, base_seed=1, models=("logreg",),
                       masking_rates=(0.0,), feature_modes=("original",))
     assert list(result.cells) == ["logreg:0:original"]
-    with pytest.raises(KeyError):
-        result.cell("gcn", 0.0)
+    with pytest.raises(InputError, match="^no cell 'gcn:0:original' in this run$"):
+        averaged_class_metrics(result, (0.0,))
 
 
 def test_experiment_result_round_trip():
@@ -295,8 +296,8 @@ def test_random_features_shared_across_cells():
     # being reproducible against a manual rerun of the same cell
     manual = run_grid(a, x, y, num_classes=3, base_seed=2, models=("logreg",),
                       masking_rates=(0.5,), feature_modes=("random",))
-    assert (jsonable(asdict(result.cell("logreg", 0.5, "random").scores))
-            == jsonable(asdict(manual.cell("logreg", 0.5, "random").scores)))
+    assert (jsonable(asdict(result.cells["logreg:50:random"].scores))
+            == jsonable(asdict(manual.cells["logreg:50:random"].scores)))
 
 
 @pytest.mark.parametrize("grid, message", [

@@ -98,17 +98,20 @@ def test_averaged_class_metrics_from_grid():
     assert lr_f1.shape == (3,)
     assert delta.shape == (3,)
     manual_lr = np.mean(
-        [result.cell("logreg", m).scores.per_class_f1 for m in (0.0, 0.5, 0.9)],
+        [result.cells[f"logreg:{pct}:original"].scores.per_class_f1
+         for pct in (0, 50, 90)],
         axis=0)
     assert np.allclose(lr_f1, manual_lr)
 
     partial = run_grid(a, x, y, num_classes=3, base_seed=8, models=("gcn", "logreg"),
                        masking_rates=(0.0,), feature_modes=("original",))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^no cell 'logreg:50:original' in this run$"):
         averaged_class_metrics(partial)
 
-    lr_90 = result.cell("logreg", 0.9)
+    lr_90 = result.cells["logreg:90:original"]
     result.cells["logreg:90:original"] = replace(
         lr_90, scores=None, error="RuntimeError: boom")
     with pytest.raises(InputError, match="cell logreg:90:original failed"):
         averaged_class_metrics(result)
+    with pytest.raises(InputError, match="^no masking rates to average over$"):
+        averaged_class_metrics(result, ())

@@ -72,6 +72,10 @@ def test_generate_graph_infeasible_specs():
         generate_graph(spec_with(avg_degree=0.0))
     with pytest.raises(InputError):
         generate_graph(spec_with(n=5, num_classes=3))  # a singleton class
+    with pytest.raises(InputError) as exc:  # under one intra edge per class
+        generate_graph(spec_with(n=10, num_classes=5, target_homophily=0.4))
+    assert str(exc.value) == ("infeasible spec: homophily 0.4 with 10 nodes "
+                              "over 5 classes")
     with pytest.raises(InputError):
         generate_graph(spec_with(n=4, num_classes=2, avg_degree=10.0))
     with pytest.raises(InputError):
