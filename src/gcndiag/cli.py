@@ -24,7 +24,8 @@ from . import parallel
 from .protocol import (FEATURE_MODES, MASKING_RATES, MODELS, derive_seed,
                        make_split, masking_percent, run_grid)
 from .quadrant import (F1_THRESHOLD, HOMOPHILY_THRESHOLD, _section_arrays,
-                       assign_quadrants, check_thresholds, grid_quadrants)
+                       assign_quadrants, averaged_class_metrics,
+                       check_thresholds)
 from .report import (build_report, check_report_dir, load_report,
                      save_report)
 from .synth import SyntheticSpec, generate_features, generate_graph
@@ -145,7 +146,7 @@ def cmd_run(args) -> int:
     hom = homophily_report(ds.graph, ds.y, ds.num_classes)
     quad = skipped = None
     try:
-        quad = grid_quadrants(result, hom["per_class"])
+        quad = assign_quadrants(hom["per_class"], *averaged_class_metrics(result))
     except GcnDiagError as exc:  # a grid subset or a failed cell
         skipped = str(exc)
         print(f"quadrants skipped: {skipped}", file=sys.stderr)

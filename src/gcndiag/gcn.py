@@ -32,6 +32,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 PATIENCE = 10  # epochs without a better validation score before stopping
 GRADCHECK_MIN_MAGNITUDE = 1e-8  # the gradient audit's additive floor
+FD_STEP = 1e-5  # the central-difference step of finite_difference_grads
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,11 @@ class GcnParams:
 
 @dataclass
 class TrainedGcn:
-    """Best-validation parameter snapshot plus the per-epoch trace."""
+    """Best-validation parameter snapshot, its eval-mode class per node, and
+    the per-epoch trace."""
 
     params: GcnParams
+    predictions: np.ndarray  # class per node, from the snapshot's eval pass
     history: list  # (train_loss, val_macro_f1) per epoch
     stopped_epoch: int
     best_epoch: int
@@ -166,11 +169,6 @@ def _check_dims(params: GcnParams, a: NormAdj, x: np.ndarray):
         raise ShapeError(
             f"W1 rows ({params.w1.shape[0]}) != W0 cols ({params.w0.shape[1]})"
         )
-
-
-def _check_propagated(x: np.ndarray, ax) -> None:
-    if ax is not None and np.shape(ax) != x.shape:
-        raise ShapeError(f"propagated features must be {x.shape}, got {np.shape(ax)}")
 
 
 def _propagates_input_first(d: int, hidden: int) -> bool:
@@ -280,17 +278,9 @@ def gcn_loss_and_grad(params: GcnParams, a: NormAdj, x: np.ndarray, y,
     return loss, GcnParams(gw0, gw1)
 
 
-def gcn_predict(params: GcnParams, a: NormAdj, x: np.ndarray, ax=None) -> np.ndarray:
-    """Argmax class per node in eval mode; ties break toward the lowest id.
-
-    ``ax`` is the propagated features A_hat * x; it is computed from ``x``
-    when not given.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _check_dims(params, a, x)
-    _check_propagated(x, ax)
-    z, *_ = _forward(params, a, x, 0.0, None, ax)
-    return np.argmax(z, axis=1)
+def gcn_predict(params: GcnParams, a: NormAdj, x: np.ndarray) -> np.ndarray:
+    """Argmax class per node in eval mode; ties break toward the lowest id."""
+    return np.argmax(gcn_forward(params, a, x), axis=1)
 
 
 class Adam:
@@ -323,13 +313,16 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
 
     ``split`` supplies disjoint ``subtrain_idx`` and ``val_idx``. Stops when
     the validation score fails to improve for ``PATIENCE`` consecutive epochs;
-    the returned snapshot is the first epoch achieving the best score. ``ax``
-    is the propagated features A_hat * x, computed from ``x`` when not given.
-    A non-finite training loss raises FloatingPointError naming its epoch.
+    the returned snapshot is the first epoch achieving the best score, with
+    the eval-mode predictions that epoch's validation pass made for every
+    node. ``ax`` is the propagated features A_hat * x, computed from ``x``
+    when not given. A non-finite training loss raises FloatingPointError
+    naming its epoch.
     """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
-    _check_propagated(x, ax)
+    if ax is not None and np.shape(ax) != x.shape:
+        raise ShapeError(f"propagated features must be {x.shape}, got {np.shape(ax)}")
     y = np.asarray(y)
     sub = np.asarray(split.subtrain_idx)
     val = np.asarray(split.val_idx)
@@ -355,9 +348,7 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
     if ax is None:
         ax = spmm(a, x)
     adam = Adam(cfg.learning_rate)
-    best_score = -np.inf
-    best_params = params.copy()
-    best_epoch = 0
+    best_score = -np.inf  # below every F1, so epoch 1 sets the first snapshot
     history = []
     # a diverging run overflows before its loss turns non-finite; the loss
     # check below is the one signal, so numpy does not warn on the way
@@ -373,18 +364,20 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
                 raise FloatingPointError(
                     f"GCN training loss is {loss} at epoch {epoch}")
             adam.step(params.arrays(), grads.arrays())
-            val_pred = gcn_predict(params, a, x, ax)[val]
-            val_f1 = macro_f1_over_present(val_pred, y[val], num_classes)
+            pred = np.argmax(_forward(params, a, x, 0.0, None, ax)[0], axis=1)
+            val_f1 = macro_f1_over_present(pred[val], y[val], num_classes)
             history.append((loss, val_f1))
             if val_f1 > best_score:
                 best_score = val_f1
                 best_params = params.copy()
+                best_predictions = pred
                 best_epoch = epoch
             if epoch - best_epoch >= PATIENCE:
                 break
 
     return TrainedGcn(
         params=best_params,
+        predictions=best_predictions,
         history=history,
         stopped_epoch=epoch,
         best_epoch=best_epoch,
@@ -392,20 +385,21 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
     )
 
 
-def finite_difference_grads(params: GcnParams, loss_fn, step: float = 1e-5) -> GcnParams:
-    """Central-difference gradient of ``loss_fn(params)`` coordinate by coordinate."""
+def finite_difference_grads(params: GcnParams, loss_fn) -> GcnParams:
+    """Central-difference gradient of ``loss_fn(params)`` coordinate by
+    coordinate, with step FD_STEP."""
     out = GcnParams(np.zeros_like(params.w0), np.zeros_like(params.w1))
     for mat, gmat in zip(params.arrays(), out.arrays()):
         flat = mat.ravel()
         gflat = gmat.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             hi = loss_fn(params)
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             lo = loss_fn(params)
             flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * step)
+            gflat[i] = (hi - lo) / (2 * FD_STEP)
     return out
 
 
@@ -415,7 +409,7 @@ def gradient_check(num_instances: int = 50, seed: int = 0):
     A coordinate agrees when |analytic - numeric| is at most the floor
     GRADCHECK_MIN_MAGNITUDE + 1e-5 * max(|analytic|, |numeric|), the same
     mixed bound numpy.allclose uses; the floor absorbs the oracle's own
-    roundoff, near eps * |loss| / (2 * step) whatever the gradient's size.
+    roundoff, near eps * |loss| / (2 * FD_STEP) whatever the gradient's size.
     Coordinates where both gradients are below the floor are skipped.
     Instances whose hidden pre-activations land within a few steps of the ReLU
     kink are redrawn: central differences straddle the kink there and stop
@@ -427,7 +421,7 @@ def gradient_check(num_instances: int = 50, seed: int = 0):
     check_settings("gradient check", (
         ("num_instances", num_instances, ">= 1", num_instances >= 1),
         ("seed", seed, ">= 0", seed >= 0)))
-    step, tolerance = 1e-5, 1e-5
+    tolerance = 1e-5
     rng = np.random.default_rng(seed)
     worst = largest = 0.0
     for _ in range(num_instances):
@@ -442,7 +436,7 @@ def gradient_check(num_instances: int = 50, seed: int = 0):
         )
         g, y = generate_graph(spec)
         a = normalized_adjacency(g)
-        kink_margin = 100.0 * step
+        kink_margin = 100.0 * FD_STEP
         for _ in range(100):
             x = rng.standard_normal((n, d))
             params = GcnParams(
@@ -468,7 +462,7 @@ def gradient_check(num_instances: int = 50, seed: int = 0):
             reg = 0.5 * wd * sum(float((m * m).sum()) for m in p.arrays())
             return loss + reg
 
-        numeric = finite_difference_grads(params, objective, step=step)
+        numeric = finite_difference_grads(params, objective)
         for ga, gn in zip(analytic.arrays(), numeric.arrays()):
             mag = np.maximum(np.abs(ga), np.abs(gn))
             diff = np.abs(ga - gn)

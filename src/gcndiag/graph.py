@@ -54,22 +54,25 @@ def build_graph(edge_list, n: int) -> Graph:
     """Build an undirected CSR graph from raw (u, v) pairs.
 
     Input may contain duplicates, both orientations of an edge, and
-    self-loops; all are normalized away. Node ids must lie in [0, n).
+    self-loops; all are normalized away. Node ids must be integers in
+    [0, n); a float id such as 1.0 counts, 1.7 and NaN do not.
     """
     if n <= 0:
         raise InputError(f"node count must be positive, got {n}")
-    edges = np.asarray(edge_list, dtype=np.int64)
+    edges = np.asarray(edge_list)
     if edges.size == 0:
         edges = edges.reshape(0, 2)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise InputError("edge list must be a sequence of (u, v) pairs")
-    bad = (edges < 0) | (edges >= n)
+    ids = edges.astype(np.float64)  # so a fractional or NaN id fails, not truncated
+    bad = (ids != np.floor(ids)) | (ids < 0) | (ids >= n)
     if bad.any():
         idx = int(np.flatnonzero(bad.any(axis=1))[0])
-        u, v = edges[idx]
+        u, v = edges[idx].tolist()
         raise InputError(
-            f"edge {idx}: node id out of range [0, {n}): ({u}, {v})", index=idx
+            f"edge {idx}: node id not an integer in [0, {n}): ({u}, {v})", index=idx
         )
+    edges = edges.astype(np.int64)
 
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])

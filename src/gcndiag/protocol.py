@@ -197,16 +197,18 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
     cell's seed, is worked out here before any cell runs. The cells then run
     through ``fork_map``, one per usable core, queued longest first: logreg,
     then SVM, then GCN cells. Only each cell's scores and hyperparameters,
-    or its error, and its wall time come back; the CellResults are built
-    here, in task order. ``on_cell(key, seconds, error)`` hears of each cell
-    as it finishes; ``seconds`` is NaN when the cell's worker died. A failing cell records its error instead of aborting
-    its siblings; non-finite features fail the whole run before any cell.
+    or its error, and its wall time come back; each CellResult is built here
+    as its cell finishes, in the cell's grid-order place in ``cells``.
+    ``on_cell(key, seconds, error)`` hears of each cell as it finishes;
+    ``seconds`` is NaN when the cell's worker died. A failing cell records
+    its error instead of aborting its siblings; non-finite features fail
+    the whole run before any cell.
     An unknown model or feature mode, and a name or a masking percent given
     twice, is an InputError before any split is drawn.
     """
     # deferred: baselines imports protocol, and tracers patch these names
     from .baselines import fit_baseline, linear_predict
-    from .gcn import GcnConfig, gcn_predict, train_gcn
+    from .gcn import GcnConfig, train_gcn
     from .graph import spmm
     from .parallel import fork_map
 
@@ -235,6 +237,9 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
                   for mode in (feature_modes if "gcn" in models else ())}
     tasks = [(m, r, f, derive_seed(base_seed, m, masking_percent(r), f))
              for m in models for r in masking_rates for f in feature_modes]
+    cells = dict.fromkeys(cell_key(*task[:3]) for task in tasks)
+    # longest first; the sort is stable, so grid order within a model
+    tasks.sort(key=lambda task: ("logreg", "svm", "gcn").index(task[0]))
 
     def fit_and_score(task):
         """(scores, hyper), both plain enough to pickle."""
@@ -245,7 +250,7 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
             cfg = replace(gcn_config, seed=cell_seed)
             trained = train_gcn(cfg, a, feats, y, split, num_classes,
                                 propagated[mode])
-            pred = gcn_predict(trained.params, a, feats, propagated[mode])
+            pred = trained.predictions
             hyper = trained.summary()
         else:
             fitted, feats_n = fit_baseline(model, feats, y, split.visible_idx,
@@ -256,18 +261,12 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
         scores = score(pred[split.test_idx], y[split.test_idx], num_classes)
         return scores, hyper
 
-    queue = sorted(range(len(tasks)),  # longest first
-                   key=lambda i: ("logreg", "svm", "gcn").index(tasks[i][0]))
-    outcomes = [None] * len(tasks)
-    for j, result, error, seconds in fork_map(fit_and_score,
-                                              [tasks[i] for i in queue]):
-        i = queue[j]
-        outcomes[i] = result or (None, {}), error
+    for i, result, error, seconds in fork_map(fit_and_score, tasks):
+        model, rate, mode, _ = tasks[i]
+        key = cell_key(model, rate, mode)
+        scores, hyper = result or (None, {})
+        cells[key] = CellResult(model=model, masking_rate=rate, feature_mode=mode,
+                                scores=scores, selected_hyper=hyper, error=error)
         if on_cell is not None:
-            on_cell(cell_key(*tasks[i][:3]), seconds, error)
-    cells = {cell_key(model, rate, mode): CellResult(
-                 model=model, masking_rate=rate, feature_mode=mode,
-                 scores=scores, selected_hyper=hyper, error=error)
-             for (model, rate, mode, _), ((scores, hyper), error)
-             in zip(tasks, outcomes)}
+            on_cell(key, seconds, error)
     return ExperimentResult(base_seed=base_seed, num_classes=num_classes, cells=cells)

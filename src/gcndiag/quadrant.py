@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InputError, check_settings, require_keys
 from .metrics import delta_f1
-from .protocol import MASKING_RATES, ExperimentResult, cell_key
+from .protocol import ExperimentResult, cell_key
 
 LOW_H_STRONG_F = "LowH-StrongF"
 HIGH_H_STRONG_F = "HighH-StrongF"
@@ -125,12 +125,14 @@ def _section_arrays(report):
     return out
 
 
-def averaged_class_metrics(result: ExperimentResult, masking_rates=MASKING_RATES):
-    """Per-class LR F1 and per-class (GCN - LR) F1, averaged over masking rates.
+def averaged_class_metrics(result: ExperimentResult):
+    """Per-class LR F1 and per-class (GCN - LR) F1, averaged over the masking
+    rates the grid's cells hold, in ascending order.
 
     Uses the original-feature cells only. Any missing or failed cell makes the
     average meaningless, so that is an error rather than a silent skip.
     """
+    masking_rates = sorted({cell.masking_rate for cell in result.cells.values()})
     if not masking_rates:
         raise InputError("no masking rates to average over")
     lr_rows, delta_rows = [], []
@@ -147,11 +149,3 @@ def averaged_class_metrics(result: ExperimentResult, masking_rates=MASKING_RATES
         lr_rows.append(lr.per_class_f1)
         delta_rows.append(delta_f1(gcn, lr)[1])
     return (np.mean(lr_rows, axis=0), np.mean(delta_rows, axis=0))
-
-
-def grid_quadrants(result: ExperimentResult, per_class_homophily) -> dict:
-    """The quadrant section of a grid at the default thresholds, averaged
-    over the masking rates its cells hold, in ascending order."""
-    rates = sorted({cell.masking_rate for cell in result.cells.values()})
-    return assign_quadrants(per_class_homophily,
-                            *averaged_class_metrics(result, tuple(rates)))

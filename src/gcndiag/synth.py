@@ -15,6 +15,12 @@ from .errors import InputError, check_settings
 from .graph import Graph, build_graph
 
 
+def _feature_rules(dim, signal):
+    """The settings rules that SyntheticSpec and generate_features share."""
+    return (("dim", dim, ">= 1", dim >= 1),
+            ("signal", signal, "finite and >= 0", 0.0 <= signal < np.inf))
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     n: int
@@ -33,9 +39,7 @@ class SyntheticSpec:
              0.0 < self.target_homophily <= 1.0),
             ("avg_degree", self.avg_degree, "finite and > 0",
              0.0 < self.avg_degree < np.inf),
-            ("dim", self.dim, ">= 1", self.dim >= 1),
-            ("signal", self.signal, "finite and >= 0",
-             0.0 <= self.signal < np.inf),
+            *_feature_rules(self.dim, self.signal),
             ("seed", self.seed, ">= 0", self.seed >= 0)))
 
 
@@ -116,8 +120,7 @@ def generate_features(y, dim: int, signal: float, seed: int = 0) -> np.ndarray:
     signal=0 collapses to pure N(0, I) noise, the same distribution the
     feature-ablation protocol uses.
     """
-    if dim < 1:
-        raise InputError(f"feature dimension must be >= 1, got {dim}")
+    check_settings("synthetic", _feature_rules(dim, signal))
     y = np.asarray(y, dtype=np.int64)
     C = int(y.max()) + 1 if y.size else 1
     rng = np.random.default_rng(seed)

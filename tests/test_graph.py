@@ -13,6 +13,9 @@ def test_build_graph_basic():
     assert g.num_edges == 2
     assert list(g.degrees()) == [1, 2, 1]
     assert list(g.col_indices[g.row_offsets[1]:g.row_offsets[2]]) == [0, 2]
+    # a float id that is a whole number names that node
+    g = build_graph([(0.0, 1), (1, 2.0)], 3)
+    assert g.edge_array().tolist() == [[0, 1], [1, 2]]
 
 
 def test_build_graph_canonicalizes_and_dedups():
@@ -131,10 +134,19 @@ def test_graph_rejects_inconsistent_offsets():
      "edge list must be a sequence of (u, v) pairs"),
     (lambda: build_graph([0, 1], 3), InputError,
      "edge list must be a sequence of (u, v) pairs"),
+    (lambda: build_graph([(0, 1.7), (1, 2)], 3), InputError,
+     "edge 0: node id not an integer in [0, 3): (0.0, 1.7)"),
+    (lambda: build_graph([(0, 1), (np.nan, 2)], 3), InputError,
+     "edge 1: node id not an integer in [0, 3): (nan, 2.0)"),
+    (lambda: build_graph([(0, 1), (1, 2), (-np.inf, 0)], 3), InputError,
+     "edge 2: node id not an integer in [0, 3): (-inf, 0.0)"),
+    (lambda: build_graph([(0, 1), (1, 5)], 3), InputError,
+     "edge 1: node id not an integer in [0, 3): (1, 5)"),
     (lambda: spmm(normalized_adjacency(build_graph([(0, 1)], 2)), np.zeros(2)),
      ShapeError, "right operand must be 2-D, got ndim=1"),
 ], ids=["offsets_vs_indices", "zero_nodes", "negative_nodes", "triples",
-        "flat_list", "flat_operand"])
+        "flat_list", "fractional_id", "nan_id", "infinite_id", "id_out_of_range",
+        "flat_operand"])
 def test_graph_input_errors(make, error, message):
     with pytest.raises(error) as exc:
         make()

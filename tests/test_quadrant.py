@@ -101,17 +101,25 @@ def test_averaged_class_metrics_from_grid():
         [result.cells[f"logreg:{pct}:original"].scores.per_class_f1
          for pct in (0, 50, 90)],
         axis=0)
-    assert np.allclose(lr_f1, manual_lr)
+    assert np.array_equal(lr_f1, manual_lr)
 
+    # a grid averages over the rates its own cells hold
     partial = run_grid(a, x, y, num_classes=3, base_seed=8, models=("gcn", "logreg"),
-                       masking_rates=(0.0,), feature_modes=("original",))
+                       masking_rates=(0.9, 0.0), feature_modes=("original",))
+    manual_0_90 = np.mean(
+        [partial.cells[f"logreg:{pct}:original"].scores.per_class_f1
+         for pct in (0, 90)], axis=0)
+    assert np.array_equal(averaged_class_metrics(partial)[0], manual_0_90)
+    assert not np.array_equal(manual_0_90, manual_lr)
+    holey = replace(result, cells={key: cell for key, cell in result.cells.items()
+                                   if key != "logreg:50:original"})
     with pytest.raises(InputError, match="^no cell 'logreg:50:original' in this run$"):
-        averaged_class_metrics(partial)
+        averaged_class_metrics(holey)
+    with pytest.raises(InputError, match="^no masking rates to average over$"):
+        averaged_class_metrics(replace(result, cells={}))
 
     lr_90 = result.cells["logreg:90:original"]
     result.cells["logreg:90:original"] = replace(
         lr_90, scores=None, error="RuntimeError: boom")
     with pytest.raises(InputError, match="cell logreg:90:original failed"):
         averaged_class_metrics(result)
-    with pytest.raises(InputError, match="^no masking rates to average over$"):
-        averaged_class_metrics(result, ())

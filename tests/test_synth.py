@@ -123,6 +123,22 @@ def test_class_means_sit_at_signal_radius():
     assert np.linalg.norm(m0 - m1) > 0.5
 
 
+@pytest.mark.parametrize("dim, signal, message", [
+    (0, 1.0, "synthetic dim must be >= 1, got 0"),
+    (3, float("nan"), "synthetic signal must be finite and >= 0, got nan"),
+    (3, float("inf"), "synthetic signal must be finite and >= 0, got inf"),
+    (3, -0.5, "synthetic signal must be finite and >= 0, got -0.5"),
+])
+def test_features_refuse_the_settings_a_spec_refuses(dim, signal, message):
+    with pytest.raises(InputError) as exc:
+        generate_features(np.array([0, 1, 2]), dim, signal)
+    assert str(exc.value) == message
+    with pytest.raises(InputError) as exc:
+        SyntheticSpec(n=3, num_classes=3, target_homophily=0.5, avg_degree=1.0,
+                      dim=dim, signal=signal)
+    assert str(exc.value) == message
+
+
 def test_signal_shifts_share_the_noise_stream():
     # same seed, different signal: the noise draw is identical, so the
     # difference collapses to one constant offset per class
