@@ -306,9 +306,9 @@ def fit_logreg(data, reg_c, num_classes):
 
 
 def _check_visible(x_norm, y, visible_rows):
-    """The trainers' shared prelude; returns the checked (x_norm, y,
-    visible_rows). An empty or single-class visible set is reported before a
-    non-finite feature."""
+    """The prelude ``fit_baseline`` and the trainers share; returns the
+    checked (x_norm, y, visible_rows). An empty or single-class visible set
+    is reported before a non-finite feature."""
     y = np.asarray(y)
     visible_rows = np.asarray(visible_rows)
     if visible_rows.size == 0:
@@ -449,11 +449,8 @@ def fit_baseline(model: str, x, y, visible_rows, seed: int, num_classes):
     trainers = {"logreg": train_logreg, "svm": train_svm}
     if model not in trainers:
         raise InputError(f"unknown baseline {model!r}; choose from logreg, svm")
-    visible_rows = np.asarray(visible_rows)
-    if visible_rows.size == 0:
-        raise InputError("cannot fit a scaler on an empty visible set")
-    x = np.asarray(x, dtype=np.float64)
-    check_finite(x)  # before a bad entry spreads to its column's scaling
+    # before a bad entry spreads to its column's scaling
+    x, y, visible_rows = _check_visible(x, y, visible_rows)
     sub = x[visible_rows]
     mean = sub.mean(axis=0)
     std = sub.std(axis=0)  # population std

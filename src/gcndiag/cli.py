@@ -80,23 +80,15 @@ def _names(raw: str):
 
 
 def _parse_masking(raw: str):
-    """Comma list of whole percents -> masking rates.
-
-    Cells and reports name a rate by its whole percent, so a fractional
-    percent would run one cell under another's name. ``run_grid`` refuses a
-    repeated percent and ``apply_masking`` one outside [0, 100).
-    """
-    pcts = []
+    """Comma list of percents -> masking rates, which ``run_grid`` checks."""
+    rates = []
     for tok in raw.split(","):
-        tok = tok.strip()
         try:
-            pct = float(tok)
+            rates.append(float(tok) / 100.0)
         except ValueError:
-            raise GcnDiagError(f"masking value {tok!r} is not a number")
-        if not pct.is_integer():
-            raise GcnDiagError(f"masking percent {tok!r} is not a whole number")
-        pcts.append(pct)
-    return tuple(pct / 100.0 for pct in pcts)
+            raise GcnDiagError(
+                f"masking value {tok.strip()!r} is not a number") from None
+    return tuple(rates)
 
 
 def _progress(what, total):

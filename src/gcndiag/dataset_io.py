@@ -13,11 +13,12 @@ exactly n rows; edges.tsv keeps its own, faster loop.
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_finite
+from .errors import InputError, check_finite, is_integer
 from .graph import Graph, build_graph
 
 
@@ -40,17 +41,25 @@ class Dataset:
         return h.hexdigest()
 
 
+def load_json(path: str):
+    """The JSON value in the file ``path``; a missing, unreadable, non-UTF-8
+    or malformed file is an InputError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise InputError("not found", path=path) from None
+    except OSError as exc:
+        raise InputError(f"cannot read: {exc.strerror or exc}", path=path) from None
+    except UnicodeDecodeError:
+        raise InputError("not valid UTF-8", path=path) from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"not valid JSON: {exc}", path=path) from None
+
+
 def _read_meta(path: str) -> dict:
     meta_path = os.path.join(path, "meta.json")
-    if not os.path.isfile(meta_path):
-        raise InputError("not found", path=meta_path)
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except UnicodeDecodeError:
-            raise InputError("not valid UTF-8", path=meta_path) from None
-        except json.JSONDecodeError as exc:
-            raise InputError(f"not valid JSON: {exc}", path=meta_path)
+    meta = load_json(meta_path)
     if not isinstance(meta, dict):
         raise InputError(
             f"meta.json must hold a JSON object, got {type(meta).__name__}",
@@ -60,41 +69,29 @@ def _read_meta(path: str) -> dict:
         if key not in meta:
             raise InputError(f"missing required key {key!r}", path=meta_path)
     for key in ("n", "d", "num_classes"):
-        value = meta[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-            raise InputError(
-                f"key {key!r} must be a positive integer, got {value!r}",
-                path=meta_path,
-            )
+        if not is_integer(meta[key]) or meta[key] <= 0:
+            raise InputError(f"key {key!r} must be a positive integer, got "
+                             f"{meta[key]!r}", path=meta_path)
     return meta
 
 
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def _lines(path: str):
-    """Yield (line number, stripped text) for each non-blank line of ``path``."""
+    """Yield (line number, stripped text) for each non-blank line of ``path``,
+    read once. surrogateescape decodes each byte that is not UTF-8 to a lone
+    surrogate in U+DC80-U+DCFF (``_ESCAPED_BYTE``), which no valid UTF-8
+    decodes to, so the first line holding one is the first non-UTF-8 line."""
     if not os.path.isfile(path):
         raise InputError("not found", path=path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line:
-                    yield lineno, line
-        except UnicodeDecodeError:
-            raise InputError("not valid UTF-8", path=path,
-                             line=_first_non_utf8_line(path)) from None
-
-
-def _first_non_utf8_line(path: str):
-    """Number of the first line of ``path`` that is not UTF-8, counted as text
-    mode counts lines; read only after a decode error."""
-    with open(path, "rb") as fh:
-        lines = (raw for chunk in fh for raw in chunk.splitlines())
-        for lineno, raw in enumerate(lines, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return lineno
-    return None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii() and _ESCAPED_BYTE.search(raw):
+                raise InputError("not valid UTF-8", path=path, line=lineno)
+            line = raw.strip()
+            if line:
+                yield lineno, line
 
 
 def _rows(path: str, n: int, width: int, parse, what: str):

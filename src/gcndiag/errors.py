@@ -36,6 +36,34 @@ def check_finite(x, path=None) -> None:
         )
 
 
+def check_labels(y, num_classes=None, what="label") -> np.ndarray:
+    """``y`` as int64 class ids in [0, ``num_classes``); InputError naming the
+    index of the first entry that is not. A whole float such as 1.0 counts.
+    An integer array pays only the range check."""
+    y = np.asarray(y)
+    ids = y if y.dtype.kind in "iu" else y.astype(np.float64)
+    top = np.inf if num_classes is None else num_classes
+    if ids.size and (ids.min() < 0 or ids.max() >= top
+                     or (ids is not y and (ids != np.floor(ids)).any())):
+        i = int(np.argmax((ids < 0) | (ids >= top) | (ids != np.floor(ids))))
+        raise InputError(f"{what} at index {i} must be a whole number in "
+                         f"[0, {top}), got {ids.flat[i].item()!r}", index=i)
+    return ids.astype(np.int64, copy=False)
+
+
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer, and not for a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def count_rules(name, value, low):
+    """The ``check_settings`` rules that ``value`` is an integer, then that
+    it is at least ``low``."""
+    whole = is_integer(value)
+    return ((name, value, "an integer", whole),
+            (name, value, f">= {low}", whole and value >= low))
+
+
 def check_settings(what, rules) -> None:
     """Raise InputError naming the first (name, value, rule, ok) not ok."""
     for name, value, rule, ok in rules:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ShapeError, check_finite, check_settings
+from .errors import (InputError, ShapeError, check_finite, check_settings,
+                     count_rules)
 from .graph import NormAdj, normalized_adjacency, spmm
 from .metrics import macro_f1_over_present
 from .synth import SyntheticSpec, generate_graph
@@ -46,12 +47,12 @@ class GcnConfig:
 
     def __post_init__(self):
         check_settings("GCN", (
-            ("hidden", self.hidden, ">= 1", self.hidden >= 1),
+            *count_rules("hidden", self.hidden, 1),
             ("learning_rate", self.learning_rate, "finite and > 0",
              0.0 < self.learning_rate < np.inf),
             ("weight_decay", self.weight_decay, "finite and >= 0",
              0.0 <= self.weight_decay < np.inf),
-            ("max_epochs", self.max_epochs, ">= 1", self.max_epochs >= 1)))
+            *count_rules("max_epochs", self.max_epochs, 1)))
 
 
 @dataclass
@@ -419,8 +420,8 @@ def gradient_check(num_instances: int = 50, seed: int = 0):
     beside the floor.
     """
     check_settings("gradient check", (
-        ("num_instances", num_instances, ">= 1", num_instances >= 1),
-        ("seed", seed, ">= 0", seed >= 0)))
+        *count_rules("num_instances", num_instances, 1),
+        *count_rules("seed", seed, 0)))
     tolerance = 1e-5
     rng = np.random.default_rng(seed)
     worst = largest = 0.0

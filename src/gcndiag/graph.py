@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import InputError, ShapeError, is_integer
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def build_graph(edge_list, n: int) -> Graph:
     self-loops; all are normalized away. Node ids must be integers in
     [0, n); a float id such as 1.0 counts, 1.7 and NaN do not.
     """
-    if n <= 0:
-        raise InputError(f"node count must be positive, got {n}")
+    if not is_integer(n) or n <= 0:
+        raise InputError(f"node count must be a positive integer, got {n!r}")
     edges = np.asarray(edge_list)
     if edges.size == 0:
         edges = edges.reshape(0, 2)

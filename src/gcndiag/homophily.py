@@ -9,22 +9,15 @@ than silent zeros.
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_labels
 from .graph import Graph
 
 
-def _check_labels(g: Graph, y: np.ndarray, num_classes=None) -> np.ndarray:
-    y = np.asarray(y, dtype=np.int64)
+def _check_labels(g: Graph, y, num_classes=None) -> np.ndarray:
+    y = np.asarray(y)
     if y.shape != (g.n,):
         raise InputError(f"labels must cover all {g.n} nodes, got shape {y.shape}")
-    if y.size and y.min() < 0:
-        raise InputError(f"negative label at node {int(np.argmin(y))}")
-    if num_classes is not None and y.size and y.max() >= num_classes:
-        bad = int(np.argmax(y))
-        raise InputError(
-            f"label {int(y.max())} at node {bad} out of range [0, {num_classes})"
-        )
-    return y
+    return check_labels(y, num_classes)
 
 
 def edge_homophily(g: Graph, y) -> float:

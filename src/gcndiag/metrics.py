@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ShapeError
+from .errors import InputError, ShapeError, check_labels
 
 
 @dataclass(frozen=True)
@@ -24,19 +24,13 @@ class ModelScores:
 
 
 def _check_pair(pred, truth, num_classes):
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"pred shape {pred.shape} != truth shape {truth.shape}")
     if pred.size == 0:
         raise InputError("cannot score an empty evaluation set")
-    for name, arr in (("pred", pred), ("truth", truth)):
-        if arr.min() < 0 or arr.max() >= num_classes:
-            raise InputError(
-                f"{name} labels must lie in [0, {num_classes}), "
-                f"got range [{arr.min()}, {arr.max()}]"
-            )
-    return pred, truth
+    return (check_labels(pred, num_classes, "pred label"),
+            check_labels(truth, num_classes, "truth label"))
 
 
 def confusion_matrix(pred, truth, num_classes: int) -> np.ndarray:
@@ -68,7 +62,7 @@ def score(pred, truth, num_classes: int) -> ModelScores:
 def macro_f1_over_present(pred, truth, num_classes: int) -> float:
     """Macro-F1 restricted to classes present in the truth vector."""
     s = score(pred, truth, num_classes)
-    present = np.bincount(np.asarray(truth), minlength=num_classes) > 0
+    present = s.confusion.sum(axis=1) > 0
     return float(s.per_class_f1[present].mean())
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, check_finite
+from .errors import InputError, check_finite, check_labels
 from .metrics import ModelScores, score
 
 MODELS = ("gcn", "logreg", "svm")
@@ -168,8 +168,13 @@ class CellResult:
 
 
 def masking_percent(masking_rate: float) -> int:
-    """The whole percent that names a masking rate in cell keys and reports."""
-    return int(round(masking_rate * 100))
+    """The whole percent that names a masking rate in cell keys and reports;
+    any other rate, beyond float error, would run one cell under another's
+    name, so it is an InputError."""
+    pct = masking_rate * 100
+    if not abs(pct - np.round(pct)) <= 1e-9:  # NaN and inf fail too
+        raise InputError(f"masking percent {pct:g} is not a whole number")
+    return int(round(pct))
 
 
 def cell_key(model: str, masking_rate: float, feature_mode: str) -> str:
@@ -203,8 +208,9 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
     ``seconds`` is NaN when the cell's worker died. A failing cell records
     its error instead of aborting its siblings; non-finite features fail
     the whole run before any cell.
-    An unknown model or feature mode, and a name or a masking percent given
-    twice, is an InputError before any split is drawn.
+    An unknown model or feature mode, a name or a percent given twice, a
+    rate that is not a whole percent, and a label that is not a class id
+    are InputErrors before any split is drawn.
     """
     # deferred: baselines imports protocol, and tracers patch these names
     from .baselines import fit_baseline, linear_predict
@@ -222,7 +228,7 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
                     f"unknown {what} {name!r}; choose from {', '.join(known)}")
             if name in given[:i]:
                 raise InputError(f"{what} {name!r} given twice")
-    y = np.asarray(y)
+    y = check_labels(y, num_classes)
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
     if gcn_config is None:

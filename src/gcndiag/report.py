@@ -17,6 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .dataset_io import load_json as load_report  # noqa: F401 (the one reader)
 from .errors import InputError
 from .gcn import PATIENCE
 from .metrics import retention
@@ -133,18 +134,6 @@ def check_report_dir(path) -> None:
     if os.path.isdir(path):
         raise InputError(
             f"cannot write report: {os.strerror(errno.EISDIR)}", path=path)
-
-
-def load_report(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read report: {exc.strerror or exc}", path=path)
-    except UnicodeDecodeError:
-        raise InputError("report is not valid UTF-8", path=path) from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"report is not valid JSON: {exc}", path=path)
 
 
 def stable_form(report: dict) -> dict:

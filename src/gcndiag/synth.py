@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_settings
+from .errors import InputError, check_labels, check_settings, count_rules
 from .graph import Graph, build_graph
 
 
 def _feature_rules(dim, signal):
     """The settings rules that SyntheticSpec and generate_features share."""
-    return (("dim", dim, ">= 1", dim >= 1),
+    return (*count_rules("dim", dim, 1),
             ("signal", signal, "finite and >= 0", 0.0 <= signal < np.inf))
 
 
@@ -33,14 +33,14 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_settings("synthetic", (
-            ("n", self.n, ">= 2", self.n >= 2),
-            ("num_classes", self.num_classes, ">= 1", self.num_classes >= 1),
+            *count_rules("n", self.n, 2),
+            *count_rules("num_classes", self.num_classes, 1),
             ("target_homophily", self.target_homophily, "in (0, 1]",
              0.0 < self.target_homophily <= 1.0),
             ("avg_degree", self.avg_degree, "finite and > 0",
              0.0 < self.avg_degree < np.inf),
             *_feature_rules(self.dim, self.signal),
-            ("seed", self.seed, ">= 0", self.seed >= 0)))
+            *count_rules("seed", self.seed, 0)))
 
 
 def class_sizes(n: int, num_classes: int) -> np.ndarray:
@@ -121,7 +121,7 @@ def generate_features(y, dim: int, signal: float, seed: int = 0) -> np.ndarray:
     feature-ablation protocol uses.
     """
     check_settings("synthetic", _feature_rules(dim, signal))
-    y = np.asarray(y, dtype=np.int64)
+    y = check_labels(y)
     C = int(y.max()) + 1 if y.size else 1
     rng = np.random.default_rng(seed)
     mu = rng.standard_normal((C, dim))

@@ -61,8 +61,7 @@ def test_scaler_uses_only_visible_rows():
 
 def test_fit_baseline_rejects_an_empty_visible_set():
     X, y = blobs(seed=11)
-    with pytest.raises(InputError, match="cannot fit a scaler on an empty "
-                                         "visible set"):
+    with pytest.raises(InputError, match="^visible training set is empty$"):
         fit_baseline("svm", X, y, np.array([], dtype=int), seed=0, num_classes=2)
 
 

@@ -642,7 +642,8 @@ def test_early_stopping_stops_patience_epochs_after_best(monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("hidden", 0), ("learning_rate", 0.0), ("learning_rate", float("nan")),
     ("learning_rate", float("inf")), ("weight_decay", -1e-4),
-    ("weight_decay", float("inf")), ("max_epochs", 0),
+    ("weight_decay", float("inf")), ("max_epochs", 0), ("hidden", 2.5),
+    ("hidden", True), ("max_epochs", 2.5),
 ])
 def test_gcn_config_rejects_invalid_settings(field, value):
     message = f"GCN {field} must be .*, got {re.escape(repr(value))}$"
@@ -652,6 +653,17 @@ def test_gcn_config_rejects_invalid_settings(field, value):
         replace(GcnConfig(), **{field: value})
     GcnConfig(hidden=1, dropout_rate=0.0, learning_rate=1e-12,
               weight_decay=0.0, max_epochs=1)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"num_instances": 2.5}, "num_instances must be an integer, got 2.5"),
+    ({"num_instances": 0}, "num_instances must be >= 1, got 0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+])
+def test_gradient_check_refuses_invalid_settings(settings, message):
+    with pytest.raises(InputError) as exc:
+        gradient_check(**settings)
+    assert str(exc.value) == f"gradient check {message}"
 
 
 def test_training_fails_on_the_first_non_finite_loss():

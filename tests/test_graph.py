@@ -127,9 +127,15 @@ def test_graph_rejects_inconsistent_offsets():
                    col_indices=np.array([1]), num_edges=1),
      InputError, "row_offsets do not cover col_indices"),
     (lambda: build_graph([(0, 1)], 0), InputError,
-     "node count must be positive, got 0"),
+     "node count must be a positive integer, got 0"),
     (lambda: build_graph([(0, 1)], -3), InputError,
-     "node count must be positive, got -3"),
+     "node count must be a positive integer, got -3"),
+    (lambda: build_graph([(0, 1)], 2.5), InputError,
+     "node count must be a positive integer, got 2.5"),
+    (lambda: build_graph([(0, 1)], np.nan), InputError,
+     "node count must be a positive integer, got nan"),
+    (lambda: build_graph([(0, 1)], True), InputError,
+     "node count must be a positive integer, got True"),
     (lambda: build_graph([(0, 1, 2)], 3), InputError,
      "edge list must be a sequence of (u, v) pairs"),
     (lambda: build_graph([0, 1], 3), InputError,
@@ -144,7 +150,8 @@ def test_graph_rejects_inconsistent_offsets():
      "edge 1: node id not an integer in [0, 3): (1, 5)"),
     (lambda: spmm(normalized_adjacency(build_graph([(0, 1)], 2)), np.zeros(2)),
      ShapeError, "right operand must be 2-D, got ndim=1"),
-], ids=["offsets_vs_indices", "zero_nodes", "negative_nodes", "triples",
+], ids=["offsets_vs_indices", "zero_nodes", "negative_nodes",
+        "fractional_nodes", "nan_nodes", "bool_nodes", "triples",
         "flat_list", "fractional_id", "nan_id", "infinite_id", "id_out_of_range",
         "flat_operand"])
 def test_graph_input_errors(make, error, message):

@@ -112,5 +112,26 @@ def test_label_validation():
         edge_homophily(g, np.array([0]))  # wrong length
     with pytest.raises(InputError):
         neighbor_distribution(g, np.array([0, 3]), 2)  # label out of range
-    with pytest.raises(InputError, match=r"^negative label at node 1$"):
+    with pytest.raises(InputError) as exc:
         edge_homophily(g, np.array([0, -2]))
+    assert str(exc.value) == ("label at index 1 must be a whole number in "
+                              "[0, inf), got -2")
+
+
+@pytest.mark.parametrize("labels, num_classes, index, got", [
+    ([0.2, 0.9, 1.5], None, 0, "0.2"),
+    ([0.0, 1.0, np.nan], None, 2, "nan"),
+    ([0, 1, 2], 2, 2, "2"),
+    ([0.0, 1.5, 1.0], 2, 1, "1.5"),
+])
+def test_labels_must_be_whole_class_ids(labels, num_classes, index, got):
+    g = build_graph([(0, 1), (1, 2)], 3)
+    with pytest.raises(InputError) as exc:
+        if num_classes is None:
+            edge_homophily(g, labels)
+        else:
+            neighbor_distribution(g, labels, num_classes)
+    top = "inf" if num_classes is None else num_classes
+    assert str(exc.value) == (
+        f"label at index {index} must be a whole number in [0, {top}), got {got}")
+    assert exc.value.index == index

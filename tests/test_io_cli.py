@@ -467,8 +467,8 @@ def cli_inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("masking, message", [
-    ("0,0.4", "'0.4' is not a whole number"),
-    ("50.4", "'50.4' is not a whole number"),
+    ("0,0.4", "masking percent 0.4 is not a whole number"),
+    ("50.4", "masking percent 50.4 is not a whole number"),
     ("50,50", "masking percent 50 given twice"),
     ("0,90,90.0", "masking percent 90 given twice"),
     ("120", "masking rate must be in [0, 1), got 1.2"),
@@ -902,6 +902,18 @@ def test_non_utf8_container_file_names_file_and_line(tmp_path, capsys, name,
     assert capsys.readouterr().err == f"error: {path}:{line}: not valid UTF-8\n"
 
 
+def test_a_bad_line_before_bad_bytes_is_reported_first(tmp_path, capsys):
+    # lines are checked in order, even when both sit in one decode chunk
+    write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, GOOD_LABELS,
+                    GOOD_FEATS)
+    path = str(tmp_path / "c" / "labels.tsv")
+    with open(path, "wb") as fh:
+        fh.write(b"0\n7\n\xff\n")
+    capsys.readouterr()
+    assert run_cli("analyze", str(tmp_path / "c")) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: label 7 outside [0, 2)\n"
+
+
 def test_non_utf8_meta_json_names_the_file(tmp_path, capsys):
     write_container(tmp_path / "c", GOOD_META, GOOD_EDGES, GOOD_LABELS,
                     GOOD_FEATS)
@@ -920,7 +932,36 @@ def test_non_utf8_report_names_the_file(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("quadrant", path) == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: report is not valid UTF-8\n")
+        f"error: {path}: not valid UTF-8\n")
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "not found"),
+    ("dir", "cannot read: Is a directory"),
+    (b'{"n": "\xff"}', "not valid UTF-8"),
+    (b'{"n": ', "not valid JSON: Expecting value: line 1 column 7 (char 6)"),
+])
+def test_meta_json_and_a_report_fail_alike(tmp_path, capsys, content, message):
+    ds_dir = make_container(tmp_path)
+    meta = os.path.join(ds_dir, "meta.json")
+    report = str(tmp_path / "report.json")
+    os.remove(meta)
+    for path in (meta, report):
+        if content == "dir":
+            os.mkdir(path)
+        elif content is not None:
+            with open(path, "wb") as fh:
+                fh.write(content)
+    capsys.readouterr()
+    assert run_cli("analyze", ds_dir) == 1
+    assert run_cli("quadrant", report) == 1
+    assert capsys.readouterr().err == (f"error: {meta}: {message}\n"
+                                       f"error: {report}: {message}\n")
+
+
+def test_one_json_reader():
+    assert gcndiag.load_report is gcndiag.report.load_report
+    assert gcndiag.report.load_report is gcndiag.dataset_io.load_json
 
 
 @pytest.mark.parametrize("command", ["run", "tune"])

@@ -72,13 +72,26 @@ def test_score_length_mismatch():
 
 @pytest.mark.parametrize("pred, truth, message", [
     ([], [], "cannot score an empty evaluation set"),
-    ([0, 2], [0, 1], "pred labels must lie in [0, 2), got range [0, 2]"),
-    ([0, 1], [-1, 1], "truth labels must lie in [0, 2), got range [-1, 1]"),
+    ([0, 2], [0, 1], "pred label at index 1 must be a whole number in [0, 2), "
+                     "got 2"),
+    ([0, 1], [-1, 1], "truth label at index 0 must be a whole number in "
+                      "[0, 2), got -1"),
+    ([0.5, 1.7], [0, 1], "pred label at index 0 must be a whole number in "
+                         "[0, 2), got 0.5"),
+    ([0, 1], [1.0, np.nan], "truth label at index 1 must be a whole number in "
+                            "[0, 2), got nan"),
 ])
 def test_score_rejects_bad_labels(pred, truth, message):
     with pytest.raises(InputError) as exc:
         score(np.array(pred), np.array(truth), 2)
     assert str(exc.value) == message
+
+
+def test_score_takes_whole_float_labels_as_class_ids():
+    as_floats = score(np.array([0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0]), 2)
+    as_ints = score(np.array([0, 1, 1]), np.array([0, 1, 0]), 2)
+    assert as_floats.macro_f1 == as_ints.macro_f1
+    assert np.array_equal(as_floats.confusion, as_ints.confusion)
 
 
 def test_delta_f1():

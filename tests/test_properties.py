@@ -1,5 +1,6 @@
 """Property tests: invariants that must hold for arbitrary small inputs."""
 
+import os
 import tempfile
 from dataclasses import asdict
 
@@ -11,6 +12,8 @@ from gcndiag import (Dataset, GcnConfig, SyntheticSpec, apply_masking,
                      build_graph, generate_features, generate_graph,
                      load_dataset, normalized_adjacency, run_grid,
                      save_dataset)
+from gcndiag.dataset_io import _lines
+from gcndiag.errors import InputError
 from gcndiag.report import jsonable
 
 from conftest import dense_normalized_adjacency
@@ -112,3 +115,47 @@ def test_run_grid_same_seed_agrees(data_seed, base_seed, classes):
     first, second = (run_grid(a, x, y, base_seed=base_seed, gcn_config=config,
                               num_classes=classes) for _ in range(2))
     assert jsonable(asdict(first)) == jsonable(asdict(second))
+
+
+# Pieces of container lines: every line ending text mode knows, blank and
+# whitespace-only runs, bytes that are not UTF-8 (an encoded surrogate among
+# them), separators that str.splitlines knows and text mode does not, and
+# runs long enough to cross the reader's 8 KB decode chunks.
+LINE_PIECES = [b"\n", b"\r\n", b"\r", b" ", b"\t", b"0\t1", b"label",
+               "\u00e9".encode(), b"\xff", b"\xed\xb2\x80", b"\xe2",
+               "\u0085".encode(), b"\x0c", "\u2028".encode(), b"x" * 9000,
+               b"y" * 8191]
+
+
+def lines_one_by_one(data):
+    """(line number, stripped text) of the non-blank lines of ``data``, split
+    as text mode splits and decoded one line at a time, and the number of
+    the first line that is not UTF-8 (None if every line is)."""
+    found = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            return found, lineno
+        if text:
+            found.append((lineno, text))
+    return found, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(LINE_PIECES), max_size=40))
+def test_lines_agree_with_a_line_by_line_decode(pieces):
+    data = b"".join(pieces)
+    want, bad_line = lines_one_by_one(data)
+    got = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "labels.tsv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            got.extend(_lines(path))
+        except InputError as exc:
+            assert (str(exc), exc.line) == ("not valid UTF-8", bad_line)
+        else:
+            assert bad_line is None
+    assert got == want

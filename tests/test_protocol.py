@@ -12,6 +12,7 @@ from gcndiag import (GcnConfig, InputError, ablate_features, apply_masking,
                      carve_validation, derive_seed, generate_features,
                      generate_graph, make_split, normalized_adjacency,
                      run_grid, stratified_split)
+from gcndiag.protocol import masking_percent
 from gcndiag.report import jsonable
 from gcndiag.synth import SyntheticSpec
 
@@ -304,7 +305,11 @@ def test_random_features_shared_across_cells():
     ({"feature_modes": ("noise",)},
      "unknown feature mode 'noise'; choose from original, random"),
     ({"masking_rates": (0.0, 0.0)}, "masking percent 0 given twice"),
-    ({"masking_rates": (0.5, 0.504)}, "masking percent 50 given twice"),
+    ({"masking_rates": (0.5, 0.504)},
+     "masking percent 50.4 is not a whole number"),
+    ({"masking_rates": (0.505,)}, "masking percent 50.5 is not a whole number"),
+    ({"masking_rates": (float("nan"),)},
+     "masking percent nan is not a whole number"),
 ])
 def test_run_grid_rejects_unknown_and_repeated_names_before_any_work(
         monkeypatch, grid, message):
@@ -317,3 +322,35 @@ def test_run_grid_rejects_unknown_and_repeated_names_before_any_work(
     monkeypatch.setattr(gcndiag.parallel, "fork_map", boom)
     with pytest.raises(InputError, match=message):
         run_grid(a, x, y, num_classes=3, base_seed=4, **grid)
+
+
+def test_every_whole_percent_names_its_rate():
+    assert [masking_percent(p / 100) for p in range(100)] == list(range(100))
+
+
+@pytest.mark.parametrize("index, value, message", [
+    (3, 1.5, "label at index 3 must be a whole number in [0, 3), got 1.5"),
+    (0, np.nan, "label at index 0 must be a whole number in [0, 3), got nan"),
+    (7, 3.0, "label at index 7 must be a whole number in [0, 3), got 3.0"),
+    (2, -1.0, "label at index 2 must be a whole number in [0, 3), got -1.0"),
+])
+def test_run_grid_refuses_a_label_that_is_not_a_class_id_before_any_split(
+        monkeypatch, index, value, message):
+    a, x, y = small_dataset()
+    y = y.astype(np.float64)
+    y[index] = value
+    monkeypatch.setattr(gcndiag.protocol, "make_split", lambda *args, **kw:
+                        pytest.fail("run_grid split before checking labels"))
+    with pytest.raises(InputError) as exc:
+        run_grid(a, x, y, num_classes=3, models=("logreg",),
+                 masking_rates=(0.0,), feature_modes=("original",))
+    assert (str(exc.value), exc.value.index) == (message, index)
+
+
+def test_run_grid_takes_whole_float_labels_as_class_ids():
+    a, x, y = small_dataset()
+    grid = {"num_classes": 3, "models": ("logreg",), "masking_rates": (0.5,),
+            "feature_modes": ("original",)}
+    as_ints = run_grid(a, x, y, **grid)
+    as_floats = run_grid(a, x, y.astype(np.float64), **grid)
+    assert jsonable(asdict(as_floats)) == jsonable(asdict(as_ints))

@@ -125,6 +125,8 @@ def test_class_means_sit_at_signal_radius():
 
 @pytest.mark.parametrize("dim, signal, message", [
     (0, 1.0, "synthetic dim must be >= 1, got 0"),
+    (2.5, 1.0, "synthetic dim must be an integer, got 2.5"),
+    (True, 1.0, "synthetic dim must be an integer, got True"),
     (3, float("nan"), "synthetic signal must be finite and >= 0, got nan"),
     (3, float("inf"), "synthetic signal must be finite and >= 0, got inf"),
     (3, -0.5, "synthetic signal must be finite and >= 0, got -0.5"),
@@ -137,6 +139,33 @@ def test_features_refuse_the_settings_a_spec_refuses(dim, signal, message):
         SyntheticSpec(n=3, num_classes=3, target_homophily=0.5, avg_degree=1.0,
                       dim=dim, signal=signal)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 10.5), ("n", np.nan), ("num_classes", 2.5), ("num_classes", True),
+    ("seed", 1.5),
+])
+def test_spec_counts_must_be_integers(field, value):
+    settings = dict(n=10, num_classes=2, target_homophily=0.5, avg_degree=1.0,
+                    dim=2, signal=1.0, seed=0)
+    settings[field] = value
+    with pytest.raises(InputError) as exc:
+        generate_graph(SyntheticSpec(**settings))
+    assert str(exc.value) == f"synthetic {field} must be an integer, got {value!r}"
+
+
+def test_spec_counts_may_be_numpy_integers():
+    g, y = generate_graph(SyntheticSpec(
+        n=np.int64(10), num_classes=np.int32(2), target_homophily=0.5,
+        avg_degree=1.0, dim=np.int64(2), signal=1.0, seed=np.uint8(3)))
+    assert g.n == 10 and y.max() == 1
+
+
+def test_features_refuse_labels_that_are_not_class_ids():
+    with pytest.raises(InputError) as exc:
+        generate_features(np.array([0.0, 1.5]), 3, 1.0)
+    assert str(exc.value) == ("label at index 1 must be a whole number in "
+                              "[0, inf), got 1.5")
 
 
 def test_signal_shifts_share_the_noise_stream():
