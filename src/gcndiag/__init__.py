@@ -9,8 +9,7 @@ from .graph import Graph, NormAdj, build_graph, normalized_adjacency, spmm
 from .homophily import (edge_homophily, homophily_report,
                         neighbor_distribution, top_foreign_neighbor)
 from .metrics import ModelScores, confusion_matrix, delta_f1, retention, score
-from .baselines import (LinearModel, fit_baseline, linear_predict, train_logreg,
-                        train_svm)
+from .baselines import LinearModel, fit_baseline, train_logreg, train_svm
 from .protocol import (CellResult, ExperimentResult, SplitSpec,
                        ablate_features, apply_masking, carve_validation,
                        derive_seed, make_split, run_grid, stratified_split)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ShapeError, check_finite
+from .errors import InputError, check_finite, check_labels
 from .gcn import class_weights, softmax_cross_entropy
 from .metrics import score
 from .protocol import carve_validation, stratified_kfold
@@ -77,24 +77,20 @@ _EPS = float(np.finfo(np.float64).eps)
 class LinearModel:
     weights: np.ndarray  # d x C
     bias: np.ndarray  # length C
+    predictions: np.ndarray  # class per row of the matrix it was trained on
     selected_reg: float
     grid_scores: tuple = ()  # (reg value, selection macro-F1) pairs
     unconverged: tuple = ()  # reg values, in grid order, with a fit not converged
+
+    def summary(self) -> dict:
+        """The selection record that reports show for a fit."""
+        return {"selected_reg": self.selected_reg,
+                "unconverged_reg": list(self.unconverged)}
 
 
 def _argmax_scores(x_norm, W, b) -> np.ndarray:
     """Argmax of X W + b per row; ties break toward the lowest class id."""
     return np.argmax(x_norm @ W + b, axis=1)
-
-
-def linear_predict(model: LinearModel, x_norm: np.ndarray) -> np.ndarray:
-    """Class of each row under a fitted model (see ``_argmax_scores``)."""
-    x_norm = np.asarray(x_norm, dtype=np.float64)
-    if x_norm.shape[1] != model.weights.shape[0]:
-        raise ShapeError(
-            f"model expects {model.weights.shape[0]} features, got {x_norm.shape[1]}"
-        )
-    return _argmax_scores(x_norm, model.weights, model.bias)
 
 
 def logreg_objective(wb, X, y, sample_w, reg_c, num_classes):
@@ -305,11 +301,12 @@ def fit_logreg(data, reg_c, num_classes):
             wb[:, d * num_classes:], converged)
 
 
-def _check_visible(x_norm, y, visible_rows):
+def _check_visible(x_norm, y, visible_rows, num_classes):
     """The prelude ``fit_baseline`` and the trainers share; returns the
-    checked (x_norm, y, visible_rows). An empty or single-class visible set
-    is reported before a non-finite feature."""
-    y = np.asarray(y)
+    checked (x_norm, y as class ids, visible_rows). A label that is not a
+    class id is reported first, then an empty or single-class visible set,
+    then a non-finite feature."""
+    y = check_labels(y, num_classes)
     visible_rows = np.asarray(visible_rows)
     if visible_rows.size == 0:
         raise InputError("visible training set is empty")
@@ -320,17 +317,19 @@ def _check_visible(x_norm, y, visible_rows):
     return x_norm, y, visible_rows
 
 
-def _select_and_refit(grid_scores, failed, refit) -> LinearModel:
+def _select_and_refit(x_norm, grid_scores, failed, refit) -> LinearModel:
     """Refit at the best-scoring (C_reg, score) pair of ``grid_scores``, the
-    first on a tie, by ``refit(i) -> (W, b, converged)``; ``failed`` holds the
-    C_reg values whose selection fits did not converge."""
+    first on a tie, by ``refit(i) -> (W, b, converged)``, and predict every
+    row of ``x_norm``; ``failed`` holds the C_reg values whose selection fits
+    did not converge."""
     best = max(range(len(grid_scores)), key=lambda i: grid_scores[i][1])
     selected = grid_scores[best][0]
     W, b, converged = refit(best)
     if not converged:
         failed.add(selected)
     return LinearModel(
-        weights=W, bias=b, selected_reg=selected, grid_scores=tuple(grid_scores),
+        weights=W, bias=b, predictions=_argmax_scores(x_norm, W, b),
+        selected_reg=selected, grid_scores=tuple(grid_scores),
         unconverged=tuple(c for c, _ in grid_scores if c in failed))
 
 
@@ -341,7 +340,7 @@ def train_logreg(x_norm, y, visible_rows, seed: int = 0, *,
     Folds shrink to the smallest per-class count when classes are scarce;
     below 2 usable folds there is nothing to cross-validate and we fail fast.
     """
-    x_norm, y, visible_rows = _check_visible(x_norm, y, visible_rows)
+    x_norm, y, visible_rows = _check_visible(x_norm, y, visible_rows, num_classes)
 
     counts = np.bincount(y[visible_rows], minlength=num_classes)
     folds_eff = min(LOGREG_FOLDS, int(counts[counts > 0].min()))
@@ -382,7 +381,7 @@ def train_logreg(x_norm, y, visible_rows, seed: int = 0, *,
         W, b, converged = fit_logreg([(X_rows[visible], y_rows[visible], sw)],
                                      LOGREG_C_GRID[i:i + 1], num_classes)
         return W[0], b[0], converged[0]
-    return _select_and_refit(grid_scores, failed, refit)
+    return _select_and_refit(x_norm, grid_scores, failed, refit)
 
 
 def _fit_svm_ovr(X, Y_signed, s_norm, lam, wb0):
@@ -398,7 +397,7 @@ def _fit_svm_ovr(X, Y_signed, s_norm, lam, wb0):
 def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
               num_classes: int) -> LinearModel:
     """Grid search on a stratified holdout by macro-F1; refit on all visible rows."""
-    x_norm, y, visible_rows = _check_visible(x_norm, y, visible_rows)
+    x_norm, y, visible_rows = _check_visible(x_norm, y, visible_rows, num_classes)
 
     fit_idx, val_idx = carve_validation(y, visible_rows, seed)
     if val_idx.size == 0:
@@ -439,22 +438,22 @@ def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
         wb, converged = _fit_svm_ovr(x_norm[visible_rows], Y_all, s_all,
                                      1.0 / (SVM_C_GRID[i] * tot_all), fits[i])
         return wb[:, :-1].T.copy(), wb[:, -1].copy(), converged
-    return _select_and_refit(grid_scores, failed, refit)
+    return _select_and_refit(x_norm, grid_scores, failed, refit)
 
 
 def fit_baseline(model: str, x, y, visible_rows, seed: int, num_classes):
-    """(fitted ``model``, x standardized on the visible rows) for "logreg" or
-    "svm"; any other model is an InputError. The trainer is looked up at call
+    """``model``, "logreg" or "svm", fitted on x standardized on the visible
+    rows; any other model is an InputError. The trainer is looked up at call
     time, so a patched one runs."""
     trainers = {"logreg": train_logreg, "svm": train_svm}
     if model not in trainers:
         raise InputError(f"unknown baseline {model!r}; choose from logreg, svm")
     # before a bad entry spreads to its column's scaling
-    x, y, visible_rows = _check_visible(x, y, visible_rows)
+    x, y, visible_rows = _check_visible(x, y, visible_rows, num_classes)
     sub = x[visible_rows]
     mean = sub.mean(axis=0)
     std = sub.std(axis=0)  # population std
     del sub  # release the visible rows' copy before training
     x_norm = (x - mean) / np.where(std == 0, 1.0, std)
     return trainers[model](x_norm, y, visible_rows, seed=seed,
-                           num_classes=num_classes), x_norm
+                           num_classes=num_classes)

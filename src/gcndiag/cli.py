@@ -219,7 +219,7 @@ def cmd_tune(args) -> int:
         if isinstance(item, str):  # a baseline's name
             return fit_baseline(item, ds.x, ds.y, split.visible_idx,
                                 derive_seed(args.seed, "tune", item),
-                                ds.num_classes)[0]
+                                ds.num_classes)
         hidden, dropout, lr, wd = item
         cfg = replace(base_cfg, hidden=hidden, dropout_rate=dropout,
                       learning_rate=lr, weight_decay=wd,

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InputError, ShapeError, check_finite, check_settings,
-                     count_rules)
+from .errors import (InputError, ShapeError, check_finite, check_labels,
+                     check_settings, count_rules)
 from .graph import NormAdj, normalized_adjacency, spmm
 from .metrics import macro_f1_over_present
 from .synth import SyntheticSpec, generate_graph
@@ -317,14 +317,15 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
     the returned snapshot is the first epoch achieving the best score, with
     the eval-mode predictions that epoch's validation pass made for every
     node. ``ax`` is the propagated features A_hat * x, computed from ``x``
-    when not given. A non-finite training loss raises FloatingPointError
-    naming its epoch.
+    when not given. A label that is not a class id is an InputError naming
+    its index. A non-finite training loss raises FloatingPointError naming
+    its epoch.
     """
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
     if ax is not None and np.shape(ax) != x.shape:
         raise ShapeError(f"propagated features must be {x.shape}, got {np.shape(ax)}")
-    y = np.asarray(y)
+    y = check_labels(y, num_classes)
     sub = np.asarray(split.subtrain_idx)
     val = np.asarray(split.val_idx)
     if sub.size == 0:

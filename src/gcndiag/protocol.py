@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, check_finite, check_labels
+from .errors import (InputError, check_finite, check_labels, check_settings,
+                     is_integer)
 from .metrics import ModelScores, score
 
 MODELS = ("gcn", "logreg", "svm")
@@ -24,7 +25,10 @@ TRAIN_FRACTION = 0.8
 
 
 def derive_seed(base_seed: int, *parts) -> int:
-    """Stable named sub-seed: blake2b over a canonical string, not Python hash()."""
+    """Stable named sub-seed: blake2b over a canonical string, not Python hash().
+    Any integer is a ``base_seed``; anything else (1.5, True) is an InputError."""
+    check_settings("base", (("seed", base_seed, "an integer",
+                             is_integer(base_seed)),))
     text = ":".join([str(int(base_seed))] + [str(p) for p in parts])
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % (2**63)
@@ -209,11 +213,12 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
     its error instead of aborting its siblings; non-finite features fail
     the whole run before any cell.
     An unknown model or feature mode, a name or a percent given twice, a
-    rate that is not a whole percent, and a label that is not a class id
-    are InputErrors before any split is drawn.
+    rate that is not a whole percent, a base seed that is not an integer,
+    and a label that is not a class id are InputErrors before any split is
+    drawn.
     """
     # deferred: baselines imports protocol, and tracers patch these names
-    from .baselines import fit_baseline, linear_predict
+    from .baselines import fit_baseline
     from .gcn import GcnConfig, train_gcn
     from .graph import spmm
     from .parallel import fork_map
@@ -228,6 +233,11 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
                     f"unknown {what} {name!r}; choose from {', '.join(known)}")
             if name in given[:i]:
                 raise InputError(f"{what} {name!r} given twice")
+    tasks = [(m, r, f, derive_seed(base_seed, m, masking_percent(r), f))
+             for m in models for r in masking_rates for f in feature_modes]
+    cells = dict.fromkeys(cell_key(*task[:3]) for task in tasks)
+    # longest first; the sort is stable, so grid order within a model
+    tasks.sort(key=lambda task: ("logreg", "svm", "gcn").index(task[0]))
     y = check_labels(y, num_classes)
     x = np.asarray(x, dtype=np.float64)
     check_finite(x)
@@ -241,11 +251,6 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
     splits = {m: make_split(y, m, base_seed, num_classes) for m in masking_rates}
     propagated = {mode: spmm(a, feature_sets[mode])
                   for mode in (feature_modes if "gcn" in models else ())}
-    tasks = [(m, r, f, derive_seed(base_seed, m, masking_percent(r), f))
-             for m in models for r in masking_rates for f in feature_modes]
-    cells = dict.fromkeys(cell_key(*task[:3]) for task in tasks)
-    # longest first; the sort is stable, so grid order within a model
-    tasks.sort(key=lambda task: ("logreg", "svm", "gcn").index(task[0]))
 
     def fit_and_score(task):
         """(scores, hyper), both plain enough to pickle."""
@@ -253,19 +258,14 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
         split = splits[rate]
         feats = feature_sets[mode]
         if model == "gcn":
-            cfg = replace(gcn_config, seed=cell_seed)
-            trained = train_gcn(cfg, a, feats, y, split, num_classes,
-                                propagated[mode])
-            pred = trained.predictions
-            hyper = trained.summary()
+            fitted = train_gcn(replace(gcn_config, seed=cell_seed), a, feats,
+                               y, split, num_classes, propagated[mode])
         else:
-            fitted, feats_n = fit_baseline(model, feats, y, split.visible_idx,
-                                           cell_seed, num_classes)
-            pred = linear_predict(fitted, feats_n)
-            hyper = {"selected_reg": fitted.selected_reg,
-                     "unconverged_reg": list(fitted.unconverged)}
-        scores = score(pred[split.test_idx], y[split.test_idx], num_classes)
-        return scores, hyper
+            fitted = fit_baseline(model, feats, y, split.visible_idx,
+                                  cell_seed, num_classes)
+        test = split.test_idx
+        return (score(fitted.predictions[test], y[test], num_classes),
+                fitted.summary())
 
     for i, result, error, seconds in fork_map(fit_and_score, tasks):
         model, rate, mode, _ = tasks[i]

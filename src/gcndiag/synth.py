@@ -15,10 +15,11 @@ from .errors import InputError, check_labels, check_settings, count_rules
 from .graph import Graph, build_graph
 
 
-def _feature_rules(dim, signal):
+def _feature_rules(dim, signal, seed):
     """The settings rules that SyntheticSpec and generate_features share."""
     return (*count_rules("dim", dim, 1),
-            ("signal", signal, "finite and >= 0", 0.0 <= signal < np.inf))
+            ("signal", signal, "finite and >= 0", 0.0 <= signal < np.inf),
+            *count_rules("seed", seed, 0))
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,7 @@ class SyntheticSpec:
              0.0 < self.target_homophily <= 1.0),
             ("avg_degree", self.avg_degree, "finite and > 0",
              0.0 < self.avg_degree < np.inf),
-            *_feature_rules(self.dim, self.signal),
-            *count_rules("seed", self.seed, 0)))
+            *_feature_rules(self.dim, self.signal, self.seed)))
 
 
 def class_sizes(n: int, num_classes: int) -> np.ndarray:
@@ -120,7 +120,7 @@ def generate_features(y, dim: int, signal: float, seed: int = 0) -> np.ndarray:
     signal=0 collapses to pure N(0, I) noise, the same distribution the
     feature-ablation protocol uses.
     """
-    check_settings("synthetic", _feature_rules(dim, signal))
+    check_settings("synthetic", _feature_rules(dim, signal, seed))
     y = check_labels(y)
     C = int(y.max()) + 1 if y.size else 1
     rng = np.random.default_rng(seed)

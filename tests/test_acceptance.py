@@ -48,10 +48,10 @@ def protocol_cell(n, C, h, deg, d, signal, masking, seed):
     trained = gd.train_gcn(cfg, a, x, y, split, C)
     pred = gd.gcn_predict(trained.params, a, x)
     gcn_f1 = gd.score(pred[split.test_idx], y[split.test_idx], C).macro_f1
-    lr, xn = gd.fit_baseline("logreg", x, y, split.visible_idx,
-                             derive_seed(seed, "lr", h, signal), C)
-    lr_pred = gd.linear_predict(lr, xn)
-    lr_f1 = gd.score(lr_pred[split.test_idx], y[split.test_idx], C).macro_f1
+    lr = gd.fit_baseline("logreg", x, y, split.visible_idx,
+                         derive_seed(seed, "lr", h, signal), C)
+    lr_f1 = gd.score(lr.predictions[split.test_idx], y[split.test_idx],
+                     C).macro_f1
     return gcn_f1, lr_f1
 
 
@@ -215,11 +215,10 @@ def test_criterion_8_dataset_integration():
         pred = gd.gcn_predict(trained.params, a, ds.x)
         gcn_scores.append(
             gd.score(pred[split.test_idx], ds.y[split.test_idx], 10).macro_f1)
-        lr, xn = gd.fit_baseline("logreg", ds.x, ds.y, split.visible_idx,
-                                 derive_seed(seed, "lr"), 10)
-        lr_pred = gd.linear_predict(lr, xn)
-        lr_scores.append(
-            gd.score(lr_pred[split.test_idx], ds.y[split.test_idx], 10).macro_f1)
+        lr = gd.fit_baseline("logreg", ds.x, ds.y, split.visible_idx,
+                             derive_seed(seed, "lr"), 10)
+        lr_scores.append(gd.score(lr.predictions[split.test_idx],
+                                  ds.y[split.test_idx], 10).macro_f1)
     gcn_mean = float(np.mean(gcn_scores))
     lr_mean = float(np.mean(lr_scores))
     model_ok = abs(gcn_mean - 0.853) <= 0.03 and abs(lr_mean - 0.833) <= 0.03

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gcndiag import baselines
-from gcndiag import (InputError, LinearModel, ShapeError, fit_baseline,
-                     linear_predict, train_logreg, train_svm)
+from gcndiag import InputError, fit_baseline, train_logreg, train_svm
 from gcndiag.baselines import (LOGREG_C_GRID, SVM_C_GRID, _fit_svm_ovr,
                                fit_logreg, logreg_objective, stratified_kfold,
                                svm_objective)
@@ -32,26 +31,37 @@ def standardized(x, visible_rows):
     return (x - mean) / np.where(std == 0, 1.0, std)
 
 
-def test_scaler_population_std():
+def trained_on(monkeypatch, model, *args, **kwargs):
+    """The matrix ``fit_baseline(model, ...)`` hands its trainer."""
+    seen = []
+    monkeypatch.setattr(baselines, f"train_{model}",
+                        lambda x_norm, *a, **k: seen.append(x_norm))
+    fit_baseline(model, *args, **kwargs)
+    (x_norm,) = seen
+    return x_norm
+
+
+def test_scaler_population_std(monkeypatch):
     # visible [1, 3, 5, 7]: mean 4 and population std sqrt(5), not the
     # sample std sqrt(20/3); the hidden 9 is scaled by the same numbers, and
     # the constant column's std falls back to 1
     x = np.column_stack([[1.0, 3.0, 5.0, 7.0, 9.0], np.full(5, 5.0)])
     visible = [0, 1, 2, 3]
-    _, z = fit_baseline("logreg", x, np.array([0, 0, 1, 1, 1]), visible,
-                        seed=0, num_classes=2)
+    z = trained_on(monkeypatch, "logreg", x, np.array([0, 0, 1, 1, 1]),
+                   visible, seed=0, num_classes=2)
     assert np.allclose(z[:, 0], np.array([-3.0, -1.0, 1.0, 3.0, 5.0]) / np.sqrt(5.0))
     assert np.array_equal(z[:, 1], np.zeros(5))
     assert z[visible, 0].mean() == pytest.approx(0.0)
     assert z[visible, 0].std() == pytest.approx(1.0)
 
 
-def test_scaler_uses_only_visible_rows():
+def test_scaler_uses_only_visible_rows(monkeypatch):
     X, y = blobs(seed=11, gap=3.0)
     x = np.column_stack([X, np.full(y.size, 5.0)])
     x[-1] = [100.0, -100.0, 100.0, 5.0]  # a hidden row must not move the stats
     visible = np.arange(y.size - 1)
-    _, x_norm = fit_baseline("logreg", x, y, visible, seed=0, num_classes=2)
+    x_norm = trained_on(monkeypatch, "logreg", x, y, visible, seed=0,
+                        num_classes=2)
     assert np.array_equal(x_norm[:, 3], np.zeros(y.size))
     # zero mean and unit population std over the visible rows only
     assert np.allclose(x_norm[visible, :3].mean(axis=0), 0.0)
@@ -79,12 +89,17 @@ def test_fit_baseline_trains_on_the_standardized_matrix(model, trainer):
     X, y = blobs(seed=12, gap=2.0, classes=3, d=4)
     X = 3.0 * X + 7.0
     visible = np.arange(0, y.size, 2)
-    fitted, x_norm = fit_baseline(model, X, y, visible, seed=4, num_classes=3)
-    by_hand = trainer(standardized(X, visible), y, visible, seed=4,
-                      num_classes=3)
+    fitted = fit_baseline(model, X, y, visible, seed=4, num_classes=3)
+    x_norm = standardized(X, visible)
+    by_hand = trainer(x_norm, y, visible, seed=4, num_classes=3)
     assert np.array_equal(fitted.weights, by_hand.weights)
     assert np.array_equal(fitted.bias, by_hand.bias)
     assert fitted.selected_reg == by_hand.selected_reg
+    # every row's class is the argmax at the refit weights
+    assert np.array_equal(fitted.predictions, np.argmax(
+        x_norm @ fitted.weights + fitted.bias, axis=1))
+    assert fitted.summary() == {"selected_reg": fitted.selected_reg,
+                                "unconverged_reg": list(fitted.unconverged)}
 
 
 def test_fit_baseline_runs_the_trainer_patched_in(monkeypatch):
@@ -96,10 +111,11 @@ def test_fit_baseline_runs_the_trainer_patched_in(monkeypatch):
 
     monkeypatch.setattr(baselines, "train_svm", fake_svm)
     X, y = blobs(seed=13)
-    fitted, x_norm = fit_baseline("svm", X, y, np.arange(y.size), seed=6,
-                                  num_classes=2)
+    fitted = fit_baseline("svm", X, y, np.arange(y.size), seed=6,
+                          num_classes=2)
     assert fitted == "patched"
-    assert len(calls) == 1 and calls[0][0] is x_norm and calls[0][1:] == (6, 2)
+    assert len(calls) == 1 and calls[0][1:] == (6, 2)
+    assert np.array_equal(calls[0][0], standardized(X, np.arange(y.size)))
 
 
 def test_balanced_weights_sum_to_n():
@@ -419,7 +435,7 @@ def test_stratified_kfold_partitions():
 def test_train_logreg_separable():
     X, y = blobs(seed=2, gap=5.0, classes=3, d=4)
     model = train_logreg(X, y, np.arange(y.size), seed=0, num_classes=3)
-    assert (linear_predict(model, X) == y).all()
+    assert (model.predictions == y).all()
     assert model.selected_reg in LOGREG_C_GRID
     assert len(model.grid_scores) == len(LOGREG_C_GRID)
 
@@ -493,7 +509,7 @@ def test_train_svm_improves_reference_objective():
 def test_train_svm_separable():
     X, y = blobs(seed=7, gap=6.0, classes=3, d=4)
     model = train_svm(X, y, np.arange(y.size), seed=0, num_classes=3)
-    assert (linear_predict(model, X) == y).all()
+    assert (model.predictions == y).all()
     assert model.selected_reg in SVM_C_GRID
     assert len(model.grid_scores) == len(SVM_C_GRID)
 
@@ -522,6 +538,34 @@ def test_linear_trainers_reject_non_finite_features(trainer):
     assert exc.value.index == (5, 2)
 
 
+@pytest.mark.parametrize("trainer", [
+    train_logreg, train_svm,
+    lambda *a, **k: fit_baseline("svm", *a, **k)])
+@pytest.mark.parametrize("index, label", [(3, 0.5), (41, -1.0), (60, 2.0),
+                                          (7, np.nan)])
+def test_linear_trainers_refuse_a_label_that_is_not_a_class_id(trainer, index,
+                                                               label):
+    X, y = blobs(seed=9, gap=3.0)
+    y = y.astype(np.float64)
+    y[index] = label
+    with pytest.raises(InputError) as exc:
+        trainer(X, y, np.arange(y.size), seed=0, num_classes=2)
+    assert str(exc.value) == (f"label at index {index} must be a whole number "
+                              f"in [0, 2), got {label!r}")
+    assert exc.value.index == index
+
+
+@pytest.mark.parametrize("trainer", [train_logreg, train_svm])
+def test_linear_trainers_take_whole_float_labels_as_class_ids(trainer):
+    X, y = blobs(seed=9, gap=2.0)
+    as_ints = trainer(X, y, np.arange(y.size), seed=1, num_classes=2)
+    as_floats = trainer(X, y.astype(np.float64), np.arange(y.size), seed=1,
+                        num_classes=2)
+    assert np.array_equal(as_floats.weights, as_ints.weights)
+    assert np.array_equal(as_floats.bias, as_ints.bias)
+    assert np.array_equal(as_floats.predictions, as_ints.predictions)
+
+
 @pytest.mark.parametrize("model", ["logreg", "svm"])
 def test_fit_baseline_names_the_non_finite_entry_it_was_given(model):
     # a visible inf would make its column's mean and std non-finite, and
@@ -536,18 +580,11 @@ def test_fit_baseline_names_the_non_finite_entry_it_was_given(model):
     assert exc.value.index == (16, 2)
 
 
-def test_linear_predict_tie_breaks_low():
-    model = LinearModel(weights=np.zeros((2, 3)),
-                        bias=np.zeros(3), selected_reg=1.0)
-    pred = linear_predict(model, np.ones((4, 2)))
-    assert (pred == 0).all()
-
-
-def test_linear_predict_shape_check():
-    model = LinearModel(weights=np.zeros((2, 2)),
-                        bias=np.zeros(2), selected_reg=1.0)
-    with pytest.raises(ShapeError):
-        linear_predict(model, np.ones((4, 5)))
+def test_predictions_tie_break_low():
+    model = baselines._select_and_refit(
+        np.ones((4, 2)), [(1.0, 0.5)], set(),
+        lambda i: (np.zeros((2, 3)), np.zeros(3), True))
+    assert np.array_equal(model.predictions, np.zeros(4, dtype=int))
 
 
 def test_imbalanced_classes_still_recovered():
@@ -557,6 +594,5 @@ def test_imbalanced_classes_still_recovered():
                    rng.standard_normal((10, 2)) + 4.0])
     y = np.array([0] * 100 + [1] * 10)
     model = train_logreg(X, y, np.arange(110), seed=0, num_classes=2)
-    pred = linear_predict(model, X)
-    minority_recall = (pred[y == 1] == 1).mean()
+    minority_recall = (model.predictions[y == 1] == 1).mean()
     assert minority_recall >= 0.9

@@ -718,6 +718,32 @@ def test_train_rejects_an_empty_split_side(side, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("index, label", [(3, 0.5), (5, -1.0), (0, 2.0)])
+def test_train_refuses_a_label_that_is_not_a_class_id(index, label):
+    g, x, y = yin_yang_data()
+    a = normalized_adjacency(g)
+    split = make_split(y, 0.0, seed=3, num_classes=2)
+    y = y.astype(np.float64)
+    y[index] = label
+    with pytest.raises(InputError) as exc:
+        train_gcn(GcnConfig(hidden=4, max_epochs=5), a, x, y, split, 2)
+    assert str(exc.value) == (f"label at index {index} must be a whole number "
+                              f"in [0, 2), got {label!r}")
+    assert exc.value.index == index
+
+
+def test_train_takes_whole_float_labels_as_class_ids():
+    g, x, y = yin_yang_data()
+    a = normalized_adjacency(g)
+    split = make_split(y, 0.0, seed=3, num_classes=2)
+    cfg = GcnConfig(hidden=4, max_epochs=8, seed=2)
+    as_ints = train_gcn(cfg, a, x, y, split, 2)
+    as_floats = train_gcn(cfg, a, x, y.astype(np.float64), split, 2)
+    assert np.array_equal(as_floats.params.w0, as_ints.params.w0)
+    assert np.array_equal(as_floats.predictions, as_ints.predictions)
+    assert as_floats.history == as_ints.history
+
+
 def test_validation_warning_when_class_missing():
     g, x, y = yin_yang_data()
     a = normalized_adjacency(g)

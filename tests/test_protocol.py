@@ -31,6 +31,18 @@ def test_derive_seed_properties():
     assert a != derive_seed(0, "mask")
     assert derive_seed(3, "x", 1) != derive_seed(3, "x", 2)
     assert 0 <= a < 2**63
+    # any integer is a base seed, a negative or a numpy one too
+    assert derive_seed(np.int64(3), "x") == derive_seed(3, "x")
+    assert derive_seed(-1, "x") != derive_seed(1, "x")
+
+
+@pytest.mark.parametrize("base_seed", [1.5, 1.0, np.float64(1.0), True, "1",
+                                       None])
+def test_derive_seed_refuses_a_base_seed_that_is_not_an_integer(base_seed):
+    # 1.5 would otherwise run seed 1's draws under the name 1.5
+    with pytest.raises(InputError) as exc:
+        derive_seed(base_seed, "x")
+    assert str(exc.value) == f"base seed must be an integer, got {base_seed!r}"
 
 
 def labels(counts):
@@ -163,6 +175,11 @@ def test_run_grid_complete_and_deterministic():
                 assert f"{model}:{pct}:{mode}" in first.cells
     assert jsonable(asdict(first)) == jsonable(asdict(second))
     assert all(not c.error for c in first.cells.values())
+    # each model's own summary() is the record its cells report
+    for cell in first.cells.values():
+        assert set(cell.selected_hyper) == (
+            {"best_epoch", "stopped_epoch", "warnings"} if cell.model == "gcn"
+            else {"selected_reg", "unconverged_reg"})
 
 
 def test_run_grid_records_cell_failure(monkeypatch):
@@ -310,6 +327,9 @@ def test_random_features_shared_across_cells():
     ({"masking_rates": (0.505,)}, "masking percent 50.5 is not a whole number"),
     ({"masking_rates": (float("nan"),)},
      "masking percent nan is not a whole number"),
+    ({"base_seed": 1.5}, "base seed must be an integer, got 1.5"),
+    ({"base_seed": 1.5, "models": ("logreg",), "feature_modes": ("original",)},
+     "base seed must be an integer, got 1.5"),
 ])
 def test_run_grid_rejects_unknown_and_repeated_names_before_any_work(
         monkeypatch, grid, message):
@@ -321,7 +341,7 @@ def test_run_grid_rejects_unknown_and_repeated_names_before_any_work(
     monkeypatch.setattr(gcndiag.protocol, "make_split", boom)
     monkeypatch.setattr(gcndiag.parallel, "fork_map", boom)
     with pytest.raises(InputError, match=message):
-        run_grid(a, x, y, num_classes=3, base_seed=4, **grid)
+        run_grid(a, x, y, num_classes=3, **{"base_seed": 4, **grid})
 
 
 def test_every_whole_percent_names_its_rate():

@@ -141,6 +141,21 @@ def test_features_refuse_the_settings_a_spec_refuses(dim, signal, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "synthetic seed must be an integer, got 1.5"),
+    (True, "synthetic seed must be an integer, got True"),
+    (-1, "synthetic seed must be >= 0, got -1"),
+])
+def test_features_refuse_the_seed_a_spec_refuses(seed, message):
+    with pytest.raises(InputError) as exc:
+        generate_features(np.array([0, 1, 2]), 3, 1.0, seed=seed)
+    assert str(exc.value) == message
+    with pytest.raises(InputError) as exc:
+        SyntheticSpec(n=3, num_classes=3, target_homophily=0.5, avg_degree=1.0,
+                      dim=3, signal=1.0, seed=seed)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("field, value", [
     ("n", 10.5), ("n", np.nan), ("num_classes", 2.5), ("num_classes", True),
     ("seed", 1.5),
