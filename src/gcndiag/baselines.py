@@ -1,10 +1,11 @@
 """Feature-only linear baselines: multinomial logistic regression and OvR SVM.
 
-``fit_baseline`` standardizes each feature on the visible training rows, to
-zero mean and unit population std (a constant feature maps to 0), and trains
-``train_logreg`` or ``train_svm`` on the result. Both use balanced class
-weights and select their regularization strength from the fixed grids below,
-the first on a tie, then refit it on every visible row.
+``train_logreg`` and ``train_svm`` take the features as given, check them
+with the labels and the visible rows in one prelude, and standardize each
+feature on the visible training rows, to zero mean and unit population std
+(a constant feature maps to 0); ``fit_baseline`` picks one by name. Both use
+balanced class weights and select their regularization strength from the
+fixed grids below, the first on a tie, then refit it on every visible row.
 Logistic regression minimizes a weighted multinomial cross-entropy
 (``logreg_objective``). The SVM minimizes the L2-regularized one-vs-rest
 squared hinge, the default loss of LIBLINEAR and LinearSVC
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_finite, check_labels
+from .errors import InputError, check_features, check_labels
 from .gcn import class_weights, softmax_cross_entropy
 from .metrics import score
 from .protocol import carve_validation, stratified_kfold
@@ -301,20 +302,24 @@ def fit_logreg(data, reg_c, num_classes):
             wb[:, d * num_classes:], converged)
 
 
-def _check_visible(x_norm, y, visible_rows, num_classes):
-    """The prelude ``fit_baseline`` and the trainers share; returns the
-    checked (x_norm, y as class ids, visible_rows). A label that is not a
-    class id is reported first, then an empty or single-class visible set,
-    then a non-finite feature."""
+def _standardized(x, y, visible_rows, num_classes):
+    """Every baseline fit's prelude: (x standardized on the visible rows, y
+    as class ids, visible_rows as node ids), checked in that order: labels,
+    visible rows (node ids, not empty, two classes or more), features."""
     y = check_labels(y, num_classes)
-    visible_rows = np.asarray(visible_rows)
+    if np.asarray(visible_rows).dtype == bool:
+        raise InputError("visible rows must be node ids, not a boolean mask")
+    visible_rows = check_labels(visible_rows, y.size, "visible row")
     if visible_rows.size == 0:
         raise InputError("visible training set is empty")
     if np.unique(y[visible_rows]).size < 2:
         raise InputError("visible training set contains a single class")
-    x_norm = np.asarray(x_norm, dtype=np.float64)
-    check_finite(x_norm)
-    return x_norm, y, visible_rows
+    x = check_features(x, rows=y.size)
+    sub = x[visible_rows]
+    mean = sub.mean(axis=0)
+    std = sub.std(axis=0)  # population std
+    del sub  # release the visible rows' copy before training
+    return (x - mean) / np.where(std == 0, 1.0, std), y, visible_rows
 
 
 def _select_and_refit(x_norm, grid_scores, failed, refit) -> LinearModel:
@@ -333,14 +338,14 @@ def _select_and_refit(x_norm, grid_scores, failed, refit) -> LinearModel:
         unconverged=tuple(c for c, _ in grid_scores if c in failed))
 
 
-def train_logreg(x_norm, y, visible_rows, seed: int = 0, *,
+def train_logreg(x, y, visible_rows, seed: int = 0, *,
                  num_classes: int) -> LinearModel:
     """Select C_reg by stratified k-fold CV macro-F1, then refit on all visible rows.
 
     Folds shrink to the smallest per-class count when classes are scarce;
     below 2 usable folds there is nothing to cross-validate and we fail fast.
     """
-    x_norm, y, visible_rows = _check_visible(x_norm, y, visible_rows, num_classes)
+    x_norm, y, visible_rows = _standardized(x, y, visible_rows, num_classes)
 
     counts = np.bincount(y[visible_rows], minlength=num_classes)
     folds_eff = min(LOGREG_FOLDS, int(counts[counts > 0].min()))
@@ -394,10 +399,10 @@ def _fit_svm_ovr(X, Y_signed, s_norm, lam, wb0):
     return wb, bool(converged.all())
 
 
-def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
+def train_svm(x, y, visible_rows, seed: int = 0, *,
               num_classes: int) -> LinearModel:
     """Grid search on a stratified holdout by macro-F1; refit on all visible rows."""
-    x_norm, y, visible_rows = _check_visible(x_norm, y, visible_rows, num_classes)
+    x_norm, y, visible_rows = _standardized(x, y, visible_rows, num_classes)
 
     fit_idx, val_idx = carve_validation(y, visible_rows, seed)
     if val_idx.size == 0:
@@ -442,18 +447,11 @@ def train_svm(x_norm, y, visible_rows, seed: int = 0, *,
 
 
 def fit_baseline(model: str, x, y, visible_rows, seed: int, num_classes):
-    """``model``, "logreg" or "svm", fitted on x standardized on the visible
-    rows; any other model is an InputError. The trainer is looked up at call
-    time, so a patched one runs."""
+    """``model``, "logreg" or "svm", fitted by its trainer; any other model
+    is an InputError. The trainer is looked up at call time, so a patched
+    one runs."""
     trainers = {"logreg": train_logreg, "svm": train_svm}
     if model not in trainers:
         raise InputError(f"unknown baseline {model!r}; choose from logreg, svm")
-    # before a bad entry spreads to its column's scaling
-    x, y, visible_rows = _check_visible(x, y, visible_rows, num_classes)
-    sub = x[visible_rows]
-    mean = sub.mean(axis=0)
-    std = sub.std(axis=0)  # population std
-    del sub  # release the visible rows' copy before training
-    x_norm = (x - mean) / np.where(std == 0, 1.0, std)
-    return trainers[model](x_norm, y, visible_rows, seed=seed,
+    return trainers[model](x, y, visible_rows, seed=seed,
                            num_classes=num_classes)

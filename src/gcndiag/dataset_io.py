@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_finite, is_integer
+from .errors import InputError, check_features, is_integer
 from .graph import Graph, build_graph
 
 
@@ -176,9 +176,8 @@ def _read_features(path: str, n: int, d: int) -> np.ndarray:
                 f"holds {actual} bytes, expected n*d*4 = {expected}",
                 path=bin_path,
             )
-        x = np.fromfile(bin_path, dtype="<f4").reshape(n, d)
-        check_finite(x, path=bin_path)
-        return x.astype(np.float64)
+        return check_features(np.fromfile(bin_path, dtype="<f4").reshape(n, d),
+                              path=bin_path)
     if os.path.isfile(tsv_path):
         x = np.empty((n, d), dtype=np.float64)
         rows = _rows(tsv_path, n, d, lambda parts: [float(p) for p in parts],

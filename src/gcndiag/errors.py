@@ -25,8 +25,15 @@ class ShapeError(GcnDiagError):
     """Dimension mismatch between arrays that must agree."""
 
 
-def check_finite(x, path=None) -> None:
-    """Raise InputError naming the first NaN or infinite entry of 2-D ``x``."""
+def check_features(x, rows=None, path=None) -> np.ndarray:
+    """``x`` as float64; ShapeError unless 2-D with ``rows`` rows (any when
+    None), then InputError naming its first NaN or infinite entry, sought
+    before a float32 ``x`` is widened."""
+    x = np.asarray(x)
+    if x.ndim != 2 or rows not in (None, x.shape[0]):
+        raise ShapeError(f"features must be {'n' if rows is None else rows} "
+                         f"x d, got {x.shape}")
+    x = x if x.dtype.kind == "f" else x.astype(np.float64)
     bad = ~np.isfinite(x)
     if bad.any():
         row, col = np.unravel_index(np.argmax(bad), bad.shape)
@@ -34,6 +41,7 @@ def check_finite(x, path=None) -> None:
             f"features holds a non-finite value at row {row}, column {col} (0-based)",
             path=path, index=(int(row), int(col)),
         )
+    return x.astype(np.float64, copy=False)
 
 
 def check_labels(y, num_classes=None, what="label") -> np.ndarray:

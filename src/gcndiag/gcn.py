@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InputError, ShapeError, check_finite, check_labels,
+from .errors import (InputError, ShapeError, check_features, check_labels,
                      check_settings, count_rules)
 from .graph import NormAdj, normalized_adjacency, spmm
 from .metrics import macro_f1_over_present
@@ -317,12 +317,11 @@ def train_gcn(cfg: GcnConfig, a: NormAdj, x: np.ndarray, y, split,
     the returned snapshot is the first epoch achieving the best score, with
     the eval-mode predictions that epoch's validation pass made for every
     node. ``ax`` is the propagated features A_hat * x, computed from ``x``
-    when not given. A label that is not a class id is an InputError naming
-    its index. A non-finite training loss raises FloatingPointError naming
-    its epoch.
+    when not given. Features that are not n x d are a ShapeError, and a
+    non-finite feature or a label that is not a class id an InputError. A
+    non-finite training loss raises FloatingPointError naming its epoch.
     """
-    x = np.asarray(x, dtype=np.float64)
-    check_finite(x)
+    x = check_features(x, rows=a.n)
     if ax is not None and np.shape(ax) != x.shape:
         raise ShapeError(f"propagated features must be {x.shape}, got {np.shape(ax)}")
     y = check_labels(y, num_classes)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (InputError, check_finite, check_labels, check_settings,
+from .errors import (InputError, check_features, check_labels, check_settings,
                      is_integer)
 from .metrics import ModelScores, score
 
@@ -204,18 +204,18 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
     model sees identical visible sets at a given rate. The GCN cells of a
     feature mode share one propagation A_hat * x. All of that, and every
     cell's seed, is worked out here before any cell runs. The cells then run
-    through ``fork_map``, one per usable core, queued longest first: logreg,
-    then SVM, then GCN cells. Only each cell's scores and hyperparameters,
+    through ``fork_map``, one per usable core, queued logreg, then SVM, then
+    GCN cells, though an SVM cell runs shorter than a GCN cell on the demo
+    and at the Amazon shape. Only each cell's scores and hyperparameters,
     or its error, and its wall time come back; each CellResult is built here
     as its cell finishes, in the cell's grid-order place in ``cells``.
     ``on_cell(key, seconds, error)`` hears of each cell as it finishes;
     ``seconds`` is NaN when the cell's worker died. A failing cell records
-    its error instead of aborting its siblings; non-finite features fail
-    the whole run before any cell.
+    its error instead of aborting its siblings.
     An unknown model or feature mode, a name or a percent given twice, a
     rate that is not a whole percent, a base seed that is not an integer,
-    and a label that is not a class id are InputErrors before any split is
-    drawn.
+    a label that is not a class id and a non-finite feature are InputErrors,
+    and features that are not len(y) x d a ShapeError, before any split.
     """
     # deferred: baselines imports protocol, and tracers patch these names
     from .baselines import fit_baseline
@@ -236,11 +236,10 @@ def run_grid(a, x, y, base_seed: int = 0, models=MODELS,
     tasks = [(m, r, f, derive_seed(base_seed, m, masking_percent(r), f))
              for m in models for r in masking_rates for f in feature_modes]
     cells = dict.fromkeys(cell_key(*task[:3]) for task in tasks)
-    # longest first; the sort is stable, so grid order within a model
+    # logreg, SVM, GCN; the sort is stable, so grid order within a model
     tasks.sort(key=lambda task: ("logreg", "svm", "gcn").index(task[0]))
     y = check_labels(y, num_classes)
-    x = np.asarray(x, dtype=np.float64)
-    check_finite(x)
+    x = check_features(x, rows=y.size)
     if gcn_config is None:
         gcn_config = GcnConfig()
 

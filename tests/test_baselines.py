@@ -32,10 +32,17 @@ def standardized(x, visible_rows):
 
 
 def trained_on(monkeypatch, model, *args, **kwargs):
-    """The matrix ``fit_baseline(model, ...)`` hands its trainer."""
+    """The matrix the baseline prelude hands ``model``'s trainer during
+    ``fit_baseline(model, ...)``."""
     seen = []
-    monkeypatch.setattr(baselines, f"train_{model}",
-                        lambda x_norm, *a, **k: seen.append(x_norm))
+    prelude = baselines._standardized
+
+    def recording(*a):
+        out = prelude(*a)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(baselines, "_standardized", recording)
     fit_baseline(model, *args, **kwargs)
     (x_norm,) = seen
     return x_norm
@@ -85,13 +92,17 @@ def test_fit_baseline_rejects_an_unknown_model(model):
 
 @pytest.mark.parametrize("model, trainer", [("logreg", train_logreg),
                                             ("svm", train_svm)])
-def test_fit_baseline_trains_on_the_standardized_matrix(model, trainer):
+def test_fit_baseline_trains_on_the_standardized_matrix(monkeypatch, model,
+                                                        trainer):
     X, y = blobs(seed=12, gap=2.0, classes=3, d=4)
     X = 3.0 * X + 7.0
     visible = np.arange(0, y.size, 2)
-    fitted = fit_baseline(model, X, y, visible, seed=4, num_classes=3)
+    by_hand = trainer(X, y, visible, seed=4, num_classes=3)
     x_norm = standardized(X, visible)
-    by_hand = trainer(x_norm, y, visible, seed=4, num_classes=3)
+    assert np.array_equal(trained_on(monkeypatch, model, X, y, visible, seed=4,
+                                     num_classes=3), x_norm)
+    monkeypatch.undo()
+    fitted = fit_baseline(model, X, y, visible, seed=4, num_classes=3)
     assert np.array_equal(fitted.weights, by_hand.weights)
     assert np.array_equal(fitted.bias, by_hand.bias)
     assert fitted.selected_reg == by_hand.selected_reg
@@ -105,8 +116,8 @@ def test_fit_baseline_trains_on_the_standardized_matrix(model, trainer):
 def test_fit_baseline_runs_the_trainer_patched_in(monkeypatch):
     calls = []
 
-    def fake_svm(x_norm, y, visible_rows, seed, num_classes):
-        calls.append((x_norm, seed, num_classes))
+    def fake_svm(x, y, visible_rows, seed, num_classes):
+        calls.append((x, seed, num_classes))
         return "patched"
 
     monkeypatch.setattr(baselines, "train_svm", fake_svm)
@@ -115,7 +126,52 @@ def test_fit_baseline_runs_the_trainer_patched_in(monkeypatch):
                           num_classes=2)
     assert fitted == "patched"
     assert len(calls) == 1 and calls[0][1:] == (6, 2)
-    assert np.array_equal(calls[0][0], standardized(X, np.arange(y.size)))
+    assert calls[0][0] is X  # the features as given: the trainer scales them
+
+
+@pytest.mark.parametrize("model", ["logreg", "svm"])
+def test_a_baseline_fit_runs_its_prelude_once(monkeypatch, model):
+    # each check once, in order: the labels, the visible rows, the features
+    calls = []
+    for name in ("check_labels", "check_features"):
+        def spy(*args, real=getattr(baselines, name), name=name, **kwargs):
+            calls.append((name, args[2] if len(args) > 2 else None))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(baselines, name, spy)
+    X, y = blobs(seed=13, gap=2.0)
+    fit_baseline(model, X, y, np.arange(y.size), seed=0, num_classes=2)
+    assert calls == [("check_labels", None), ("check_labels", "visible row"),
+                     ("check_features", None)]
+
+
+@pytest.mark.parametrize("model", ["logreg", "svm"])
+@pytest.mark.parametrize("visible, message", [
+    ([5, 0, -1, 40], "visible row at index 2 must be a whole number in "
+                     "[0, 80), got -1"),
+    ([0, 79, 80], "visible row at index 2 must be a whole number in "
+                  "[0, 80), got 80"),
+    (np.array([0.0, 41.0, 2.5]), "visible row at index 2 must be a whole "
+                                 "number in [0, 80), got 2.5"),
+    (np.ones(80, dtype=bool), "visible rows must be node ids, not a boolean "
+                              "mask"),
+], ids=["negative", "past the end", "fractional", "boolean mask"])
+def test_baselines_refuse_visible_rows_that_are_not_node_ids(model, visible,
+                                                             message):
+    X, y = blobs(seed=14, gap=3.0)
+    with pytest.raises(InputError) as exc:
+        fit_baseline(model, X, y, visible, seed=0, num_classes=2)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("trainer", [train_logreg, train_svm])
+def test_baselines_take_whole_float_visible_rows_as_node_ids(trainer):
+    X, y = blobs(seed=14, gap=2.0)
+    visible = np.arange(0, y.size, 2)
+    as_ints = trainer(X, y, visible, seed=1, num_classes=2)
+    as_floats = trainer(X, y, visible.astype(np.float64), seed=1,
+                        num_classes=2)
+    assert np.array_equal(as_floats.weights, as_ints.weights)
+    assert np.array_equal(as_floats.predictions, as_ints.predictions)
 
 
 def test_balanced_weights_sum_to_n():
@@ -495,6 +551,7 @@ def reference_svm_objective(W, b, X, y, reg_c, num_classes):
 def test_train_svm_improves_reference_objective():
     X, y = blobs(seed=6, gap=3.0)
     model = train_svm(X, y, np.arange(y.size), seed=0, num_classes=2)
+    X = standardized(X, np.arange(y.size))  # the matrix the SVM trained on
     at_zero = reference_svm_objective(np.zeros((3, 2)), np.zeros(2), X, y,
                                       model.selected_reg, 2)
     at_fit = reference_svm_objective(model.weights, model.bias, X, y,

@@ -7,11 +7,12 @@ import pytest
 import gcndiag.baselines
 import gcndiag.parallel
 import gcndiag.protocol
-from gcndiag import (GcnConfig, InputError, ablate_features, apply_masking,
-                     averaged_class_metrics, build_graph, build_report,
-                     carve_validation, derive_seed, generate_features,
-                     generate_graph, make_split, normalized_adjacency,
-                     run_grid, stratified_split)
+from gcndiag import (GcnConfig, InputError, ShapeError, ablate_features,
+                     apply_masking, averaged_class_metrics, build_graph,
+                     build_report, carve_validation, derive_seed, fit_baseline,
+                     generate_features, generate_graph, make_split,
+                     normalized_adjacency, run_grid, stratified_split,
+                     train_gcn, train_logreg, train_svm)
 from gcndiag.protocol import masking_percent
 from gcndiag.report import jsonable
 from gcndiag.synth import SyntheticSpec
@@ -374,3 +375,30 @@ def test_run_grid_takes_whole_float_labels_as_class_ids():
     as_ints = run_grid(a, x, y, **grid)
     as_floats = run_grid(a, x, y.astype(np.float64), **grid)
     assert jsonable(asdict(as_floats)) == jsonable(asdict(as_ints))
+
+
+@pytest.mark.parametrize("misshape", [
+    lambda x: x[:-5], lambda x: np.vstack([x, x[:3]]), lambda x: x[:, 0],
+    lambda x: np.where(np.arange(x.shape[0]) == 4, np.nan, x[:, 0])],
+    ids=["5 rows short", "3 extra rows", "1-D", "1-D with a NaN"])
+@pytest.mark.parametrize("entry", ["run_grid", "train_gcn", "train_logreg",
+                                   "train_svm", "fit_baseline"])
+def test_every_fit_entry_refuses_misshapen_features(monkeypatch, entry,
+                                                    misshape):
+    a, x, y = small_dataset()
+    x = misshape(x)
+    split = make_split(y, 0.5, 3, 3)
+    monkeypatch.setattr(gcndiag.protocol, "make_split", lambda *args, **kw:
+                        pytest.fail("run_grid split before checking features"))
+    calls = {
+        "run_grid": lambda: run_grid(a, x, y, num_classes=3, base_seed=4),
+        "train_gcn": lambda: train_gcn(GcnConfig(max_epochs=2), a, x, y, split, 3),
+        "train_logreg": lambda: train_logreg(x, y, split.visible_idx,
+                                             num_classes=3),
+        "train_svm": lambda: train_svm(x, y, split.visible_idx, num_classes=3),
+        "fit_baseline": lambda: fit_baseline("svm", x, y, split.visible_idx,
+                                             0, 3),
+    }
+    with pytest.raises(ShapeError) as exc:
+        calls[entry]()
+    assert str(exc.value) == f"features must be 150 x d, got {x.shape}"
